@@ -447,40 +447,49 @@ def _constraint_matrix(
     p: pb.ParabolicProblem, nt: int, k_list: list[int], acc_t: int = 8,
     acc_x: int = 8,
 ) -> np.ndarray:
-    """Rows of the compatibility functionals (per condition k, per sheet),
-    assembled by running the residual map over coordinate impulses."""
+    """Rows of the compatibility functionals (per condition k, per sheet).
+
+    Column j is the Dirichlet residual dt^k g(., 0) - v_k on the boundary of
+    the j-th coordinate impulse of the flattened (f, g, h) data.  An f or h
+    impulse has zero g, so its column is -v_k on the boundary; all of them
+    come from one batched :func:`parabolic.compute_v` call.  A g impulse has
+    zero f and h, so compute_v contributes nothing and its column holds the
+    one-sided trace weight of its time level.  Columns that are exactly zero,
+    and therefore never computed: f impulses at time level
+    (max(k_list) - 1) + acc_t or later, which no trace stencil of compute_v
+    reads, and g impulses at time levels beyond the trace stencil of k.
+    """
     geom = p.geometry
     f_shape, g_shape, h_shape = _data_shapes(geom, nt)
-    dim = int(np.prod(f_shape)) + int(np.prod(g_shape)) + int(np.prod(h_shape))
+    nf, ng, nh = (int(np.prod(shape)) for shape in (f_shape, g_shape, h_shape))
+    dim = nf + ng + nh
     if not k_list:
         return np.zeros((0, dim), dtype=complex)
-    dt_g = p.tau / nt
-    w_tr = {k: one_sided_weights(k, acc_t, dt_g, nt + 1) for k in k_list}
+    k_max = max(k_list)
+    n_sheet = ng // (nt + 1)  # boundary points over both sheets
+    C = np.zeros((len(k_list) * n_sheet, dim), dtype=complex)
 
-    def residual(fgh) -> np.ndarray:
-        f, g, h = fgh
-        v = pb.compute_v(p, f, h, max(k_list), acc_t=acc_t, acc_x=acc_x)
-        rows = []
-        for k in k_list:
-            lhs = np.tensordot(w_tr[k], np.moveaxis(g, -1, 0)[: len(w_tr[k])], axes=(0, 0))
-            rhs = pb.boundary_values(geom, v[k])
-            rows.append((lhs - rhs).reshape(-1))
-        return np.concatenate(rows)
-
-    zero_f = np.zeros(f_shape, dtype=complex)
-    zero_g = np.zeros(g_shape, dtype=complex)
-    zero_h = np.zeros(h_shape, dtype=complex)
-    n_rows = len(k_list) * int(np.prod(g_shape[:-1][1:])) * 2 if geom.spatial_dim > 1 else len(k_list) * 2
-    C = np.zeros((n_rows, dim), dtype=complex)
-    col = 0
-    for shape, slot in ((f_shape, 0), (g_shape, 1), (h_shape, 2)):
-        base = [zero_f, zero_g, zero_h]
-        flat = base[slot].reshape(-1)
-        for i in range(flat.size):
-            flat[i] = 1.0
-            C[:, col] = residual((base[0], base[1], base[2]))
-            flat[i] = 0.0
-            col += 1
+    # f impulses at the time levels the traces read, then every h impulse
+    levels = min((k_max - 1) + acc_t, nt + 1)
+    f_cols = np.arange(nf).reshape(f_shape)[..., :levels].reshape(-1)
+    batch = len(f_cols) + nh
+    F = np.zeros((batch, nf), dtype=complex)
+    F[np.arange(len(f_cols)), f_cols] = 1.0
+    H = np.zeros((batch, nh), dtype=complex)
+    H[len(f_cols) + np.arange(nh), np.arange(nh)] = 1.0
+    v = pb.compute_v(
+        p, F.reshape((batch,) + f_shape), H.reshape((batch,) + h_shape), k_max,
+        acc_t=acc_t, acc_x=acc_x,
+    )
+    fh_cols = np.concatenate([f_cols, nf + ng + np.arange(nh)])
+    sheets = np.arange(n_sheet)
+    for i, k in enumerate(k_list):
+        rows = slice(i * n_sheet, (i + 1) * n_sheet)
+        rhs = np.stack([v[k][:, 0], v[k][:, -1]], axis=1).reshape(batch, n_sheet)
+        C[rows, fh_cols] = 0.0 - rhs.T  # lhs - rhs with lhs = 0; zeros stay unsigned
+        w = one_sided_weights(k, acc_t, p.tau / nt, nt + 1)
+        g_cols = nf + sheets[:, None] * (nt + 1) + np.arange(len(w))[None, :]
+        C[i * n_sheet + sheets[:, None], g_cols] = w + 0.0  # unsigned zeros, as in lhs - rhs
     return C
 
 

@@ -288,7 +288,7 @@ def subspace_spectrum(grams: GramPair, basis: np.ndarray):
     w = np.maximum(w, 0.0)
     lam = np.sqrt(w)
     modes = B @ V
-    proj = (_gram_apply(grams.gram0, B @ V)).conj().T
+    proj = _gram_apply(grams.gram0, modes).conj().T
 
     def to_coords(u: np.ndarray) -> np.ndarray:
         return proj @ u

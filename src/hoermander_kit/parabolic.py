@@ -329,19 +329,24 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
 def apply_D_alpha(
     geom: Geometry, f: np.ndarray, alpha: tuple[int, ...], acc: int = 8
 ) -> np.ndarray:
-    """D^alpha with D_j = i d/dx_j: x by finite differences, y spectrally."""
+    """D^alpha with D_j = i d/dx_j: x by finite differences, y spectrally.
+
+    The spatial axes are the trailing ones of ``f``; leading axes are batch.
+    """
     out = np.asarray(f)
     if not np.iscomplexobj(out):
         out = out.astype(complex)
+    x_axis = out.ndim - geom.spatial_dim
     if alpha[0]:
-        out = apply_deriv_axis(out, 0, geom.dx, alpha[0], acc)
+        out = apply_deriv_axis(out, x_axis, geom.dx, alpha[0], acc)
     if isinstance(geom, PeriodicStripGeometry) and len(alpha) > 1 and alpha[1]:
         out = out.astype(complex)  # fft has no extended-precision path
         xi = 2.0 * np.pi * np.fft.fftfreq(geom.ny, d=geom.period_y / geom.ny)
         shape = [1] * out.ndim
-        shape[1] = geom.ny
+        shape[x_axis + 1] = geom.ny
         out = np.fft.ifft(
-            (1j * xi.reshape(shape)) ** alpha[1] * np.fft.fft(out, axis=1), axis=1
+            (1j * xi.reshape(shape)) ** alpha[1] * np.fft.fft(out, axis=x_axis + 1),
+            axis=x_axis + 1,
         )
     return (np.clongdouble(1j) ** sum(alpha)) * out if out.dtype == np.clongdouble else (1j ** sum(alpha)) * out
 
@@ -540,10 +545,6 @@ def continuity_intervals(l: int, r_max: int = 8) -> list[tuple[float, float]]:
 
 # -- the v_k recurrence ---------------------------------------------------------------
 
-def _omega_shape(geom: Geometry, nt: int) -> tuple[int, ...]:
-    return geom.g_shape() + (nt + 1,)
-
-
 def compute_v(
     p: ParabolicProblem,
     f: np.ndarray,
@@ -562,6 +563,12 @@ def compute_v(
     Time traces of f use one-sided differences of order ``acc_t``; spatial
     derivatives use order-``acc_x`` differences along x and exact spectral
     differentiation along the periodic axis.
+
+    ``f`` has shape ``(*batch, *g_shape, nt+1)`` and ``h`` has shape
+    ``(*batch, *g_shape)`` with the same (possibly empty) leading batch axes;
+    each returned v_k has the shape of ``h``.  Stencils and coefficient
+    traces are built once per call and applied to the whole batch, and every
+    batch item equals the result of an unbatched call on that item.
     """
     geom = p.geometry
     f = np.asarray(f)
@@ -572,12 +579,12 @@ def compute_v(
     work = np.clongdouble if extended else complex
     f = f.astype(work)
     h = h.astype(work)
-    if f.shape[: len(geom.g_shape())] != geom.g_shape() or f.ndim != len(geom.g_shape()) + 1:
+    g_shape = geom.g_shape()
+    if f.shape[:-1] != h.shape or h.shape[-len(g_shape):] != g_shape:
         raise DimensionMismatch(
-            f"f must live on the closed cylinder grid {_omega_shape(geom, 0)[:-1]} x (nt+1)"
+            f"f must live on the closed cylinder grid {g_shape} x (nt+1) and h on "
+            f"the closed spatial grid {g_shape}, after the same batch axes"
         )
-    if h.shape != geom.g_shape():
-        raise DimensionMismatch("h must live on the closed spatial grid")
     nt = f.shape[-1] - 1
     dt = p.tau / nt
     if k_max >= 1 and nt + 1 < (k_max - 1) + acc_t:
@@ -594,7 +601,7 @@ def compute_v(
         ]
     v = [h]
     for k in range(1, k_max + 1):
-        acc = np.zeros(geom.g_shape(), dtype=work)
+        acc = np.zeros(h.shape, dtype=work)
         for alpha in p.a_coeffs:
             for q in range(k):
                 w = math.comb(k - 1, q)

@@ -124,8 +124,13 @@ class FunctionParam:
         )
 
     def cache_key(self):
+        """Hashable key of the parameter's values, or None for custom evaluators.
+
+        A custom evaluator has no value-based identity, and its ``id`` is
+        reused once it is garbage collected, so it gets no key.
+        """
         if self.kind is ParamKind.CUSTOM:
-            return ("custom", id(self.evaluator))
+            return None
         return (self.kind.value, self.exponents, self.base_power, self.scale)
 
     def describe(self) -> str:

@@ -478,12 +478,25 @@ def save_field(field: SpectralField, path: str | Path, fmt: str = "binary") -> N
 
 
 def load_field(path: str | Path) -> SpectralField:
+    """Read a field written by :func:`save_field`.
+
+    Raises :class:`DimensionMismatch` when the file does not hold exactly the
+    number of entries its header's lattice sizes call for.
+    """
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     lattice = Lattice(sizes=tuple(header["sizes"]), periods=tuple(header["periods"]))
     if header.get("format", "binary") == "binary":
+        item = np.dtype(np.complex128).itemsize
+        count = path.stat().st_size / item  # fractional when truncated mid-entry
         flat = np.fromfile(path, dtype=np.complex128)
     else:
-        cols = np.loadtxt(path, delimiter=",")
+        cols = np.loadtxt(path, delimiter=",", ndmin=2)
+        count = len(cols)
         flat = cols[:, 0] + 1j * cols[:, 1]
+    if count != lattice.npoints:
+        raise DimensionMismatch(
+            f"{path} holds {count:g} entries, but header sizes {list(lattice.sizes)} "
+            f"need {lattice.npoints}"
+        )
     return SpectralField(lattice=lattice, coeffs=flat.reshape(lattice.sizes))

@@ -6,7 +6,8 @@ The anisotropic weight pairs one time derivative with two space derivatives:
 
 with the time frequency ``xi_k`` on the last axis.  The isotropic weight uses
 ``1 + |xi|^2`` instead.  Both are evaluated lazily on frequency meshes; full
-grids are cached only below 2**24 lattice points.
+grids of built-in phi families are cached (read-only) only below 2**24
+lattice points.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ class RegularityIndex:
         return self.dimension - 1 if self.anisotropy == "parabolic" else self.dimension
 
     def cache_key(self):
-        return (self.s, self.phi.cache_key(), self.anisotropy, self.dimension)
+        """Hashable key of the weight, or None when phi has none (custom phi)."""
+        phi_key = self.phi.cache_key()
+        if phi_key is None:
+            return None
+        return (self.s, phi_key, self.anisotropy, self.dimension)
 
     def describe(self) -> str:
         if self.anisotropy == "parabolic":
@@ -107,15 +112,20 @@ def eval_weight(idx: RegularityIndex, xi) -> np.ndarray:
 
 
 def weight_on_mesh(idx: RegularityIndex, freq_axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Weight array over the tensor mesh of per-axis frequency vectors."""
+    """Weight array over the tensor mesh of per-axis frequency vectors.
+
+    Grids of built-in phi families up to the point cap are cached and returned
+    read-only; custom phi and larger grids are evaluated on every call.
+    """
     if len(freq_axes) != idx.dimension:
         raise DimensionMismatch(
             f"got {len(freq_axes)} frequency axes, index expects {idx.dimension}"
         )
     npoints = int(np.prod([len(a) for a in freq_axes]))
     key = None
-    if npoints <= _GRID_CACHE_POINT_CAP:
-        key = (idx.cache_key(), tuple(a.tobytes() for a in freq_axes))
+    idx_key = idx.cache_key()
+    if idx_key is not None and npoints <= _GRID_CACHE_POINT_CAP:
+        key = (idx_key, tuple(a.tobytes() for a in freq_axes))
         cached = _GRID_CACHE.get(key)
         if cached is not None:
             return cached
@@ -136,6 +146,7 @@ def weight_on_mesh(idx: RegularityIndex, freq_axes: Sequence[np.ndarray]) -> np.
             rho2 = rho2 + (f**2).reshape(shape)
     out = rho2 ** (idx.s / 2.0) * idx.phi(np.sqrt(rho2))
     if key is not None:
+        out.flags.writeable = False
         _GRID_CACHE[key] = out
     return out
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hoermander_kit import bench, parabolic as pb, params
+from hoermander_kit._fd import one_sided_weights
 
 
 def test_apply_lambda_constant_trial():
@@ -146,3 +147,42 @@ def test_jump_study_smoke():
     assert rep.envelope_stable()
     assert rep.violation_monotone()
     assert all(row["envelope"] >= 1.0 for row in rep.rows)
+
+
+def _constraint_matrix_by_impulses(p, nt, k_list, acc_t=8, acc_x=8):
+    """Reference: the residual map of one compute_v call per coordinate impulse."""
+    geom = p.geometry
+    f_shape, g_shape, h_shape = bench._data_shapes(geom, nt)
+    w_tr = {k: one_sided_weights(k, acc_t, p.tau / nt, nt + 1) for k in k_list}
+
+    def residual(f, g, h):
+        v = pb.compute_v(p, f, h, max(k_list), acc_t=acc_t, acc_x=acc_x)
+        rows = []
+        for k in k_list:
+            lhs = np.tensordot(w_tr[k], np.moveaxis(g, -1, 0)[: len(w_tr[k])], axes=(0, 0))
+            rows.append((lhs - pb.boundary_values(geom, v[k])).reshape(-1))
+        return np.concatenate(rows)
+
+    zeros = [np.zeros(shape, dtype=complex) for shape in (f_shape, g_shape, h_shape)]
+    cols = []
+    for slot in range(3):
+        flat = zeros[slot].reshape(-1)
+        for i in range(flat.size):
+            flat[i] = 1.0
+            cols.append(residual(*zeros))
+            flat[i] = 0.0
+    return np.array(cols, dtype=complex).T
+
+
+@pytest.mark.parametrize(
+    "geom,nt,acc_x,k_list",
+    [(pb.IntervalGeometry(nx=8), 8, 4, [0, 1]), (pb.IntervalGeometry(nx=16), 16, 8, [0, 1, 2]),
+     (pb.PeriodicStripGeometry(nx=8, ny=4), 16, 4, [0, 1, 2])],
+    ids=["interval-16", "interval-32", "strip-8x4"],
+)
+def test_constraint_matrix_matches_impulse_loop_bitwise(geom, nt, acc_x, k_list):
+    p = pb.heat_problem(geom)
+    C = bench._constraint_matrix(p, nt, k_list, acc_x=acc_x)
+    ref = _constraint_matrix_by_impulses(p, nt, k_list, acc_x=acc_x)
+    assert C.shape == ref.shape and C.dtype == ref.dtype
+    assert C.tobytes() == ref.tobytes()

@@ -410,6 +410,46 @@ def test_compute_v_interval_oracle_two_steps():
         assert err < 1e-8, f"v_{k} deviates {err:.2e}"
 
 
+def _batch_problem(geom):
+    # a time-dependent coefficient without dt_evaluators runs the dt_on_G
+    # one-sided fallback; the others cover first-order and zeroth-order terms
+    x_dep = pb.Coefficient(evaluator=lambda *a: 1.0 + 0.3 * a[0] + 0.2 * np.sin(a[-1]))
+    a = {(2,) + (0,) * (geom.spatial_dim - 1): x_dep,
+         (1,) + (0,) * (geom.spatial_dim - 1): 0.4,
+         (0,) * geom.spatial_dim: pb.Coefficient(evaluator=lambda *a: a[-1] ** 2)}
+    if geom.spatial_dim == 2:
+        a[(0, 2)] = pb.Coefficient(evaluator=lambda x, y, t: 1.0 + 0.1 * np.cos(2 * np.pi * y) * t)
+        a[(0, 1)] = 0.5j
+    return pb.ParabolicProblem(geometry=geom, tau=1.0, a_coeffs=a, boundary=pb.Dirichlet())
+
+
+@pytest.mark.parametrize("geom", [interval(16), strip(nx=16, ny=4)], ids=["interval", "strip"])
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_compute_v_batch_matches_items_bitwise(geom, k_max):
+    p = _batch_problem(geom)
+    nt = 16
+    rng = np.random.default_rng(k_max)
+    batch = (2, 3)
+    f = rng.standard_normal(batch + geom.g_shape() + (nt + 1,)) + 0j
+    h = rng.standard_normal(batch + geom.g_shape()) + 1j * rng.standard_normal(batch + geom.g_shape())
+    v_batch = pb.compute_v(p, f, h, k_max)
+    assert len(v_batch) == k_max + 1
+    for i in np.ndindex(*batch):
+        v_item = pb.compute_v(p, f[i], h[i], k_max)
+        for vb, vi in zip(v_batch, v_item):
+            assert vb[i].shape == geom.g_shape()
+            assert vb[i].tobytes() == vi.tobytes()
+
+
+def test_compute_v_batch_shape_guard():
+    geom = interval(16)
+    p = pb.heat_problem(geom)
+    with pytest.raises(DimensionMismatch):
+        pb.compute_v(p, np.zeros((3, 17, 17)), np.zeros((2, 17)), 1)
+    with pytest.raises(DimensionMismatch):
+        pb.compute_v(p, np.zeros((3, 17)), np.zeros((3, 17)), 1)
+
+
 def test_boundary_recurrence_time_independent_reduction():
     # with time-independent b only the q = k term survives: B_k = B applied to v_k
     geom = strip(nx=64, ny=16)

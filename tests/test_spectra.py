@@ -240,3 +240,21 @@ def test_dimension_mismatch_guards():
     other = spectra.random_field(lattice2(16), 0)
     with pytest.raises(DimensionMismatch):
         spectra.inner_product(weights.isotropic(1.0, dimension=2), u, other)
+
+
+def test_load_field_rejects_wrong_entry_count(tmp_path):
+    f = spectra.random_field(lattice2(8), 9)
+    p = tmp_path / "field.dat"
+    spectra.save_field(f, p, fmt="binary")
+    p.write_bytes(p.read_bytes()[:-16])  # one entry short
+    with pytest.raises(DimensionMismatch, match=r"63 entries.*need 64"):
+        spectra.load_field(p)
+    p.write_bytes(p.read_bytes()[:-8])  # truncated inside an entry
+    with pytest.raises(DimensionMismatch, match=r"62\.5 entries.*need 64"):
+        spectra.load_field(p)
+
+    q = tmp_path / "field.csv"
+    spectra.save_field(f, q, fmt="csv")
+    q.write_text(q.read_text() + "1.0,2.0\n")  # one extra row
+    with pytest.raises(DimensionMismatch, match=r"65 entries.*need 64"):
+        spectra.load_field(q)

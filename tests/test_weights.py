@@ -101,3 +101,25 @@ def test_weight_on_mesh_matches_pointwise():
     for i, a in enumerate(ax0):
         for j, b in enumerate(ax1):
             assert grid[i, j] == pytest.approx(weights.eval_weight(idx, [a, b]))
+
+
+def test_custom_phi_weights_never_go_stale():
+    # ids of collected evaluators get reused; each fresh custom phi must get
+    # its own weights, not those of an earlier parameter
+    axes = [np.fft.fftfreq(8, d=1.0 / 8), np.fft.fftfreq(4, d=1.0 / 4)]
+    base = weights.weight_on_mesh(weights.isotropic(1.0, dimension=2), axes)
+    stale = 0
+    for c in range(1, 201):
+        phi = params.custom(lambda r, c=c: np.full_like(r, float(c)))
+        grid = weights.weight_on_mesh(weights.isotropic(1.0, phi, dimension=2), axes)
+        stale += not np.allclose(grid, c * base, rtol=1e-14)
+    assert stale == 0
+
+
+def test_cached_weight_grid_is_read_only():
+    axes = [np.fft.fftfreq(8, d=1.0 / 8), np.fft.fftfreq(8, d=1.0 / 8)]
+    idx = weights.parabolic_split(1.5, params.log_power(1.0), dimension=2)
+    grid = weights.weight_on_mesh(idx, axes)
+    assert weights.weight_on_mesh(idx, axes) is grid
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.0
