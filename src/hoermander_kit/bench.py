@@ -42,6 +42,7 @@ __all__ = [
     "IsomorphismReport",
     "estimate_isomorphism",
     "round_trip_interval",
+    "trig_sum",
     "JumpStudyReport",
     "jump_study",
 ]
@@ -307,6 +308,23 @@ def estimate_isomorphism(case: BenchCase, progress=None) -> IsomorphismReport:
 
 # -- inverse direction on the interval ---------------------------------------------------
 
+def trig_sum(coeffs: np.ndarray, fx: np.ndarray, ft: np.ndarray):
+    """Evaluator of sum_ab coeffs[a, b] exp(i (fx[a] x + ft[b] t)).
+
+    The returned ``(x, t) -> values`` broadcasts x against t.  The coefficient
+    matrix meets the x phases first, ``exp(i x fx) @ coeffs``, and that product
+    meets the t phases in one elementwise sum over the t frequencies, so no
+    phase array is spread over the x-by-t grid.
+    """
+
+    def evaluate(x, t):
+        xc = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), fx)) @ coeffs
+        tphase = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), ft))
+        return np.sum(xc * tphase, axis=-1)
+
+    return evaluate
+
+
 def round_trip_interval(
     resolution: int = 64,
     s: float = 3.0,
@@ -320,7 +338,10 @@ def round_trip_interval(
     Returns the relative defect of Lambda(solve(data)) against the data in
     the target norm, together with the norms entering the quotient.  The
     solver consumes the trial's analytic callables (its quadrature evaluates
-    data between grid times); the comparison happens on the bench grid.
+    data between grid times): f, the boundary values and their time
+    derivatives and the initial state are all :func:`trig_sum` of the trial's
+    coefficients times the symbol of dt - dxx, of 1 or of dt.  The comparison
+    happens on the bench grid.
     """
     nx = nt = resolution // 2
     geom = pb.IntervalGeometry(nx=nx)
@@ -332,46 +353,16 @@ def round_trip_interval(
     fx = box.freq_axis(0)
     ft = box.freq_axis(1)
     coeffs = trial.coeffs / math.sqrt(box.npoints)
-
-    def u_eval(x, t):
-        phase = np.exp(1j * (np.multiply.outer(np.asarray(x), fx)))
-        tphase = np.exp(1j * (np.multiply.outer(np.asarray(t), ft)))
-        return np.einsum("...a,ab,...b->...", phase, coeffs, tphase)
-
-    def eval_f(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        xb, tb = np.broadcast_arrays(x, t)
-        phase = np.exp(1j * np.multiply.outer(xb, fx))
-        tphase = np.exp(1j * np.multiply.outer(tb, ft))
-        sym = (1j * ft)[None, :] + (fx**2)[:, None]  # dt - dxx on the box
-        return np.einsum("...a,ab,...b->...", phase, coeffs * sym, tphase)
-
-    def eval_u_at(xv):
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            phase = np.exp(1j * xv * fx)
-            tphase = np.exp(1j * np.multiply.outer(t, ft))
-            return np.einsum("a,ab,...b->...", phase, coeffs, tphase)
-
-        return fn
-
-    def eval_du_at(xv):
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            phase = np.exp(1j * xv * fx)
-            tphase = np.exp(1j * np.multiply.outer(t, ft))
-            return np.einsum("a,ab,...b->...", phase, coeffs * (1j * ft)[None, :], tphase)
-
-        return fn
-
+    dt_symbol = (1j * ft)[None, :]
+    u = trig_sum(coeffs, fx, ft)
+    du = trig_sum(coeffs * dt_symbol, fx, ft)
     data = HeatData(
-        f=eval_f,
-        g0=eval_u_at(0.0),
-        g1=eval_u_at(1.0),
-        h=lambda x: u_eval(x, 0.0),
-        dg0=eval_du_at(0.0),
-        dg1=eval_du_at(1.0),
+        f=trig_sum(coeffs * (dt_symbol + (fx**2)[:, None]), fx, ft),  # dt - dxx
+        g0=lambda t: u(0.0, t),
+        g1=lambda t: u(1.0, t),
+        h=lambda x: u(x, 0.0),
+        dg0=lambda t: du(0.0, t),
+        dg1=lambda t: du(1.0, t),
     )
     sol: SolveResult = solve_heat_interval(data, nx, nt, tau, n_cheb=n_cheb)
 

@@ -600,14 +600,14 @@ def compute_v(
             coeff.dt_on_G(geom, q, p.tau) for q in range(max(k_max, 1))
         ]
     v = [h]
+    dv: list[dict] = []  # dv[q][alpha] = D^alpha v_q, built once and reused for every k > q
     for k in range(1, k_max + 1):
+        dv.append({alpha: apply_D_alpha(geom, v[k - 1], alpha, acc_x) for alpha in p.a_coeffs})
         acc = np.zeros(h.shape, dtype=work)
         for alpha in p.a_coeffs:
             for q in range(k):
                 w = math.comb(k - 1, q)
-                acc += w * a_derivs[alpha][k - 1 - q] * apply_D_alpha(
-                    geom, v[q], alpha, acc_x
-                )
+                acc += w * a_derivs[alpha][k - 1 - q] * dv[q][alpha]
         v.append(-acc + f_traces[k - 1])
     return v
 

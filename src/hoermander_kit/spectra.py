@@ -316,15 +316,21 @@ def quotient_norm(
 # which defeats CG once the spread passes ~1e8.  The direct engine solves the
 # same problem stably: it decouples fibers along periodic axes where the mask
 # is full, assembles K per fiber by Toeplitz gather, and factorizes by Cholesky
-# for mild spreads or by QR of the square-root factor B* (condition = spread,
-# not spread^2) for stiff ones.  Factorizations are shared across a batch of
-# data vectors.
+# for mild spreads or by an R-only QR of the real-folded square-root factor B*
+# (condition = spread, not spread^2) for stiff ones.  Factorizations are shared
+# across a batch of data vectors.
 
 _CHOL_SPREAD_CAP = 1e16
 
 
 class _FiberSolver:
-    """Least-norm solve on one fiber: lattice ``sizes``, weight ``mu``, ``mask``."""
+    """Least-norm solve on one fiber: lattice ``sizes``, weight ``mu``, ``mask``.
+
+    The stiff (QR) path needs ``mu`` exactly even on the lattice:
+    mu[-xi mod sizes] == mu[xi] for every index.  Weights from ``weight_on_mesh``
+    are, because they read xi only through xi_j^2 and |xi_k| and ``fftfreq``
+    negates exactly; a fiber slice of such a weight is even on its own axes.
+    """
 
     def __init__(self, sizes: tuple[int, ...], mu: np.ndarray, mask: np.ndarray):
         self.sizes = sizes
@@ -346,28 +352,45 @@ class _FiberSolver:
                 return
             except np.linalg.LinAlgError:
                 self._mode = "qr"
-        # QR of B* with B*[xi, j] = mu(xi)^(-1) exp(-i xi . p_j) / sqrt(N);
-        # only R is needed for the least-norm value
+        # R-only QR of the square-root factor B*[xi, j] = mu(xi)^(-1) exp(-i xi . p_j)
+        # / sqrt(N), folded to a real matrix with the same R^T R = K: the unitary
+        # mix of the rows xi and -xi gives sqrt(2) mu^(-1) cos(xi . p) / sqrt(N) and
+        # sqrt(2) mu^(-1) sin(xi . p) / sqrt(N); a self-paired xi (every coordinate
+        # 0 or Nyquist) keeps its row mu^(-1) cos(xi . p) / sqrt(N).
         npts = int(np.prod(sizes))
+        flat = np.arange(npts)
+        neg = flat.reshape(sizes)  # becomes the flat index of -xi (mod sizes)
+        for ax, n in enumerate(sizes):
+            neg = np.take(neg, -np.arange(n) % n, axis=ax)
+        neg = neg.reshape(-1)
+        mu_flat = mu.reshape(-1)
+        if not np.array_equal(mu_flat[neg], mu_flat):
+            raise RuntimeError("the stiff quotient solve needs a weight even in xi")
+        keep = flat <= neg  # one representative of each pair {xi, -xi}
+        paired = (flat < neg)[keep]
         pts = np.argwhere(mask)
-        phase = np.zeros((npts, self.n))
         # integer mode numbers against index coordinates: xi . p = sum 2pi m_d p_d / n_d
         mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes],
                            indexing="ij")
+        phase = np.zeros((int(keep.sum()), self.n))
         for d in range(len(sizes)):
-            phase = phase + np.outer(
-                mesh[d].reshape(-1), pts[:, d] * (2.0 * np.pi / sizes[d])
+            phase += np.outer(
+                mesh[d].reshape(-1)[keep], pts[:, d] * (2.0 * np.pi / sizes[d])
             )
-        Bstar = np.exp(-1j * phase)
-        Bstar *= (mu.reshape(-1) ** -1.0 / np.sqrt(npts))[:, None]
-        _, self._R = sla.qr(Bstar, mode="economic")
+        scale = mu_flat[keep] ** -1.0 * np.where(paired, np.sqrt(2.0), 1.0) / np.sqrt(npts)
+        folded = np.concatenate([
+            np.cos(phase) * scale[:, None],
+            np.sin(phase[paired]) * scale[paired, None],
+        ])
+        (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
+        self._R = R[: self.n].copy()  # mode "r" returns all N rows; the rest are zero
 
     def solve_values(self, data: np.ndarray) -> np.ndarray:
         """Squared quotient norms for each column of ``data`` (n x batch)."""
         if self._mode == "chol":
             lam = sla.cho_solve(self._chol, data)
             return np.maximum(0.0, np.real(np.sum(np.conj(lam) * data, axis=0)))
-        z = sla.solve_triangular(self._R.conj().T, data, lower=True)
+        z = sla.solve_triangular(self._R, data, trans="T")
         return np.sum(np.abs(z) ** 2, axis=0)
 
 

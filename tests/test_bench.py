@@ -142,6 +142,28 @@ def test_round_trip_interval():
     assert rt["max_u_error"] < 1e-10
 
 
+@pytest.mark.parametrize(
+    "x,t",
+    [(0.3, np.linspace(0.0, 1.0, 7)),
+     (np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 4)[None, :]),
+     (np.linspace(0.0, 1.0, 6), 0.45)],
+    ids=["scalar-x", "grid", "scalar-t"],
+)
+def test_trig_sum_matches_double_sum(x, t):
+    box = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8).lattice
+    fx, ft = box.freq_axis(0), box.freq_axis(1)
+    rng = np.random.default_rng(4)
+    coeffs = rng.standard_normal(box.sizes) + 1j * rng.standard_normal(box.sizes)
+    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    ref = np.zeros(xb.shape, dtype=complex)
+    for a in range(len(fx)):
+        for b in range(len(ft)):
+            ref = ref + coeffs[a, b] * np.exp(1j * (fx[a] * xb + ft[b] * tb))
+    got = bench.trig_sum(coeffs, fx, ft)(x, t)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_jump_study_smoke():
     rep = bench.jump_study(resolutions=(16, 32), trials=30, seed=1)
     assert rep.envelope_stable()

@@ -441,6 +441,50 @@ def test_compute_v_batch_matches_items_bitwise(geom, k_max):
             assert vb[i].tobytes() == vi.tobytes()
 
 
+def _compute_v_recomputing(p, f, h, k_max, acc_t=8, acc_x=8):
+    """Reference: the recurrence with D^alpha v_q rebuilt for every k > q."""
+    geom = p.geometry
+    f = np.asarray(f).astype(complex)
+    h = np.asarray(h).astype(complex)
+    dt = p.tau / (f.shape[-1] - 1)
+    v = [h]
+    for k in range(1, k_max + 1):
+        acc = np.zeros(h.shape, dtype=complex)
+        for alpha, coeff in p.a_coeffs.items():
+            for q in range(k):
+                acc += math.comb(k - 1, q) * coeff.dt_on_G(geom, k - 1 - q, p.tau) * (
+                    pb.apply_D_alpha(geom, v[q], alpha, acc_x)
+                )
+        v.append(-acc + pb.trace_deriv_at_zero(f, f.ndim - 1, dt, k - 1, acc_t))
+    return v
+
+
+@pytest.mark.parametrize("geom", [interval(16), strip(nx=16, ny=4)], ids=["interval", "strip"])
+def test_compute_v_reuses_derivatives_bitwise(geom):
+    p = _batch_problem(geom)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(geom.g_shape() + (17,)) + 0j
+    h = rng.standard_normal(geom.g_shape()) + 1j * rng.standard_normal(geom.g_shape())
+    for vm, vr in zip(pb.compute_v(p, f, h, 3), _compute_v_recomputing(p, f, h, 3)):
+        assert vm.tobytes() == vr.tobytes()
+
+
+def test_compute_v_differentiates_each_v_q_once(monkeypatch):
+    calls = []
+    original = pb.apply_deriv_axis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pb, "apply_deriv_axis", counting)
+    geom = interval(128)
+    p = pb.heat_problem(geom)
+    rng = np.random.default_rng(0)
+    pb.compute_v(p, rng.standard_normal((129, 33)), rng.standard_normal(129), 3)
+    assert len(calls) == 3  # D^2 of v_0, v_1, v_2; the recurrence reads each for every k > q
+
+
 def test_compute_v_batch_shape_guard():
     geom = interval(16)
     p = pb.heat_problem(geom)

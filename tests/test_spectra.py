@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from hoermander_kit import params, spectra, weights
+from hoermander_kit import parabolic as pb, params, spectra, weights
 from hoermander_kit.errors import DimensionMismatch, NoConvergence
 
 TWO_PI = 2.0 * np.pi
@@ -187,6 +188,78 @@ def test_quotient_direct_matches_dense_stiff():
         dv = spectra.quotient_norm_direct(idx, d, mask)
         dn = spectra.quotient_norm_dense(idx, d, mask)
         assert dv == pytest.approx(dn, rel=1e-9)
+
+
+def _economic_qr_values(sizes, mu, mask, data):
+    """Reference: squared least-norm values from the complex economic QR of B*."""
+    npts = int(np.prod(sizes))
+    pts = np.argwhere(mask)
+    mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes], indexing="ij")
+    phase = sum(np.outer(mesh[d].reshape(-1), pts[:, d] * (TWO_PI / sizes[d]))
+                for d in range(len(sizes)))
+    bstar = np.exp(-1j * phase) * (mu.reshape(-1) ** -1.0 / np.sqrt(npts))[:, None]
+    _, r = sla.qr(bstar, mode="economic")
+    z = sla.solve_triangular(r.conj().T, data, lower=True)
+    return np.sum(np.abs(z) ** 2, axis=0)
+
+
+@pytest.mark.parametrize(
+    "geom", [pb.IntervalGeometry(nx=16), pb.PeriodicStripGeometry(nx=16, ny=4, period_y=32.0)],
+    ids=["interval-32", "strip-32x4"],
+)
+def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
+    # the strip's y axis is full, so its four fibers are solved one by one, and
+    # its long y period keeps every fiber's spread past the Cholesky cap; every
+    # fiber lattice has self-paired (zero and Nyquist) modes
+    solved = []
+
+    class Recording(spectra._FiberSolver):
+        def __init__(self, sizes, mu, mask):
+            super().__init__(sizes, mu, mask)
+            self.mu = mu
+
+        def solve_values(self, data):
+            values = super().solve_values(data)
+            solved.append((self, data, values))
+            return values
+
+    monkeypatch.setattr(spectra, "_FiberSolver", Recording)
+    mask = pb.omega_domain(geom, 1.0, 16)
+    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=mask.lattice.k)
+    rng = np.random.default_rng(8)
+    datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
+             for _ in range(3)]
+    norms = spectra.quotient_norm_batch(idx, datas, mask)
+    assert len(solved) == (1 if geom.spatial_dim == 1 else geom.ny)
+    ref_sq = np.zeros(len(datas))
+    for solver, data, values in solved:
+        assert solver._mode == "qr"
+        ref = _economic_qr_values(solver.sizes, solver.mu, solver.mask, data)
+        assert np.max(np.abs(values - ref) / ref) <= 1e-10
+        ref_sq += ref
+    assert np.max(np.abs(norms**2 - ref_sq) / ref_sq) <= 1e-10
+
+
+def test_quotient_direct_matches_dense_qr_branch():
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=16), 1.0, 16)
+    lat = mask.lattice
+    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
+    assert spectra._FiberSolver(lat.sizes, lat.weight(idx), mask.mask)._mode == "qr"
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
+        dv = spectra.quotient_norm_direct(idx, d, mask)
+        dn = spectra.quotient_norm_dense(idx, d, mask)
+        assert dv == pytest.approx(dn, rel=1e-9)
+
+
+def test_folded_qr_rejects_a_weight_that_is_not_even():
+    rng = np.random.default_rng(1)
+    mu = 10.0 ** rng.uniform(0.0, 9.0, size=(8, 8))  # spread far past the Cholesky cap
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[:5, :5] = True
+    with pytest.raises(RuntimeError, match="even"):
+        spectra._FiberSolver((8, 8), mu, mask)
 
 
 def test_quotient_batch_fiber_decoupling_matches_cg():
