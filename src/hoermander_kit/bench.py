@@ -385,16 +385,23 @@ def round_trip_interval(
 # -- jump study --------------------------------------------------------------------------
 
 def _quotient_gram(idx, mask: SubdomainMask) -> np.ndarray:
-    """Dense Gram of the quotient space in point coordinates: K^{-1}."""
+    """Dense Gram of the quotient space in point coordinates: K^{-1}.
+
+    K[i, j] = kern(p_i - p_j) with kern the inverse DFT of mu^-2.  The weight
+    must be exactly even in xi (RuntimeError otherwise), which makes kern
+    real and even, so K and the Gram are real symmetric; the imaginary part
+    ifftn leaves is rounding and is dropped.
+    """
     lat = mask.lattice
     mu = lat.weight(idx)
-    kern = np.fft.ifftn(mu**-2.0)
+    spectra._even_mirror_index(mu)  # raises unless mu is even; the index is not needed
+    kern = np.fft.ifftn(mu**-2.0).real
     pts = np.argwhere(mask.mask)
     gather = tuple(
         ((pts[:, None, d] - pts[None, :, d]) % lat.sizes[d]) for d in range(lat.k)
     )
     K = kern[gather]
-    K = 0.5 * (K + K.conj().T)
+    K = 0.5 * (K + K.T)
     return sla.inv(K) * pb._measure_factor(lat) ** 2
 
 
@@ -550,39 +557,34 @@ def jump_study(
         p = pb.heat_problem(geom, tau=tau)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4  # small grids degrade gracefully
         C_above = _constraint_matrix(p, nt, list(range(r_above)), acc_x=acc_x)
-        dim = C_above.shape[1]
-        basis1 = interp._nullspace_basis(C_above, dim)
+        frame = interp.kernel_frame(C_above, C_above.shape[1])
 
-        norms_by_eps = {}
+        # the trials, then the violating datum, fixed across resolutions: zero
+        # interior/initial data with the t-linear boundary value, which
+        # satisfies the k = 0 condition and breaks the k = 1 condition
+        # appearing at s_star; both eps see the same block
+        columns = [
+            _flatten_data(*apply_lambda(
+                p, synthesize_trial(geom, tau, nt, seed=seed + 31 * t, band=band), nt))
+            for t in range(trials)
+        ]
+        f_shape, g_shape, h_shape = _data_shapes(geom, nt)
+        tgrid = np.arange(nt + 1) * (tau / nt)
+        g_viol = np.broadcast_to(tgrid, g_shape).astype(complex)
+        columns.append(_flatten_data(
+            np.zeros(f_shape, dtype=complex), g_viol, np.zeros(h_shape, dtype=complex)
+        ))
+        data = np.column_stack(columns)
+
+        norms = []
         for eps in eps_pair:
             grams = interp.GramPair(
                 gram0=_data_gram(p, nt, s_star - eps),
                 gram1=_data_gram(p, nt, s_star + eps),
             )
-            lam, _, to_coords = interp.subspace_spectrum(grams, basis1)
-            lam_max = float(np.max(lam))
+            norms.append(interp.half_interp_norm(grams, frame, data))
 
-            def half_norm(vec, grams=grams, lam=lam, to_coords=to_coords, lam_max=lam_max):
-                c = to_coords(vec)
-                a = np.abs(c) ** 2
-                norm0 = float(np.real(np.vdot(vec, grams.gram0 @ vec)))
-                delta = max(0.0, norm0 - float(np.sum(a)))
-                if delta <= 1e-10 * norm0:
-                    delta = 0.0
-                t0 = 1.0 / lam_max
-                core = float(np.sum(a * lam * (np.pi / 2 - np.arctan(t0 * lam))))
-                return math.sqrt((2.0 / np.pi) * (core + delta / t0))
-
-            vals = []
-            for t in range(trials):
-                trial = synthesize_trial(geom, tau, nt, seed=seed + 31 * t, band=band)
-                vec = _flatten_data(*apply_lambda(p, trial, nt))
-                vals.append(half_norm(vec))
-            norms_by_eps[eps] = (np.array(vals), half_norm)
-
-        v1, hn1 = norms_by_eps[eps_pair[0]]
-        v2, _ = norms_by_eps[eps_pair[1]]
-        ratios = v1 / v2
+        ratios = norms[0][:trials] / norms[1][:trials]
         envelope = float(max(np.max(ratios), 1.0 / np.min(ratios)))
         report.rows.append(
             {
@@ -593,16 +595,7 @@ def jump_study(
                 "trials": trials,
             }
         )
-        # violating datum, fixed across resolutions: zero interior/initial
-        # data with the t-linear boundary value, which satisfies the k = 0
-        # condition and breaks the k = 1 condition appearing at s_star
-        f_shape, g_shape, h_shape = _data_shapes(geom, nt)
-        tgrid = np.arange(nt + 1) * (tau / nt)
-        g_viol = np.broadcast_to(tgrid, g_shape).astype(complex)
-        vec = _flatten_data(
-            np.zeros(f_shape, dtype=complex), g_viol, np.zeros(h_shape, dtype=complex)
-        )
         report.violation_rows.append(
-            {"resolution": resolution, "norm": float(hn1(vec))}
+            {"resolution": resolution, "norm": float(norms[0][trials])}
         )
     return report

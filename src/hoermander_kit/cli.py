@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, interp, parabolic as pb, params, spectra, traces
+from .errors import UnknownConfigKey
 from .params import constant, log_power, param_from_dict
 from .weights import isotropic, parabolic_split
 
@@ -124,13 +125,24 @@ def _cmd_trace_check(args) -> int:
     return 0 if ok else 1
 
 
+_ISO_BENCH_KEYS = ("geometry", "boundary", "s_grid", "phi", "trials",
+                   "resolutions", "seed", "ny", "band")
+
+
 def _cmd_iso_bench(args) -> int:
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
+        unknown = sorted(set(cfg) - set(_ISO_BENCH_KEYS))
+        if unknown:
+            raise UnknownConfigKey(
+                f"{args.config}: unknown keys {unknown}; "
+                f"a bench case reads {list(_ISO_BENCH_KEYS)}"
+            )
         phis = tuple(param_from_dict(d) for d in cfg.get(
             "phi", [{"kind": "Constant", "value": 1.0}]))
         case = bench.BenchCase(
             geometry_kind=cfg.get("geometry", args.geometry),
+            boundary=cfg.get("boundary", "dirichlet"),
             s_grid=tuple(cfg.get("s_grid", [2.6, 3.0, 4.0, 4.6])),
             phi_list=phis,
             trial_count=int(cfg.get("trials", args.trials)),

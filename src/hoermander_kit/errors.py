@@ -51,3 +51,7 @@ class CutoffWrapsAround(HoermanderKitError):
 
 class ProjectorMismatch(HoermanderKitError):
     """A supplied projector is not idempotent or is inconsistent with the constraint."""
+
+
+class UnknownConfigKey(HoermanderKitError):
+    """A configuration file holds keys the command does not read."""

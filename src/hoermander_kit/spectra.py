@@ -323,13 +323,31 @@ def quotient_norm(
 _CHOL_SPREAD_CAP = 1e16
 
 
+def _even_mirror_index(mu: np.ndarray) -> np.ndarray:
+    """Flat index of -xi (mod the lattice sizes) for every flat index xi of ``mu``.
+
+    Raises RuntimeError unless ``mu`` is exactly even on its lattice,
+    mu[-xi mod sizes] == mu[xi] for every index, which the real forms of the
+    quotient solve and of its Gram rest on.  Weights from ``weight_on_mesh``
+    are even, because they read xi only through xi_j^2 and |xi_k| and
+    ``fftfreq`` negates exactly; a fiber slice of such a weight is even on its
+    own axes.
+    """
+    neg = np.arange(mu.size).reshape(mu.shape)
+    for ax, n in enumerate(mu.shape):
+        neg = np.take(neg, -np.arange(n) % n, axis=ax)
+    neg = neg.reshape(-1)
+    mu_flat = mu.reshape(-1)
+    if not np.array_equal(mu_flat[neg], mu_flat):
+        raise RuntimeError("the weight is not even in xi: mu(-xi) differs from mu(xi)")
+    return neg
+
+
 class _FiberSolver:
     """Least-norm solve on one fiber: lattice ``sizes``, weight ``mu``, ``mask``.
 
-    The stiff (QR) path needs ``mu`` exactly even on the lattice:
-    mu[-xi mod sizes] == mu[xi] for every index.  Weights from ``weight_on_mesh``
-    are, because they read xi only through xi_j^2 and |xi_k| and ``fftfreq``
-    negates exactly; a fiber slice of such a weight is even on its own axes.
+    The stiff (QR) path needs ``mu`` exactly even on the lattice (see
+    :func:`_even_mirror_index`).
     """
 
     def __init__(self, sizes: tuple[int, ...], mu: np.ndarray, mask: np.ndarray):
@@ -359,13 +377,8 @@ class _FiberSolver:
         # 0 or Nyquist) keeps its row mu^(-1) cos(xi . p) / sqrt(N).
         npts = int(np.prod(sizes))
         flat = np.arange(npts)
-        neg = flat.reshape(sizes)  # becomes the flat index of -xi (mod sizes)
-        for ax, n in enumerate(sizes):
-            neg = np.take(neg, -np.arange(n) % n, axis=ax)
-        neg = neg.reshape(-1)
+        neg = _even_mirror_index(mu)
         mu_flat = mu.reshape(-1)
-        if not np.array_equal(mu_flat[neg], mu_flat):
-            raise RuntimeError("the stiff quotient solve needs a weight even in xi")
         keep = flat <= neg  # one representative of each pair {xi, -xi}
         paired = (flat < neg)[keep]
         pts = np.argwhere(mask)

@@ -7,11 +7,13 @@ The anisotropic weight pairs one time derivative with two space derivatives:
 with the time frequency ``xi_k`` on the last axis.  The isotropic weight uses
 ``1 + |xi|^2`` instead.  Both are evaluated lazily on frequency meshes; full
 grids of built-in phi families are cached (read-only) only below 2**24
-lattice points.
+lattice points, and the least recently used go once all cached grids together
+pass 2**28 bytes.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +32,40 @@ __all__ = [
     "AdmissibilityFit",
 ]
 
-_GRID_CACHE: dict = {}
-_GRID_CACHE_POINT_CAP = 2**24
+
+class _GridCache:
+    """Read-only weight grids by key, least recently used first out.
+
+    Holds at most ``byte_cap`` bytes of grids in total; storing a grid evicts
+    the least recently used ones until the total fits again.
+    """
+
+    def __init__(self, byte_cap: int):
+        self.byte_cap = byte_cap
+        self.nbytes = 0
+        self._grids: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._grids)
+
+    def get(self, key):
+        grid = self._grids.get(key)
+        if grid is not None:
+            self._grids.move_to_end(key)
+        return grid
+
+    def put(self, key, grid: np.ndarray) -> None:
+        self._grids[key] = grid
+        self.nbytes += grid.nbytes
+        while self.nbytes > self.byte_cap:
+            _, old = self._grids.popitem(last=False)
+            self.nbytes -= old.nbytes
+
+
+_GRID_CACHE_POINT_CAP = 2**24  # 128 MiB per float64 grid
+# far above every working set of the benchmark (under 2 MiB), and room for a
+# grid at the point cap
+_GRID_CACHE = _GridCache(byte_cap=2**28)
 
 
 @dataclass(frozen=True)
@@ -114,8 +148,9 @@ def eval_weight(idx: RegularityIndex, xi) -> np.ndarray:
 def weight_on_mesh(idx: RegularityIndex, freq_axes: Sequence[np.ndarray]) -> np.ndarray:
     """Weight array over the tensor mesh of per-axis frequency vectors.
 
-    Grids of built-in phi families up to the point cap are cached and returned
-    read-only; custom phi and larger grids are evaluated on every call.
+    Grids of built-in phi families up to the point cap are cached (least
+    recently used out, under a total byte cap) and returned read-only; custom
+    phi and larger grids are evaluated on every call.
     """
     if len(freq_axes) != idx.dimension:
         raise DimensionMismatch(
@@ -147,7 +182,7 @@ def weight_on_mesh(idx: RegularityIndex, freq_axes: Sequence[np.ndarray]) -> np.
     out = rho2 ** (idx.s / 2.0) * idx.phi(np.sqrt(rho2))
     if key is not None:
         out.flags.writeable = False
-        _GRID_CACHE[key] = out
+        _GRID_CACHE.put(key, out)
     return out
 
 

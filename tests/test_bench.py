@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from hoermander_kit import bench, parabolic as pb, params
+from hoermander_kit import bench, parabolic as pb, params, spectra
 from hoermander_kit._fd import one_sided_weights
 
 
@@ -208,3 +211,97 @@ def test_constraint_matrix_matches_impulse_loop_bitwise(geom, nt, acc_x, k_list)
     ref = _constraint_matrix_by_impulses(p, nt, k_list, acc_x=acc_x)
     assert C.shape == ref.shape and C.dtype == ref.dtype
     assert C.tobytes() == ref.tobytes()
+
+
+def _complex_data_gram(p, nt, s):
+    """Reference: the block data Gram from complex quotient Grams."""
+    def quotient_gram(idx, mask):
+        lat = mask.lattice
+        kern = np.fft.ifftn(lat.weight(idx) ** -2.0)
+        pts = np.argwhere(mask.mask)
+        K = kern[tuple((pts[:, None, d] - pts[None, :, d]) % lat.sizes[d] for d in range(lat.k))]
+        K = 0.5 * (K + K.conj().T)
+        return sla.inv(K) * pb._measure_factor(lat) ** 2
+
+    geom = p.geometry
+    idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, params.constant())
+    G_g = quotient_gram(idx_g, pb.lateral_domain(geom, p.tau, nt))
+    return sla.block_diag(quotient_gram(idx_f, pb.omega_domain(geom, p.tau, nt)), G_g, G_g,
+                          quotient_gram(idx_h, pb.spatial_domain(geom)))
+
+
+def _jump_study_complex(s_star, eps_pair, resolutions, trials, seed, tau=1.0, band=2):
+    """Reference: the jump study on an explicit SVD kernel basis in complex arithmetic,
+    with the K-functional evaluated one vector at a time (defect floor 1e-10)."""
+    rows, violations = [], []
+    for resolution in resolutions:
+        nx = nt = resolution // 2
+        geom = pb.IntervalGeometry(nx=nx)
+        p = pb.heat_problem(geom, tau=tau)
+        acc_x = 8 if nx + 1 >= 2 + 8 else 4
+        C = bench._constraint_matrix(p, nt, list(range(pb.compat_count(s_star, 0) + 1)),
+                                     acc_x=acc_x)
+        _, sv, vh = np.linalg.svd(C, full_matrices=True)
+        B = vh[int(np.sum(sv > max(C.shape) * np.finfo(float).eps * sv[0])):].conj().T
+        vals, closures = [], []
+        for eps in eps_pair:
+            G0 = _complex_data_gram(p, nt, s_star - eps)
+            G1 = _complex_data_gram(p, nt, s_star + eps)
+            A0, A1 = B.conj().T @ G0 @ B, B.conj().T @ G1 @ B
+            w, V = sla.eigh(0.5 * (A1 + A1.conj().T), 0.5 * (A0 + A0.conj().T))
+            lam = np.sqrt(np.maximum(w, 0.0))
+            proj = (G0 @ (B @ V)).conj().T
+
+            def half_norm(vec, G0=G0, lam=lam, proj=proj):
+                a = np.abs(proj @ vec) ** 2
+                norm0 = float(np.real(np.vdot(vec, G0 @ vec)))
+                delta = max(0.0, norm0 - float(np.sum(a)))
+                if delta <= 1e-10 * norm0:
+                    delta = 0.0
+                t0 = 1.0 / float(np.max(lam))
+                core = float(np.sum(a * lam * (np.pi / 2 - np.arctan(t0 * lam))))
+                return math.sqrt((2.0 / np.pi) * (core + delta / t0))
+
+            vals.append(np.array([
+                half_norm(bench._flatten_data(*bench.apply_lambda(
+                    p, bench.synthesize_trial(geom, tau, nt, seed=seed + 31 * t, band=band), nt)))
+                for t in range(trials)
+            ]))
+            closures.append(half_norm)
+        ratios = vals[0] / vals[1]
+        rows.append({"envelope": max(np.max(ratios), 1.0 / np.min(ratios)),
+                     "ratio_min": np.min(ratios), "ratio_max": np.max(ratios)})
+        f_shape, g_shape, h_shape = bench._data_shapes(geom, nt)
+        g_viol = np.broadcast_to(np.arange(nt + 1) * (tau / nt), g_shape).astype(complex)
+        violations.append(closures[0](bench._flatten_data(
+            np.zeros(f_shape, dtype=complex), g_viol, np.zeros(h_shape, dtype=complex))))
+    return rows, violations
+
+
+def test_jump_study_matches_complex_svd_reference():
+    rep = bench.jump_study(s_star=3.5, eps_pair=(0.1, 0.2), resolutions=(16, 32, 64),
+                           trials=30, seed=5)
+    rows, violations = _jump_study_complex(3.5, (0.1, 0.2), (16, 32, 64), trials=30, seed=5)
+    for row, ref in zip(rep.rows, rows, strict=True):
+        for key in ("envelope", "ratio_min", "ratio_max"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-10, abs=0.0)
+    for row, ref in zip(rep.violation_rows, violations, strict=True):
+        assert row["norm"] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_quotient_gram_is_real_symmetric():
+    geom = pb.IntervalGeometry(nx=8)
+    p = pb.heat_problem(geom)
+    G = bench._data_gram(p, 8, 3.4)
+    assert G.dtype == np.float64
+    assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+
+
+def test_quotient_gram_rejects_a_weight_that_is_not_even(monkeypatch):
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=4), 1.0, 4)
+    rng = np.random.default_rng(1)
+    uneven = 1.0 + rng.uniform(size=mask.lattice.sizes)
+    monkeypatch.setattr(spectra.Lattice, "weight", lambda self, idx: uneven)
+    idx = pb._component_indices(pb.IntervalGeometry(nx=4), 3.4, 0, params.constant())[0]
+    with pytest.raises(RuntimeError, match="even"):
+        bench._quotient_gram(idx, mask)

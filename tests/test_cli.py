@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hoermander_kit import spectra
+from hoermander_kit import bench, spectra
 from hoermander_kit.cli import main
+from hoermander_kit.errors import HoermanderKitError, UnknownConfigKey
 
 
 def test_norm_command(tmp_path):
@@ -92,3 +93,28 @@ def test_iso_bench_config(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "iso-bench.json").read_text())
     assert payload["case"]["s_grid"] == [3.0]
+
+
+def test_iso_bench_config_passes_boundary(tmp_path, monkeypatch):
+    seen = []
+    real = bench.estimate_isomorphism
+    monkeypatch.setattr(bench, "estimate_isomorphism",
+                        lambda case, **kw: seen.append(case) or real(case, **kw))
+    cfg = {"geometry": "interval", "boundary": "neumann", "s_grid": [3.0],
+           "trials": 30, "resolutions": [16, 32], "seed": 2}
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps(cfg))
+    main(["iso-bench", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert seen[0].boundary == "neumann"
+    payload = json.loads((tmp_path / "iso-bench.json").read_text())
+    assert payload["case"]["boundary"] == "neumann"
+
+
+def test_iso_bench_config_rejects_unknown_keys(tmp_path):
+    cfg = {"geometry": "interval", "s_grid": [3.0], "trails": 30, "resolution": [16],
+           "tau": 0.5}
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(UnknownConfigKey, match=r"\['resolution', 'tau', 'trails'\]") as err:
+        main(["iso-bench", "--config", str(cfg_path)])
+    assert isinstance(err.value, HoermanderKitError)

@@ -191,7 +191,7 @@ def test_subspace_norm_against_sqrtm_oracle():
     psi = params.InterpParam(evaluator=np.sqrt)
     rng = np.random.default_rng(3)
     C = (rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))).astype(complex)
-    basis = interp._nullspace_basis(C, 8)
+    basis = sla.null_space(C)
     x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     u = spectra.SpectralField(lat, (basis @ x).reshape(lat.sizes))
 
@@ -224,14 +224,15 @@ def test_half_interp_matches_spectral_on_members():
     grams = interp.GramPair.diagonal(pair)
     rng = np.random.default_rng(9)
     C = (rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
-    basis = interp._nullspace_basis(C, 16)
+    basis = sla.null_space(C)
     u = basis @ (rng.standard_normal(14) + 1j * rng.standard_normal(14))
+    frame = interp.kernel_frame(C, 16)
     sqrt_psi = params.InterpParam(evaluator=np.sqrt)
-    j_norm = interp.spectral_interp_norm(grams, basis, sqrt_psi, u)
-    k_norm = interp.half_interp_norm(grams, basis, u, t_floor=0.0)
+    j_norm = interp.spectral_interp_norm(grams, frame, sqrt_psi, u)
+    k_norm = interp.half_interp_norm(grams, frame, u, t_floor=0.0)
     assert k_norm == pytest.approx(j_norm, rel=1e-10)
     # the default spectral floor only dampens the stiffest modes
-    k_floor = interp.half_interp_norm(grams, basis, u)
+    k_floor = interp.half_interp_norm(grams, frame, u)
     assert k_floor <= j_norm * (1 + 1e-12)
     assert k_floor >= j_norm * np.sqrt(1 - 2 / np.pi) * (1 - 1e-12)
 
@@ -242,15 +243,66 @@ def test_half_interp_detects_violation():
     grams = interp.GramPair.diagonal(pair)
     C = np.zeros((1, 8), dtype=complex)
     C[0, 0] = 1.0
-    basis = interp._nullspace_basis(C, 8)
+    frame = interp.kernel_frame(C, 8)
     inside = np.zeros(8, dtype=complex)
     inside[1] = 1.0
     outside = np.zeros(8, dtype=complex)
     outside[0] = 1.0
-    v_in = interp.half_interp_norm(grams, basis, inside)
-    v_out = interp.half_interp_norm(grams, basis, outside)
+    v_in = interp.half_interp_norm(grams, frame, inside)
+    v_out = interp.half_interp_norm(grams, frame, outside)
     assert np.isfinite(v_in)
     assert v_out > v_in  # defect term dominates
+
+
+def _svd_spectrum(grams, C):
+    """Reference: the pencil on an explicit SVD basis of ker C, and its coordinates."""
+    B = sla.null_space(C)
+    G0, G1 = np.diag(grams.gram0), np.diag(grams.gram1)
+    w, V = sla.eigh(B.conj().T @ G1 @ B, B.conj().T @ G0 @ B)
+    return np.sqrt(np.maximum(w, 0.0)), (G0 @ B @ V).conj().T
+
+
+def _frame_cases():
+    rng = np.random.default_rng(3)
+    c8 = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+    rng = np.random.default_rng(9)
+    c16 = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    repeated = np.vstack([rows, rows[1]])  # rank 3 of 4 rows
+    return [(c8, 8), (c16, 16), (repeated, 16), (repeated.real, 16)]
+
+
+@pytest.mark.parametrize("C,n", _frame_cases(),
+                         ids=["complex-1x8", "complex-2x16", "repeated-row", "repeated-row-real"])
+def test_kernel_frame_matches_svd_basis(C, n):
+    lat = spectra.Lattice(sizes=(n,), periods=(TWO_PI,))
+    grams = interp.GramPair.diagonal(pair_power(0.0, 2.0, lat))
+    frame = interp.kernel_frame(C, n)
+    lam_ref, proj = _svd_spectrum(grams, C)
+    assert frame.rank == n - len(lam_ref) == np.linalg.matrix_rank(C)
+    lam, to_coords = interp.subspace_spectrum(grams, frame)
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(lam_ref)
+    # eigencoordinates agree up to a unit factor per (simple) eigenvalue
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    c = to_coords(x)
+    assert c.shape == (len(lam_ref), 3)
+    assert np.allclose(np.abs(c), np.abs(proj @ x), rtol=1e-10, atol=1e-12 * np.abs(proj @ x).max())
+
+
+def test_half_interp_norm_batch_matches_columns():
+    lat = spectra.Lattice(sizes=(16,), periods=(TWO_PI,))
+    grams = interp.GramPair.diagonal(pair_power(0.0, 2.0, lat))
+    rng = np.random.default_rng(9)
+    C = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    frame = interp.kernel_frame(C, 16)
+    members = sla.null_space(C) @ (rng.standard_normal((14, 3)) + 1j * rng.standard_normal((14, 3)))
+    x = np.column_stack([members, rng.standard_normal(16)])  # the last one violates C
+    batch = interp.half_interp_norm(grams, frame, x)
+    single = [interp.half_interp_norm(grams, frame, x[:, j]) for j in range(4)]
+    assert batch.shape == (4,)
+    assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
 
 
 def test_power_case_geometric_mean():

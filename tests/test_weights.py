@@ -123,3 +123,23 @@ def test_cached_weight_grid_is_read_only():
     assert weights.weight_on_mesh(idx, axes) is grid
     with pytest.raises(ValueError):
         grid[0, 0] = 0.0
+
+
+def test_weight_cache_evicts_least_recently_used_past_byte_cap(monkeypatch):
+    axes = [np.fft.fftfreq(64, d=1.0 / 64)] * 2
+    grid_bytes = 64 * 64 * 8
+    cache = weights._GridCache(byte_cap=3 * grid_bytes)
+    monkeypatch.setattr(weights, "_GRID_CACHE", cache)
+    idxs = [weights.parabolic_split(s, dimension=2) for s in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    first = [weights.weight_on_mesh(idx, axes) for idx in idxs[:3]]
+    assert len(cache) == 3 and cache.nbytes == 3 * grid_bytes
+    assert weights.weight_on_mesh(idxs[0], axes) is first[0]  # a hit, now the most recent
+    for idx in idxs[3:]:
+        weights.weight_on_mesh(idx, axes)
+    assert len(cache) == 3 and cache.nbytes <= cache.byte_cap
+    # s = 2 and 3 were least recently used and went; s = 1 stayed
+    hit = weights.weight_on_mesh(idxs[0], axes)
+    assert hit is first[0] and not hit.flags.writeable
+    again = weights.weight_on_mesh(idxs[1], axes)
+    assert again is not first[1]
+    np.testing.assert_array_equal(again, first[1])
