@@ -30,7 +30,7 @@ from . import interp, parabolic as pb, spectra
 from ._fd import one_sided_weights
 from .params import FunctionParam, constant
 from .solver import HeatData, SolveResult, solve_heat_interval
-from .spectra import Lattice, SubdomainMask
+from .spectra import Lattice
 from .weights import parabolic_split
 
 __all__ = [
@@ -384,34 +384,16 @@ def round_trip_interval(
 
 # -- jump study --------------------------------------------------------------------------
 
-def _quotient_gram(idx, mask: SubdomainMask) -> np.ndarray:
-    """Dense Gram of the quotient space in point coordinates: K^{-1}.
-
-    K[i, j] = kern(p_i - p_j) with kern the inverse DFT of mu^-2.  The weight
-    must be exactly even in xi (RuntimeError otherwise), which makes kern
-    real and even, so K and the Gram are real symmetric; the imaginary part
-    ifftn leaves is rounding and is dropped.
-    """
-    lat = mask.lattice
-    mu = lat.weight(idx)
-    spectra._even_mirror_index(mu)  # raises unless mu is even; the index is not needed
-    kern = np.fft.ifftn(mu**-2.0).real
-    pts = np.argwhere(mask.mask)
-    gather = tuple(
-        ((pts[:, None, d] - pts[None, :, d]) % lat.sizes[d]) for d in range(lat.k)
-    )
-    K = kern[gather]
-    K = 0.5 * (K + K.T)
-    return sla.inv(K) * pb._measure_factor(lat) ** 2
-
-
 def _data_gram(p: pb.ParabolicProblem, nt: int, s: float) -> np.ndarray:
     """Block Gram of the three-component data space at smoothness s."""
     geom = p.geometry
     idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, constant())
-    G_f = _quotient_gram(idx_f, pb.omega_domain(geom, p.tau, nt))
-    G_g = _quotient_gram(idx_g, pb.lateral_domain(geom, p.tau, nt))
-    G_h = _quotient_gram(idx_h, pb.spatial_domain(geom))
+    G_f, G_g, G_h = (
+        spectra.quotient_gram(idx, mask) * pb._measure_factor(mask.lattice) ** 2
+        for idx, mask in ((idx_f, pb.omega_domain(geom, p.tau, nt)),
+                          (idx_g, pb.lateral_domain(geom, p.tau, nt)),
+                          (idx_h, pb.spatial_domain(geom)))
+    )
     return sla.block_diag(G_f, G_g, G_g, G_h)
 
 
@@ -427,18 +409,6 @@ def _data_shapes(geom: pb.Geometry, nt: int):
     g_shape = (2,) + geom.g_shape()[1:] + (nt + 1,)
     h_shape = geom.g_shape()
     return f_shape, g_shape, h_shape
-
-
-def _unflatten_data(vec: np.ndarray, geom: pb.Geometry, nt: int):
-    f_shape, g_shape, h_shape = _data_shapes(geom, nt)
-    nf = int(np.prod(f_shape))
-    ng = int(np.prod(g_shape[1:]))
-    f = vec[:nf].reshape(f_shape)
-    g = np.stack(
-        [vec[nf:nf + ng].reshape(g_shape[1:]), vec[nf + ng:nf + 2 * ng].reshape(g_shape[1:])]
-    )
-    h = vec[nf + 2 * ng:].reshape(h_shape)
-    return f, g, h
 
 
 def _constraint_matrix(

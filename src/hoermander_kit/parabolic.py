@@ -66,7 +66,6 @@ __all__ = [
     "omega_domain",
     "lateral_domain",
     "spatial_domain",
-    "quotient_auto",
 ]
 
 
@@ -795,9 +794,6 @@ def spatial_domain(geom: Geometry) -> SubdomainMask:
     return SubdomainMask(lat, mask)
 
 
-_CG_SPREAD_CAP = 1e8
-
-
 def _measure_factor(lat: Lattice) -> float:
     """Converts unitary-DFT sample norms to integral (Fourier-series) norms.
 
@@ -806,20 +802,6 @@ def _measure_factor(lat: Lattice) -> float:
     components combine with resolution-independent relative weights.
     """
     return math.sqrt(float(np.prod(lat.periods)) / lat.npoints)
-
-
-def quotient_auto(
-    idx: RegularityIndex,
-    data: np.ndarray,
-    mask: SubdomainMask,
-    tol: float = 1e-8,
-) -> float:
-    """Quotient norm via CG for mild weight spreads, direct factorization otherwise."""
-    mu = mask.lattice.weight(idx)
-    spread = float((np.max(mu) / np.min(mu)) ** 2)
-    if spread <= _CG_SPREAD_CAP:
-        return spectra.quotient_norm(idx, data, mask, tol=tol)
-    return spectra.quotient_norm_direct(idx, data, mask)
 
 
 @dataclass(frozen=True)
@@ -875,13 +857,12 @@ def target_norm_batch(
     f_vals = spectra.quotient_norm_batch(
         idx_f, [np.asarray(f).reshape(-1) for f, _, _ in datas], om
     ) * _measure_factor(om.lattice)
-    g_sheets = []
-    for sheet in range(2):
-        g_sheets.append(
-            spectra.quotient_norm_batch(
-                idx_g, [np.asarray(g)[sheet].reshape(-1) for _, g, _ in datas], lateral
-            )
-        )
+    # both boundary sheets in one batch, so one factorization serves both
+    g_sheets = spectra.quotient_norm_batch(
+        idx_g,
+        [np.asarray(g)[sheet].reshape(-1) for sheet in range(2) for _, g, _ in datas],
+        lateral,
+    ).reshape(2, len(datas))
     g_vals = np.sqrt(g_sheets[0] ** 2 + g_sheets[1] ** 2) * _measure_factor(lateral.lattice)
     h_vals = spectra.quotient_norm_batch(
         idx_h, [np.asarray(h).reshape(-1) for _, _, h in datas], spat

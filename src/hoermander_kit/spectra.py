@@ -4,10 +4,14 @@ Euclidean space is modeled by a torus with periods large relative to the
 support of the functions of interest; this is the standing discretization
 assumption of the whole package.  On the lattice every weight acts as a
 diagonal Fourier multiplier, so norms, inner products and embedding constants
-are exactly computable.  Restriction (quotient) norms over a sub-domain are
-computed by conjugate gradient on the normal equations of the weighted
-least-norm extension problem; each iteration costs two DFTs plus diagonal
-scaling.
+are exactly computable.  Restriction (quotient) norms over a sub-domain come
+from one direct engine, :func:`quotient_norm_batch`: per fiber it assembles
+the real Toeplitz kernel K of the weighted least-norm extension problem and
+factors it by Cholesky, or, past a weight spread of 1e16, by an R-only QR of
+a real-folded square-root factor.  :func:`quotient_gram` returns K^-1 from
+the same assembly.  :func:`quotient_norm_dense` is a dense oracle for small
+lattices, and :func:`quotient_norm` (preconditioned conjugate gradient, two
+DFTs per iteration) is the matrix-free cross-check.
 
 The DFT convention is unitary throughout, so Parseval holds with constant one
 and single-mode norms equal the weight value at that mode.
@@ -34,9 +38,8 @@ __all__ = [
     "embedding_constant",
     "quotient_norm",
     "quotient_norm_batch",
-    "quotient_norm_direct",
+    "quotient_gram",
     "quotient_norm_dense",
-    "QuotientResult",
     "random_field",
     "save_field",
     "load_field",
@@ -199,13 +202,6 @@ def random_field(lattice: Lattice, seed: int, band: int | None = None) -> Spectr
 
 # -- quotient (restriction) norms ---------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientResult:
-    value: float
-    iterations: int
-    residual: float
-
-
 def _kernel_apply(mult: np.ndarray, mask: np.ndarray, lam_vals: np.ndarray) -> np.ndarray:
     """Restrict(ifft(mult * fft(embed(lam)))) for mask-supported vectors."""
     grid = np.zeros(mask.shape, dtype=complex)
@@ -222,16 +218,15 @@ def quotient_norm(
     mask: SubdomainMask,
     tol: float = 1e-8,
     max_iter: int | None = None,
-    precondition: bool = True,
-    return_stats: bool = False,
-) -> float | QuotientResult:
+) -> float:
     """Infimum of the ambient weighted norm over all extensions of the data.
 
-    Solves min ||w||_mu over lattice fields w whose physical samples match
+    Matrix-free cross-check of :func:`quotient_norm_batch`: solves
+    min ||w||_mu over lattice fields w whose physical samples match
     ``samples_on_v`` at the masked points.  The normal equations
     K lam = d with K = restrict o F* o mu^(-2) o F o embed are solved by
-    conjugate gradient, preconditioned (optionally) by the reciprocal-symbol
-    kernel built from mu^(+2).  The squared quotient norm equals Re <lam, d>.
+    conjugate gradient, preconditioned by the reciprocal-symbol kernel built
+    from mu^(+2).  The squared quotient norm equals Re <lam, d>.
 
     Parameters
     ----------
@@ -263,7 +258,7 @@ def quotient_norm(
         )
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
-        return QuotientResult(0.0, 0, 0.0) if return_stats else 0.0
+        return 0.0
 
     mu = lattice.weight(idx)
     inv2 = mu ** (-2.0)
@@ -276,7 +271,7 @@ def quotient_norm(
         return _kernel_apply(inv2, m, v)
 
     def M(v):
-        return _kernel_apply(fwd2, m, v) if precondition else v
+        return _kernel_apply(fwd2, m, v)
 
     lam = np.zeros_like(d)
     r = d.copy()
@@ -304,10 +299,7 @@ def quotient_norm(
         rz = rz_new
         it += 1
     value_sq = max(0.0, float(np.real(np.vdot(lam, d))))
-    value = float(np.sqrt(value_sq))
-    if return_stats:
-        return QuotientResult(value, it, res)
-    return value
+    return float(np.sqrt(value_sq))
 
 
 # -- direct (factorization-based) quotient engine -------------------------------
@@ -315,10 +307,11 @@ def quotient_norm(
 # The least-norm kernel K = S F* mu^(-2) F S* has condition ~ (weight spread)^2,
 # which defeats CG once the spread passes ~1e8.  The direct engine solves the
 # same problem stably: it decouples fibers along periodic axes where the mask
-# is full, assembles K per fiber by Toeplitz gather, and factorizes by Cholesky
-# for mild spreads or by an R-only QR of the real-folded square-root factor B*
-# (condition = spread, not spread^2) for stiff ones.  Factorizations are shared
-# across a batch of data vectors.
+# is full, assembles the real K per fiber by one Toeplitz gather, and keeps one
+# upper-triangular factor U with U^T U = K: the Cholesky factor for mild
+# spreads, or the R of an R-only QR of the real-folded square-root factor B*
+# (condition = spread, not spread^2) for stiff ones.  A squared norm is then
+# ||U^-T d||^2, and one factorization serves a whole batch of data vectors.
 
 _CHOL_SPREAD_CAP = 1e16
 
@@ -343,30 +336,47 @@ def _even_mirror_index(mu: np.ndarray) -> np.ndarray:
     return neg
 
 
-class _FiberSolver:
-    """Least-norm solve on one fiber: lattice ``sizes``, weight ``mu``, ``mask``.
+def _difference_index(mask: np.ndarray) -> np.ndarray:
+    """Flat lattice index of (p_i - p_j) mod sizes for every pair of masked points."""
+    pts = np.argwhere(mask)
+    diff = 0
+    for d, n in enumerate(mask.shape):
+        diff = diff * n + (pts[:, None, d] - pts[None, :, d]) % n
+    return diff
 
-    The stiff (QR) path needs ``mu`` exactly even on the lattice (see
+
+def _kernel_matrix(mu: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Real symmetric K[i, j] = kern(p_i - p_j), kern the inverse DFT of mu^-2.
+
+    ``diff`` comes from :func:`_difference_index` on the lattice of ``mu``.
+    The weight must be exactly even (RuntimeError otherwise), which makes
+    kern real and even; averaging kern with its mirror drops the rounding
+    ifftn leaves, so K is exactly symmetric.
+    """
+    neg = _even_mirror_index(mu)
+    kern = np.fft.ifftn(mu**-2.0).real.reshape(-1)
+    return (0.5 * (kern + kern[neg]))[diff]
+
+
+class _FiberSolver:
+    """Least-norm solve on one fiber: weight ``mu`` on the fiber lattice, ``mask``.
+
+    ``diff``, the :func:`_difference_index` of ``mask``, lets the fibers of
+    one call share it; without it, the index is built only if the Cholesky
+    branch needs it.  ``mu`` must be exactly even on its lattice (see
     :func:`_even_mirror_index`).
     """
 
-    def __init__(self, sizes: tuple[int, ...], mu: np.ndarray, mask: np.ndarray):
-        self.sizes = sizes
-        self.mask = mask
-        self.n = int(mask.sum())
+    def __init__(self, mu: np.ndarray, mask: np.ndarray, diff: np.ndarray | None = None):
         spread = float((mu.max() / mu.min()) ** 2)
         self._mode = "chol" if spread <= _CHOL_SPREAD_CAP else "qr"
         if self._mode == "chol":
-            kern = np.fft.ifftn(mu**-2.0)
-            pts = np.argwhere(mask)
-            gather = tuple(
-                ((pts[:, None, d] - pts[None, :, d]) % sizes[d])
-                for d in range(len(sizes))
-            )
-            K = kern[gather]
-            K = 0.5 * (K + K.conj().T)
+            if diff is None:
+                diff = _difference_index(mask)
+            # K is symmetric, so K.T is K in Fortran order and factors in place
+            K = _kernel_matrix(mu, diff).T
             try:
-                self._chol = sla.cho_factor(K, lower=True)
+                self._U = sla.cho_factor(K, overwrite_a=True, check_finite=False)[0]
                 return
             except np.linalg.LinAlgError:
                 self._mode = "qr"
@@ -375,36 +385,36 @@ class _FiberSolver:
         # mix of the rows xi and -xi gives sqrt(2) mu^(-1) cos(xi . p) / sqrt(N) and
         # sqrt(2) mu^(-1) sin(xi . p) / sqrt(N); a self-paired xi (every coordinate
         # 0 or Nyquist) keeps its row mu^(-1) cos(xi . p) / sqrt(N).
-        npts = int(np.prod(sizes))
+        sizes = mu.shape
+        npts = mu.size
         flat = np.arange(npts)
         neg = _even_mirror_index(mu)
-        mu_flat = mu.reshape(-1)
         keep = flat <= neg  # one representative of each pair {xi, -xi}
         paired = (flat < neg)[keep]
         pts = np.argwhere(mask)
         # integer mode numbers against index coordinates: xi . p = sum 2pi m_d p_d / n_d
         mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes],
                            indexing="ij")
-        phase = np.zeros((int(keep.sum()), self.n))
+        phase = np.zeros((int(keep.sum()), len(pts)))
         for d in range(len(sizes)):
             phase += np.outer(
                 mesh[d].reshape(-1)[keep], pts[:, d] * (2.0 * np.pi / sizes[d])
             )
-        scale = mu_flat[keep] ** -1.0 * np.where(paired, np.sqrt(2.0), 1.0) / np.sqrt(npts)
+        scale = mu.reshape(-1)[keep] ** -1.0 * np.where(paired, np.sqrt(2.0), 1.0) / np.sqrt(npts)
         folded = np.concatenate([
             np.cos(phase) * scale[:, None],
             np.sin(phase[paired]) * scale[paired, None],
         ])
         (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
-        self._R = R[: self.n].copy()  # mode "r" returns all N rows; the rest are zero
+        self._U = R[: len(pts)].copy()  # mode "r" returns all N rows; the rest are zero
 
     def solve_values(self, data: np.ndarray) -> np.ndarray:
-        """Squared quotient norms for each column of ``data`` (n x batch)."""
-        if self._mode == "chol":
-            lam = sla.cho_solve(self._chol, data)
-            return np.maximum(0.0, np.real(np.sum(np.conj(lam) * data, axis=0)))
-        z = sla.solve_triangular(self._R, data, trans="T")
-        return np.sum(np.abs(z) ** 2, axis=0)
+        """Squared quotient norms ||U^-T d||^2 for each column d of ``data`` (n x batch)."""
+        # the real and imaginary parts of each column solve as two real columns
+        parts = np.ascontiguousarray(data, dtype=complex).view(np.float64)
+        z = sla.solve_triangular(self._U, parts, trans="T", check_finite=False)
+        sq = np.sum(z**2, axis=0)
+        return sq[0::2] + sq[1::2]
 
 
 def _full_axes(mask: np.ndarray) -> list[int]:
@@ -424,8 +434,9 @@ def quotient_norm_batch(
 ) -> np.ndarray:
     """Quotient norms of many data vectors sharing one (index, mask) pair.
 
-    Uses the direct engine: one factorization, one cheap solve per vector.
-    Fibers decouple along periodic axes on which the mask is full.
+    The direct engine: one factorization per fiber, one triangular solve for
+    the whole batch.  Fibers decouple along periodic axes on which the mask
+    is full; they share one sub-mask and hence one difference index.
     """
     lattice = mask.lattice
     if idx.dimension != lattice.k:
@@ -439,18 +450,17 @@ def quotient_norm_batch(
     mu = lattice.weight(idx)
     full = _full_axes(mask.mask)
     if not full:
-        solver = _FiberSolver(lattice.sizes, mu, mask.mask)
+        solver = _FiberSolver(mu, mask.mask)
         return np.sqrt(solver.solve_values(data))
     # partial unitary FFT of data along the full axes, then per-fiber solves
     grids = np.zeros(lattice.sizes + (batch,), dtype=complex)
     grids[mask.mask] = data
     grids = np.fft.fftn(grids, axes=full, norm="ortho")
-    other = [ax for ax in range(lattice.k) if ax not in full]
-    sub_sizes = tuple(lattice.sizes[ax] for ax in other)
     slicer: list = [slice(None)] * lattice.k
     for ax in full:
         slicer[ax] = 0
     sub_mask = mask.mask[tuple(slicer)]
+    diff = _difference_index(sub_mask)
     values_sq = np.zeros(batch)
     for fiber_idx in np.ndindex(*(lattice.sizes[ax] for ax in full)):
         sl: list = [slice(None)] * lattice.k
@@ -458,15 +468,21 @@ def quotient_norm_batch(
             sl[ax] = i
         mu_sub = np.ascontiguousarray(mu[tuple(sl)])
         fiber_data = grids[tuple(sl)][sub_mask]
-        solver = _FiberSolver(sub_sizes, mu_sub, sub_mask)
-        values_sq += solver.solve_values(fiber_data)
+        values_sq += _FiberSolver(mu_sub, sub_mask, diff).solve_values(fiber_data)
     return np.sqrt(values_sq)
 
 
-def quotient_norm_direct(
-    idx: RegularityIndex, samples_on_v: np.ndarray, mask: SubdomainMask
-) -> float:
-    return float(quotient_norm_batch(idx, [samples_on_v], mask)[0])
+def quotient_gram(idx: RegularityIndex, mask: SubdomainMask) -> np.ndarray:
+    """Dense Gram of the quotient norm in point coordinates: K^-1, real symmetric.
+
+    For data d on the masked points, Re d^H G d equals
+    ``quotient_norm_batch(idx, [d], mask)[0] ** 2``.  K is assembled as in
+    the direct engine, over the whole mask (no fiber split).
+    """
+    if idx.dimension != mask.lattice.k:
+        raise DimensionMismatch("index dimension does not match the mask lattice")
+    K = _kernel_matrix(mask.lattice.weight(idx), _difference_index(mask.mask))
+    return sla.inv(K)
 
 
 def quotient_norm_dense(

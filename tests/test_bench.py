@@ -304,4 +304,23 @@ def test_quotient_gram_rejects_a_weight_that_is_not_even(monkeypatch):
     monkeypatch.setattr(spectra.Lattice, "weight", lambda self, idx: uneven)
     idx = pb._component_indices(pb.IntervalGeometry(nx=4), 3.4, 0, params.constant())[0]
     with pytest.raises(RuntimeError, match="even"):
-        bench._quotient_gram(idx, mask)
+        spectra.quotient_gram(idx, mask)
+
+
+@pytest.mark.parametrize("resolution", [16, 32])
+def test_quotient_gram_matches_quotient_norms(resolution):
+    # the jump study's Gram and the norm engine share one assembly of K:
+    # Re d^H K^-1 d is the squared quotient norm on each jump-study mask
+    geom = pb.IntervalGeometry(nx=resolution // 2)
+    nt = resolution // 2
+    masks = (pb.omega_domain(geom, 1.0, nt), pb.lateral_domain(geom, 1.0, nt),
+             pb.spatial_domain(geom))
+    rng = np.random.default_rng(resolution)
+    for s in (3.5 - 0.2, 3.5 - 0.1, 3.5 + 0.1, 3.5 + 0.2):  # s* +- eps of the study
+        for idx, mask in zip(pb._component_indices(geom, s, 0, params.constant()), masks):
+            datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
+                     for _ in range(3)]
+            G = spectra.quotient_gram(idx, mask)
+            norms = spectra.quotient_norm_batch(idx, datas, mask)
+            for d, val in zip(datas, norms):
+                assert np.real(np.conj(d) @ G @ d) == pytest.approx(val**2, rel=1e-10)

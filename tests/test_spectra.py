@@ -185,7 +185,7 @@ def test_quotient_direct_matches_dense_stiff():
         m = rng.random(lat.sizes) < 0.45
         mask = spectra.SubdomainMask(lat, m)
         d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
-        dv = spectra.quotient_norm_direct(idx, d, mask)
+        dv = spectra.quotient_norm_batch(idx, [d], mask)[0]
         dn = spectra.quotient_norm_dense(idx, d, mask)
         assert dv == pytest.approx(dn, rel=1e-9)
 
@@ -214,9 +214,10 @@ def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
     solved = []
 
     class Recording(spectra._FiberSolver):
-        def __init__(self, sizes, mu, mask):
-            super().__init__(sizes, mu, mask)
+        def __init__(self, mu, mask, diff=None):
+            super().__init__(mu, mask, diff)
             self.mu = mu
+            self.mask = mask
 
         def solve_values(self, data):
             values = super().solve_values(data)
@@ -234,7 +235,7 @@ def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
     ref_sq = np.zeros(len(datas))
     for solver, data, values in solved:
         assert solver._mode == "qr"
-        ref = _economic_qr_values(solver.sizes, solver.mu, solver.mask, data)
+        ref = _economic_qr_values(solver.mu.shape, solver.mu, solver.mask, data)
         assert np.max(np.abs(values - ref) / ref) <= 1e-10
         ref_sq += ref
     assert np.max(np.abs(norms**2 - ref_sq) / ref_sq) <= 1e-10
@@ -244,22 +245,24 @@ def test_quotient_direct_matches_dense_qr_branch():
     mask = pb.omega_domain(pb.IntervalGeometry(nx=16), 1.0, 16)
     lat = mask.lattice
     idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
-    assert spectra._FiberSolver(lat.sizes, lat.weight(idx), mask.mask)._mode == "qr"
+    assert spectra._FiberSolver(lat.weight(idx), mask.mask)._mode == "qr"
     rng = np.random.default_rng(12)
     for _ in range(3):
         d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
-        dv = spectra.quotient_norm_direct(idx, d, mask)
+        dv = spectra.quotient_norm_batch(idx, [d], mask)[0]
         dn = spectra.quotient_norm_dense(idx, d, mask)
         assert dv == pytest.approx(dn, rel=1e-9)
 
 
-def test_folded_qr_rejects_a_weight_that_is_not_even():
+@pytest.mark.parametrize("decades", [9.0, 3.0], ids=["qr-branch", "chol-branch"])
+def test_folded_qr_rejects_a_weight_that_is_not_even(decades):
+    # a spread of up to 1e18 lies far past the Cholesky cap, up to 1e6 far below it
     rng = np.random.default_rng(1)
-    mu = 10.0 ** rng.uniform(0.0, 9.0, size=(8, 8))  # spread far past the Cholesky cap
+    mu = 10.0 ** rng.uniform(0.0, decades, size=(8, 8))
     mask = np.zeros((8, 8), dtype=bool)
     mask[:5, :5] = True
     with pytest.raises(RuntimeError, match="even"):
-        spectra._FiberSolver((8, 8), mu, mask)
+        spectra._FiberSolver(mu, mask)
 
 
 def test_quotient_batch_fiber_decoupling_matches_cg():
