@@ -50,21 +50,62 @@ __all__ = [
 
 # -- trials -----------------------------------------------------------------------
 
+def trig_sum(coeffs: np.ndarray, freqs, points) -> np.ndarray:
+    """Values of sum_m coeffs[m] exp(i sum_d freqs[d][m_d] x_d) on an open grid.
+
+    ``freqs`` and ``points`` hold one array per axis of ``coeffs``; each
+    point array varies only along its own axis of the broadcast grid (a
+    scalar, or shaped like (n, 1) and (1, m)), and the values come back in the
+    broadcast shape.  The coefficients meet the phases of one axis at a time
+    in a matrix product, so no phase array is spread over the grid.
+    """
+    out = np.asarray(coeffs)
+    for f, x in zip(freqs, points):
+        phase = np.exp(1j * np.multiply.outer(f, np.ravel(x)))
+        out = out.transpose(*range(1, out.ndim), 0) @ phase  # axis 0 out, grid axis last
+    return out.reshape(np.broadcast(*points).shape)
+
+
 @dataclass(frozen=True)
 class TrialField:
-    """Band-limited field on the padded periodic box over the cylinder."""
+    """Band-limited field on the padded periodic box over the cylinder.
+
+    ``coeffs`` (unitary DFT, whole box) is kept as a read-only copy; its block
+    of nonzero modes, over sqrt(#box points), is ``modes``, with angular
+    frequencies ``freqs`` per axis, found once and read-only too.
+    """
 
     box: Lattice
     coeffs: np.ndarray
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
+    freqs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
-    def samples(self) -> np.ndarray:
-        return np.fft.ifftn(self.coeffs, norm="ortho")
+    def __post_init__(self):
+        coeffs = np.array(self.coeffs, dtype=complex)
+        nonzero, axes = coeffs != 0, range(coeffs.ndim)
+        keep = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != ax))) for ax in axes]
+        modes = coeffs[np.ix_(*keep)] / math.sqrt(self.box.npoints)
+        freqs = tuple(self.box.freq_axis(ax)[k] for ax, k in enumerate(keep))
+        for arr in (coeffs, modes, *freqs):
+            arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "freqs", freqs)
 
-    def on_cylinder(self, geom: pb.Geometry, nt: int) -> np.ndarray:
-        s = self.samples()
-        if isinstance(geom, pb.IntervalGeometry):
-            return s[: geom.nx + 1, : nt + 1]
-        return s[: geom.nx + 1, :, : nt + 1]
+    def on_cylinder(
+        self, geom: pb.Geometry, nt: int, alpha: tuple[int, ...] = ()
+    ) -> np.ndarray:
+        """The field, or its exact D^alpha (dt in the last slot), on the closed cylinder grid."""
+        c, k = self.modes, self.box.k
+        for ax, m in enumerate(alpha):
+            if m:
+                # D_j e^{i xi x} = -xi e^{i xi x}; dt e^{i xi t} = i xi e^{i xi t}
+                symbol = 1j * self.freqs[ax] if ax == k - 1 else -self.freqs[ax]
+                c = c * (symbol**m).reshape((-1,) + (1,) * (k - 1 - ax))
+        counts = geom.g_shape() + (nt + 1,)
+        points = [self.box.grid_axis(ax)[:n].reshape((-1,) + (1,) * (k - 1 - ax))
+                  for ax, n in enumerate(counts)]
+        return trig_sum(c, self.freqs, points)
 
 
 def synthesize_trial(
@@ -75,34 +116,8 @@ def synthesize_trial(
     The band counts integer modes of the padded box, so one band value
     describes the same function class at every lattice resolution.
     """
-    mask = pb.omega_domain(geom, tau, nt)
-    box = mask.lattice
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(box.sizes) + 1j * rng.standard_normal(box.sizes)
-    for ax, n in enumerate(box.sizes):
-        modes = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        keep = modes <= band
-        shape = [1] * box.k
-        shape[ax] = n
-        coeffs = coeffs * keep.reshape(shape)
-    return TrialField(box=box, coeffs=coeffs)
-
-
-def _box_derivative(trial: TrialField, alpha_full: tuple[int, ...]) -> np.ndarray:
-    """Exact spectral D^alpha (spatial) or dt (last slot) on the box."""
-    c = trial.coeffs.copy()
-    box = trial.box
-    for ax, m in enumerate(alpha_full):
-        if m == 0:
-            continue
-        f = box.freq_axis(ax)
-        shape = [1] * box.k
-        shape[ax] = len(f)
-        if ax == box.k - 1:
-            c = c * (1j * f.reshape(shape)) ** m
-        else:
-            c = c * (-f.reshape(shape)) ** m  # D_j symbol: D_j e^{i xi x} = -xi e
-    return np.fft.ifftn(c, norm="ortho")
+    box = pb.omega_domain(geom, tau, nt).lattice
+    return TrialField(box, spectra.random_field(box, seed, band=band).coeffs)
 
 
 def apply_lambda(
@@ -110,28 +125,17 @@ def apply_lambda(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Data triple (A u, boundary data, initial state) of a box trial.
 
-    Differentiation is exact on the box (trials are trigonometric
-    polynomials); coefficients multiply the restricted derivative grids, so
-    no truncation warnings arise on this path.
+    Differentiation is exact (trials are trigonometric polynomials, summed
+    on the cylinder grid from their nonzero modes); coefficients multiply the
+    derivative grids, so no truncation warnings arise on this path.
     """
     geom = p.geometry
     n = geom.spatial_dim
-    restrict = lambda arr: (
-        arr[: geom.nx + 1, : nt + 1]
-        if isinstance(geom, pb.IntervalGeometry)
-        else arr[: geom.nx + 1, :, : nt + 1]
-    )
-    dt_slot = tuple([0] * n + [1])
-    f = restrict(_box_derivative(trial, dt_slot))
-    x = geom.x_axis()
-    tgrid = np.arange(nt + 1) * (p.tau / nt)
-    if isinstance(geom, pb.IntervalGeometry):
-        mesh = (x[:, None], tgrid[None, :])
-    else:
-        y = geom.y_axis()
-        mesh = (x[:, None, None], y[None, :, None], tgrid[None, None, :])
+    f = trial.on_cylinder(geom, nt, (0,) * n + (1,))
+    spatial = (geom.x_axis(),) if n == 1 else (geom.x_axis(), geom.y_axis())
+    mesh = np.ix_(*spatial, np.arange(nt + 1) * (p.tau / nt))
     for alpha, coeff in p.a_coeffs.items():
-        dv = restrict(_box_derivative(trial, alpha + (0,)))
+        dv = trial.on_cylinder(geom, nt, alpha + (0,))
         f = f + np.asarray(coeff.evaluator(*mesh), dtype=complex) * dv
 
     u_grid = trial.on_cylinder(geom, nt)
@@ -142,7 +146,7 @@ def apply_lambda(
         bu = np.zeros_like(u_grid)
         for j in range(1, n + 1):
             alpha = tuple(1 if i == j - 1 else 0 for i in range(n))
-            dj = restrict(_box_derivative(trial, alpha + (0,)))
+            dj = trial.on_cylinder(geom, nt, alpha + (0,))
             bu = bu + np.asarray(p.boundary.coeff(j).evaluator(*mesh), dtype=complex) * dj
         bu = bu + np.asarray(p.boundary.coeff(0).evaluator(*mesh), dtype=complex) * u_grid
         g = pb.boundary_values(geom, bu)
@@ -308,23 +312,6 @@ def estimate_isomorphism(case: BenchCase, progress=None) -> IsomorphismReport:
 
 # -- inverse direction on the interval ---------------------------------------------------
 
-def trig_sum(coeffs: np.ndarray, fx: np.ndarray, ft: np.ndarray):
-    """Evaluator of sum_ab coeffs[a, b] exp(i (fx[a] x + ft[b] t)).
-
-    The returned ``(x, t) -> values`` broadcasts x against t.  The coefficient
-    matrix meets the x phases first, ``exp(i x fx) @ coeffs``, and that product
-    meets the t phases in one elementwise sum over the t frequencies, so no
-    phase array is spread over the x-by-t grid.
-    """
-
-    def evaluate(x, t):
-        xc = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), fx)) @ coeffs
-        tphase = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), ft))
-        return np.sum(xc * tphase, axis=-1)
-
-    return evaluate
-
-
 def round_trip_interval(
     resolution: int = 64,
     s: float = 3.0,
@@ -340,8 +327,8 @@ def round_trip_interval(
     solver consumes the trial's analytic callables (its quadrature evaluates
     data between grid times): f, the boundary values and their time
     derivatives and the initial state are all :func:`trig_sum` of the trial's
-    coefficients times the symbol of dt - dxx, of 1 or of dt.  The comparison
-    happens on the bench grid.
+    nonzero modes times the symbol of dt - dxx, of 1 or of dt.  The
+    comparison happens on the bench grid.
     """
     nx = nt = resolution // 2
     geom = pb.IntervalGeometry(nx=nx)
@@ -349,15 +336,16 @@ def round_trip_interval(
     trial = synthesize_trial(geom, tau, nt, seed=seed, band=band)
     f_grid, g_grid, h_grid = apply_lambda(p, trial, nt)
 
-    box = trial.box
-    fx = box.freq_axis(0)
-    ft = box.freq_axis(1)
-    coeffs = trial.coeffs / math.sqrt(box.npoints)
+    fx, ft = trial.freqs
     dt_symbol = (1j * ft)[None, :]
-    u = trig_sum(coeffs, fx, ft)
-    du = trig_sum(coeffs * dt_symbol, fx, ft)
+
+    def evaluator(symbol):
+        coeffs = trial.modes * symbol
+        return lambda x, t: trig_sum(coeffs, trial.freqs, (x, t))
+
+    u, du = evaluator(1.0), evaluator(dt_symbol)
     data = HeatData(
-        f=trig_sum(coeffs * (dt_symbol + (fx**2)[:, None]), fx, ft),  # dt - dxx
+        f=evaluator(dt_symbol + (fx**2)[:, None]),  # dt - dxx
         g0=lambda t: u(0.0, t),
         g1=lambda t: u(1.0, t),
         h=lambda x: u(x, 0.0),

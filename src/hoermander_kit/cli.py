@@ -31,13 +31,19 @@ def _parse_phi(spec: str | None):
     return param_from_dict(json.loads(spec))
 
 
-def _emit(args, payload: dict, name: str) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(args, report: dict | str, name: str, csv: str | None = None) -> None:
+    """Print a report (its CSV if given); with --out write <name>.json and <name>.csv.
+
+    ``report`` is a payload dict or the JSON text of one.
+    """
+    text = report if isinstance(report, str) else json.dumps(report, indent=2)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{name}.json").write_text(text)
-    print(text)
+        if csv is not None:
+            (out / f"{name}.csv").write_text(csv)
+    print(text if csv is None else csv)
 
 
 def _cmd_norm(args) -> int:
@@ -92,14 +98,7 @@ def _cmd_compat_check(args) -> int:
                                    seed=args.seed, band=3)
     f, g, h = bench.apply_lambda(problem, trial, nt)
     rep = pb.check_compatibility(problem, f, g, h, s=s)
-    payload = {
-        "s": s,
-        "count": rep.count,
-        "at_jump": rep.at_jump,
-        "residuals": rep.residuals,
-        "passed": rep.passed,
-    }
-    _emit(args, payload, "compat-check")
+    _emit(args, rep.to_dict(), "compat-check")
     return 0 if rep.passed else 1
 
 
@@ -167,13 +166,7 @@ def _cmd_iso_bench(args) -> int:
         )
     rep = bench.estimate_isomorphism(case)
     ok = rep.drift_passed()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "iso-bench.json").write_text(rep.to_json())
-        if args.csv:
-            (out / "iso-bench.csv").write_text(rep.to_csv())
-    print(rep.to_csv() if args.csv else rep.to_json())
+    _emit(args, rep.to_json(), "iso-bench", csv=rep.to_csv() if args.csv else None)
     print(f"drift check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -188,11 +181,7 @@ def _cmd_jump_study(args) -> int:
         seed=args.seed,
     )
     ok = rep.envelope_stable() and rep.violation_monotone()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "jump-study.json").write_text(rep.to_json())
-    print(rep.to_json())
+    _emit(args, rep.to_json(), "jump-study")
     print(f"jump study: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -395,16 +395,18 @@ class _FiberSolver:
         # integer mode numbers against index coordinates: xi . p = sum 2pi m_d p_d / n_d
         mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes],
                            indexing="ij")
-        phase = np.zeros((int(keep.sum()), len(pts)))
+        # built transposed (point by mode), so that folded is in Fortran order
+        # and the QR factors it in place
+        phase = np.zeros((len(pts), int(keep.sum())))
         for d in range(len(sizes)):
             phase += np.outer(
-                mesh[d].reshape(-1)[keep], pts[:, d] * (2.0 * np.pi / sizes[d])
+                pts[:, d] * (2.0 * np.pi / sizes[d]), mesh[d].reshape(-1)[keep]
             )
         scale = mu.reshape(-1)[keep] ** -1.0 * np.where(paired, np.sqrt(2.0), 1.0) / np.sqrt(npts)
         folded = np.concatenate([
-            np.cos(phase) * scale[:, None],
-            np.sin(phase[paired]) * scale[paired, None],
-        ])
+            np.cos(phase) * scale,
+            np.sin(phase[:, paired]) * scale[paired],
+        ], axis=1).T
         (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
         self._U = R[: len(pts)].copy()  # mode "r" returns all N rows; the rest are zero
 

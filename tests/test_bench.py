@@ -145,26 +145,116 @@ def test_round_trip_interval():
     assert rt["max_u_error"] < 1e-10
 
 
+_INTERVAL_BOX = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8).lattice
+_STRIP_BOX = pb.omega_domain(pb.PeriodicStripGeometry(nx=4, ny=4), 1.0, 4).lattice
+
+
 @pytest.mark.parametrize(
-    "x,t",
-    [(0.3, np.linspace(0.0, 1.0, 7)),
-     (np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 4)[None, :]),
-     (np.linspace(0.0, 1.0, 6), 0.45)],
-    ids=["scalar-x", "grid", "scalar-t"],
+    "box,points",
+    [(_INTERVAL_BOX, (0.3, np.linspace(0.0, 1.0, 7))),
+     (_INTERVAL_BOX, (np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 4)[None, :])),
+     (_INTERVAL_BOX, (np.linspace(0.0, 1.0, 6), 0.45)),
+     (_STRIP_BOX, np.ix_(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
+                         np.linspace(0.0, 1.0, 4)))],
+    ids=["scalar-x", "grid", "scalar-t", "strip-grid"],
 )
-def test_trig_sum_matches_double_sum(x, t):
-    box = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8).lattice
-    fx, ft = box.freq_axis(0), box.freq_axis(1)
+def test_trig_sum_matches_double_sum(box, points):
+    freqs = box.freq_axes()
     rng = np.random.default_rng(4)
     coeffs = rng.standard_normal(box.sizes) + 1j * rng.standard_normal(box.sizes)
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    ref = np.zeros(xb.shape, dtype=complex)
-    for a in range(len(fx)):
-        for b in range(len(ft)):
-            ref = ref + coeffs[a, b] * np.exp(1j * (fx[a] * xb + ft[b] * tb))
-    got = bench.trig_sum(coeffs, fx, ft)(x, t)
+    grids = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in points))
+    ref = np.zeros(grids[0].shape, dtype=complex)
+    for m in np.ndindex(*box.sizes):
+        ref = ref + coeffs[m] * np.exp(1j * sum(f[a] * x for f, a, x in zip(freqs, m, grids)))
+    got = bench.trig_sum(coeffs, freqs, points)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _apply_lambda_by_box_ifftn(p, trial, nt):
+    """Reference: every derivative by one full padded-box ifftn, cropped to the cylinder."""
+    geom, box = p.geometry, trial.box
+    n = geom.spatial_dim
+    crop = (slice(geom.nx + 1),) + (slice(None),) * (n - 1) + (slice(nt + 1),)
+
+    def derivative(alpha_full):
+        c = trial.coeffs.copy()
+        for ax, m in enumerate(alpha_full):
+            shape = [1] * box.k
+            shape[ax] = box.sizes[ax]
+            f = box.freq_axis(ax).reshape(shape)
+            c = c * ((1j * f) if ax == box.k - 1 else -f) ** m
+        return np.fft.ifftn(c, norm="ortho")[crop]
+
+    x, tgrid = geom.x_axis(), np.arange(nt + 1) * (p.tau / nt)
+    if n == 1:
+        mesh = (x[:, None], tgrid[None, :])
+    else:
+        mesh = (x[:, None, None], geom.y_axis()[None, :, None], tgrid[None, None, :])
+    f = derivative((0,) * n + (1,))
+    for alpha, coeff in p.a_coeffs.items():
+        f = f + np.asarray(coeff.evaluator(*mesh), dtype=complex) * derivative(alpha + (0,))
+    u = derivative((0,) * (n + 1))
+    if p.order_l == 0:
+        bu = u
+    else:
+        bu = np.asarray(p.boundary.coeff(0).evaluator(*mesh), dtype=complex) * u
+        for j in range(1, n + 1):
+            alpha = tuple(1 if i == j - 1 else 0 for i in range(n)) + (0,)
+            b_j = np.asarray(p.boundary.coeff(j).evaluator(*mesh), dtype=complex)
+            bu = bu + b_j * derivative(alpha)
+    return f, pb.boundary_values(geom, bu), u[..., 0]
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+@pytest.mark.parametrize(
+    "geom", [pb.IntervalGeometry(nx=16), pb.PeriodicStripGeometry(nx=8, ny=8)],
+    ids=["interval", "strip"],
+)
+def test_apply_lambda_matches_box_ifftn(geom, boundary):
+    p = pb.heat_problem(geom, boundary=boundary)
+    nt = 16
+    for seed in range(3):
+        trial = bench.synthesize_trial(geom, 1.0, nt, seed=seed, band=4)
+        got = bench.apply_lambda(p, trial, nt)
+        ref = _apply_lambda_by_box_ifftn(p, trial, nt)
+        for a, b in zip(got, ref, strict=True):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize(
+    "geom", [pb.IntervalGeometry(nx=16), pb.PeriodicStripGeometry(nx=8, ny=8)],
+    ids=["interval", "strip"],
+)
+def test_synthesize_trial_matches_mask_loop_bitwise(geom):
+    nt, band, seed = 16, 3, 11
+    box = pb.omega_domain(geom, 1.0, nt).lattice
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(box.sizes) + 1j * rng.standard_normal(box.sizes)
+    for ax, n in enumerate(box.sizes):
+        keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= band
+        shape = [1] * box.k
+        shape[ax] = n
+        ref = ref * keep.reshape(shape)
+    trial = bench.synthesize_trial(geom, 1.0, nt, seed=seed, band=band)
+    assert trial.coeffs.dtype == ref.dtype and trial.coeffs.shape == ref.shape
+    assert trial.coeffs.tobytes() == ref.tobytes()
+
+
+def test_trial_field_state_cannot_go_stale():
+    geom = pb.IntervalGeometry(nx=8)
+    box = pb.omega_domain(geom, 1.0, 8).lattice
+    coeffs = np.zeros(box.sizes, dtype=complex)
+    coeffs[1, 2] = 1.0
+    trial = bench.TrialField(box, coeffs)
+    before = trial.on_cylinder(geom, 8)
+    coeffs[3, 3] = 1.0  # the caller's array is not the trial's
+    assert np.array_equal(trial.on_cylinder(geom, 8), before)
+    assert trial.modes.shape == (1, 1)
+    for arr in (trial.coeffs, trial.modes, *trial.freqs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
 
 
 def test_jump_study_smoke():

@@ -34,6 +34,8 @@ def test_compat_check_command(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "compat-check.json").read_text())
     assert payload["passed"] and payload["count"] == 1
+    assert payload["count_above"] >= payload["count"] and payload["tol"] == 1e-8
+    assert set(payload) >= {"s", "at_jump", "residuals", "residual_orders", "trace_accuracy"}
 
 
 def test_compat_check_config(tmp_path):
@@ -76,6 +78,25 @@ def test_jump_study_command(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "jump-study.json").read_text())
     assert len(payload["rows"]) == 2
+
+
+def test_iso_bench_and_jump_study_write_their_reports(tmp_path, monkeypatch, capsys):
+    reports = []
+    for name in ("estimate_isomorphism", "jump_study"):
+        real = getattr(bench, name)
+        monkeypatch.setattr(bench, name,
+                            lambda *a, real=real, **kw: reports.append(real(*a, **kw)) or reports[-1])
+    assert main(["iso-bench", "--s-grid", "3.0", "--resolutions", "16,32", "--csv",
+                 "--out", str(tmp_path)]) == 0
+    iso_out = capsys.readouterr().out
+    assert main(["jump-study", "--resolutions", "16,32", "--out", str(tmp_path)]) == 0
+    jump_out = capsys.readouterr().out
+    iso, jump = reports
+    assert (tmp_path / "iso-bench.json").read_text() == iso.to_json()
+    assert (tmp_path / "iso-bench.csv").read_text() == iso.to_csv()
+    assert (tmp_path / "jump-study.json").read_text() == jump.to_json()
+    assert iso_out == iso.to_csv() + "\ndrift check: PASS\n"
+    assert jump_out == jump.to_json() + "\njump study: PASS\n"
 
 
 def test_iso_bench_config(tmp_path):

@@ -254,6 +254,24 @@ def test_quotient_direct_matches_dense_qr_branch():
         assert dv == pytest.approx(dn, rel=1e-9)
 
 
+def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):
+    # sla.qr(overwrite_a=True) factors in place only what LAPACK can take as
+    # it is; a C-ordered matrix would be copied first
+    received = []
+    real_qr = sla.qr
+
+    def recording_qr(a, *args, **kwargs):
+        received.append((a.flags.f_contiguous, a.shape))
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "qr", recording_qr)
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=16), 1.0, 16)
+    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
+    solver = spectra._FiberSolver(mask.lattice.weight(idx), mask.mask)
+    assert solver._mode == "qr"
+    assert received == [(True, (mask.lattice.npoints, mask.npoints))]
+
+
 @pytest.mark.parametrize("decades", [9.0, 3.0], ids=["qr-branch", "chol-branch"])
 def test_folded_qr_rejects_a_weight_that_is_not_even(decades):
     # a spread of up to 1e18 lies far past the Cholesky cap, up to 1e6 far below it
