@@ -7,11 +7,14 @@ diagonal Fourier multiplier, so norms, inner products and embedding constants
 are exactly computable.  Restriction (quotient) norms over a sub-domain come
 from one direct engine, :func:`quotient_norm_batch`: per fiber it assembles
 the real Toeplitz kernel K of the weighted least-norm extension problem and
-factors it by Cholesky, or, past a weight spread of 1e16, by an R-only QR of
-a real-folded square-root factor.  :func:`quotient_gram` returns K^-1 from
-the same assembly.  :func:`quotient_norm_dense` is a dense oracle for small
-lattices, and :func:`quotient_norm` (preconditioned conjugate gradient, two
-DFTs per iteration) is the matrix-free cross-check.
+factors it by Cholesky, or, past a weight spread of 1e16, by R-only QRs of a
+real-folded square-root factor, one per mirror-parity block: along every axis
+where the mask is its own mirror image K splits into an even and an odd
+block, so a box gives 2^k small QRs.  Fibers with equal weights share one
+factor.  :func:`quotient_gram` returns K^-1 from the same assembly.
+:func:`quotient_norm_dense` is a dense oracle for small lattices, and
+:func:`quotient_norm` (preconditioned conjugate gradient, two DFTs per
+iteration) is the matrix-free cross-check.
 
 The DFT convention is unitary throughout, so Parseval holds with constant one
 and single-mode norms equal the weight value at that mode.
@@ -19,6 +22,7 @@ and single-mode norms equal the weight value at that mode.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -307,32 +311,43 @@ def quotient_norm(
 # The least-norm kernel K = S F* mu^(-2) F S* has condition ~ (weight spread)^2,
 # which defeats CG once the spread passes ~1e8.  The direct engine solves the
 # same problem stably: it decouples fibers along periodic axes where the mask
-# is full, assembles the real K per fiber by one Toeplitz gather, and keeps one
-# upper-triangular factor U with U^T U = K: the Cholesky factor for mild
-# spreads, or the R of an R-only QR of the real-folded square-root factor B*
-# (condition = spread, not spread^2) for stiff ones.  A squared norm is then
+# is full, and keeps per fiber upper-triangular factors U with U^T U = K.  For
+# mild spreads that is the Cholesky factor of the real K, assembled by one
+# Toeplitz gather.  For stiff ones it is the R of R-only QRs of a real-folded
+# square-root factor B* (condition = spread, not spread^2), one QR per mirror
+# parity block: K is translation invariant and even in each coordinate, so on
+# every axis where the mask is its own mirror image it commutes with that
+# reflection and splits into an even and an odd block (Cantoni & Butler, Linear
+# Algebra Appl. 13, 1976).  A squared norm is then the sum over blocks of
 # ||U^-T d||^2, and one factorization serves a whole batch of data vectors.
 
 _CHOL_SPREAD_CAP = 1e16
 
 
-def _even_mirror_index(mu: np.ndarray) -> np.ndarray:
-    """Flat index of -xi (mod the lattice sizes) for every flat index xi of ``mu``.
+def _negated_index(shape: tuple[int, ...], axes) -> np.ndarray:
+    """Flat index of xi with its coordinates on ``axes`` negated (mod ``shape``)."""
+    neg = np.arange(int(np.prod(shape))).reshape(shape)
+    for ax in axes:
+        neg = np.take(neg, -np.arange(shape[ax]) % shape[ax], axis=ax)
+    return neg.reshape(-1)
 
-    Raises RuntimeError unless ``mu`` is exactly even on its lattice,
-    mu[-xi mod sizes] == mu[xi] for every index, which the real forms of the
-    quotient solve and of its Gram rest on.  Weights from ``weight_on_mesh``
-    are even, because they read xi only through xi_j^2 and |xi_k| and
-    ``fftfreq`` negates exactly; a fiber slice of such a weight is even on its
-    own axes.
+
+def _even_mirror_index(mu: np.ndarray, axes=None) -> np.ndarray:
+    """Flat index of xi with its coordinates on ``axes`` (default all) negated.
+
+    Raises RuntimeError unless ``mu`` is exactly even under that negation,
+    mu[neg] == mu for every index, which the real forms of the quotient solve
+    and of its Gram rest on.  Weights from ``weight_on_mesh`` are even in each
+    coordinate, because they read xi only through xi_j^2 and |xi_k| and
+    ``fftfreq`` negates exactly; a fiber slice of such a weight is too.
     """
-    neg = np.arange(mu.size).reshape(mu.shape)
-    for ax, n in enumerate(mu.shape):
-        neg = np.take(neg, -np.arange(n) % n, axis=ax)
-    neg = neg.reshape(-1)
+    axes = tuple(range(mu.ndim)) if axes is None else tuple(axes)
+    neg = _negated_index(mu.shape, axes)
     mu_flat = mu.reshape(-1)
     if not np.array_equal(mu_flat[neg], mu_flat):
-        raise RuntimeError("the weight is not even in xi: mu(-xi) differs from mu(xi)")
+        raise RuntimeError(
+            f"the weight is not even in xi on axes {axes}: mu(-xi) differs from mu(xi)"
+        )
     return neg
 
 
@@ -341,7 +356,8 @@ def _difference_index(mask: np.ndarray) -> np.ndarray:
     pts = np.argwhere(mask)
     diff = 0
     for d, n in enumerate(mask.shape):
-        diff = diff * n + (pts[:, None, d] - pts[None, :, d]) % n
+        # lattice sizes are powers of two, so & (n - 1) is the mod
+        diff = diff * n + (np.subtract.outer(pts[:, d], pts[:, d]) & (n - 1))
     return diff
 
 
@@ -358,64 +374,144 @@ def _kernel_matrix(mu: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return (0.5 * (kern + kern[neg]))[diff]
 
 
+def _mirror_axes(mask: np.ndarray, pts: np.ndarray) -> list[tuple[int, int]]:
+    """(axis, lo + hi) for every axis along which the mask is its own mirror image.
+
+    The mirror of an axis maps p to lo + hi - p, lo < hi the least and
+    greatest coordinate of a masked point on it: the reflection about the
+    midpoint of the mask's extent.  An axis on which every masked point has
+    the same coordinate has no odd part and is not split.
+    """
+    out = []
+    for ax, n in enumerate(mask.shape):
+        lo, hi = int(pts[:, ax].min()), int(pts[:, ax].max())
+        if lo < hi and np.array_equal(np.take(mask, (lo + hi - np.arange(n)) % n, axis=ax), mask):
+            out.append((ax, lo + hi))
+    return out
+
+
+def _butterfly(v: np.ndarray, partner: np.ndarray, centre: np.ndarray):
+    """Even and odd parts of the rows of ``v`` under the mirror ``partner``."""
+    mirrored = v[partner]
+    even = np.where(centre[:, None], v, (v + mirrored) * np.sqrt(0.5))
+    odd = (v - mirrored) * np.sqrt(0.5)
+    return even, odd
+
+
 class _FiberSolver:
     """Least-norm solve on one fiber: weight ``mu`` on the fiber lattice, ``mask``.
 
     ``diff``, the :func:`_difference_index` of ``mask``, lets the fibers of
     one call share it; without it, the index is built only if the Cholesky
     branch needs it.  ``mu`` must be exactly even on its lattice (see
-    :func:`_even_mirror_index`).
+    :func:`_even_mirror_index`); past the Cholesky cap, also in each
+    coordinate along which the mask is mirror symmetric.
     """
 
     def __init__(self, mu: np.ndarray, mask: np.ndarray, diff: np.ndarray | None = None):
         spread = float((mu.max() / mu.min()) ** 2)
         self._mode = "chol" if spread <= _CHOL_SPREAD_CAP else "qr"
+        # _factors holds one factor per parity block and _columns the mask-order
+        # points each acts on; _mirrors the (mirror partner, on the mirror) pair of
+        # each split axis.  The Cholesky factor is one block over every point.
+        self._mirrors: list[tuple[np.ndarray, np.ndarray]] = []
+        self._columns: list = [slice(None)]
         if self._mode == "chol":
             if diff is None:
                 diff = _difference_index(mask)
             # K is symmetric, so K.T is K in Fortran order and factors in place
             K = _kernel_matrix(mu, diff).T
             try:
-                self._U = sla.cho_factor(K, overwrite_a=True, check_finite=False)[0]
+                self._factors = [sla.cho_factor(K, overwrite_a=True, check_finite=False)[0]]
                 return
             except np.linalg.LinAlgError:
                 self._mode = "qr"
-        # R-only QR of the square-root factor B*[xi, j] = mu(xi)^(-1) exp(-i xi . p_j)
-        # / sqrt(N), folded to a real matrix with the same R^T R = K: the unitary
-        # mix of the rows xi and -xi gives sqrt(2) mu^(-1) cos(xi . p) / sqrt(N) and
-        # sqrt(2) mu^(-1) sin(xi . p) / sqrt(N); a self-paired xi (every coordinate
-        # 0 or Nyquist) keeps its row mu^(-1) cos(xi . p) / sqrt(N).
+        self._factor_by_parity(mu, mask)
+
+    def _factor_by_parity(self, mu: np.ndarray, mask: np.ndarray) -> None:
+        # B*[xi, j] = mu(xi)^(-1) exp(-i xi . p_j) / sqrt(N) gives
+        # K[i, j] = sum_xi mu^-2 cos(xi . (p_i - p_j)) / N.  On a split axis,
+        # with q = p - (lo + hi)/2, the modes +-m add up to f_m cos(2 pi m dq / n)
+        # (f_m = 2, or 1 at m = 0 and the Nyquist mode), and
+        # cos(t dq) = cos(t q_i) cos(t q_j) + sin(t q_i) sin(t q_j): the cosine
+        # rows are even under q -> -q and the sine rows odd.  In the basis of
+        # normalized mirror pairs, (e_q +- e_-q) / sqrt(2) and e_0, block b of K is
+        # F_b^T F_b, F_b the product over split axes of sqrt(f_m) cos(t q) (even) or
+        # sqrt(f_m) sin(t q) (odd), times sqrt(2) at q > 0, scaled by mu^-1 / sqrt(N).
+        # The unsplit axes are folded jointly: the unitary mix of the rows xi and -xi
+        # gives sqrt(2) cos(xi . p) and sqrt(2) sin(xi . p); a self-paired xi (every
+        # coordinate 0 or Nyquist) keeps its row cos(xi . p).
         sizes = mu.shape
-        npts = mu.size
-        flat = np.arange(npts)
-        neg = _even_mirror_index(mu)
-        keep = flat <= neg  # one representative of each pair {xi, -xi}
-        paired = (flat < neg)[keep]
         pts = np.argwhere(mask)
-        # integer mode numbers against index coordinates: xi . p = sum 2pi m_d p_d / n_d
-        mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes],
-                           indexing="ij")
-        # built transposed (point by mode), so that folded is in Fortran order
-        # and the QR factors it in place
+        mirrors = _mirror_axes(mask, pts)
+        split = [ax for ax, _ in mirrors]
+        unsplit = [ax for ax in range(len(sizes)) if ax not in split]
+        for ax in split:
+            _even_mirror_index(mu, (ax,))
+        _even_mirror_index(mu, unsplit)  # with the above: mu(xi_S, -xi_U) = mu(xi)
+        u_sizes = tuple(sizes[ax] for ax in unsplit)
+        neg = _negated_index(u_sizes, range(len(u_sizes)))
+        flat = np.arange(neg.size)
+        keep = flat <= neg  # one representative of each pair {xi_U, -xi_U}
+        paired = (flat < neg)[keep]
+        mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in u_sizes], indexing="ij")
         phase = np.zeros((len(pts), int(keep.sum())))
-        for d in range(len(sizes)):
-            phase += np.outer(
-                pts[:, d] * (2.0 * np.pi / sizes[d]), mesh[d].reshape(-1)[keep]
-            )
-        scale = mu.reshape(-1)[keep] ** -1.0 * np.where(paired, np.sqrt(2.0), 1.0) / np.sqrt(npts)
-        folded = np.concatenate([
-            np.cos(phase) * scale,
-            np.sin(phase[:, paired]) * scale[paired],
-        ], axis=1).T
-        (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
-        self._U = R[: len(pts)].copy()  # mode "r" returns all N rows; the rest are zero
+        for j, ax in enumerate(unsplit):
+            phase += np.outer(pts[:, ax] * (2.0 * np.pi / sizes[ax]), mesh[j].reshape(-1)[keep])
+        unsplit_rows = np.concatenate([
+            np.cos(phase) * np.where(paired, np.sqrt(2.0), 1.0),
+            np.sin(phase[:, paired]) * np.sqrt(2.0),
+        ], axis=1)
+        # mu^-1 / sqrt(N) by the split axes' modes, then by the folded unsplit modes
+        # (the columns of unsplit_rows)
+        mu_s = np.moveaxis(mu, split, range(len(split))).reshape(
+            tuple(sizes[ax] for ax in split) + (-1,)
+        )[..., keep]
+        scale = np.concatenate([mu_s, mu_s[..., paired]], axis=-1) ** -1.0 / np.sqrt(mu.size)
+        twice_q = 2 * pts[:, split] - np.array([a for _, a in mirrors], dtype=int)
+        order = np.full(sizes, -1)
+        order[mask] = np.arange(len(pts))
+        for j, (ax, a) in enumerate(mirrors):
+            image = pts.copy()
+            image[:, ax] = a - pts[:, ax]
+            self._mirrors.append((order[tuple(image.T)], twice_q[:, j] == 0))
+        self._factors, self._columns = [], []
+        for parity in itertools.product((0, 1), repeat=len(split)):
+            # the representatives: q > 0 on the odd axes, q >= 0 on the even ones
+            on_block = np.ones(len(pts), dtype=bool)
+            for tq, b in zip(twice_q.T, parity):
+                on_block &= tq > 0 if b else tq >= 0
+            cols = np.flatnonzero(on_block)
+            modes = [np.arange(b, sizes[ax] // 2 + 1) for ax, b in zip(split, parity)]
+            # the block matrix, built transposed (point by mode) so that the QR gets
+            # it in Fortran order and factors it in place
+            block = scale[np.ix_(*modes)][None]
+            for j, (ax, b, m) in enumerate(zip(split, parity, modes)):
+                tq = twice_q[cols, j]
+                table = (np.sin if b else np.cos)(np.outer(tq, m) * (np.pi / sizes[ax]))
+                # sqrt(f_m) by mode, and sqrt(2) off the mirror
+                table *= np.where((m == 0) | (2 * m == sizes[ax]), 1.0, np.sqrt(2.0))
+                table *= np.where(tq > 0, np.sqrt(2.0), 1.0)[:, None]
+                block = block * table.reshape((len(cols),) + (1,) * j + (len(m),)
+                                              + (1,) * (len(split) - j))
+            block = block * unsplit_rows[cols].reshape(
+                (len(cols),) + (1,) * len(split) + (-1,))
+            folded = block.reshape(len(cols), -1).T
+            (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
+            self._factors.append(R[: len(cols)].copy())  # mode "r" returns every row
+            self._columns.append(cols)
 
     def solve_values(self, data: np.ndarray) -> np.ndarray:
         """Squared quotient norms ||U^-T d||^2 for each column d of ``data`` (n x batch)."""
         # the real and imaginary parts of each column solve as two real columns
-        parts = np.ascontiguousarray(data, dtype=complex).view(np.float64)
-        z = sla.solve_triangular(self._U, parts, trans="T", check_finite=False)
-        sq = np.sum(z**2, axis=0)
+        parts = [np.ascontiguousarray(data, dtype=complex).view(np.float64)]
+        # per-axis butterflies take the data to the parity blocks
+        for partner, centre in self._mirrors:
+            parts = [half for v in parts for half in _butterfly(v, partner, centre)]
+        sq = 0.0
+        for U, cols, v in zip(self._factors, self._columns, parts):
+            z = sla.solve_triangular(U, v[cols], trans="T", check_finite=False)
+            sq = sq + np.sum(z**2, axis=0)
         return sq[0::2] + sq[1::2]
 
 
@@ -436,9 +532,10 @@ def quotient_norm_batch(
 ) -> np.ndarray:
     """Quotient norms of many data vectors sharing one (index, mask) pair.
 
-    The direct engine: one factorization per fiber, one triangular solve for
-    the whole batch.  Fibers decouple along periodic axes on which the mask
-    is full; they share one sub-mask and hence one difference index.
+    The direct engine: one factorization per distinct fiber weight, one
+    triangular solve for the whole batch.  Fibers decouple along periodic axes
+    on which the mask is full; they share one sub-mask and hence one
+    difference index.
     """
     lattice = mask.lattice
     if idx.dimension != lattice.k:
@@ -463,14 +560,19 @@ def quotient_norm_batch(
         slicer[ax] = 0
     sub_mask = mask.mask[tuple(slicer)]
     diff = _difference_index(sub_mask)
-    values_sq = np.zeros(batch)
+    # fibers with bitwise equal weights (xi and -xi, as weights are even) share
+    # one factorization and one triangular solve
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}
     for fiber_idx in np.ndindex(*(lattice.sizes[ax] for ax in full)):
         sl: list = [slice(None)] * lattice.k
         for ax, i in zip(full, fiber_idx):
             sl[ax] = i
         mu_sub = np.ascontiguousarray(mu[tuple(sl)])
-        fiber_data = grids[tuple(sl)][sub_mask]
-        values_sq += _FiberSolver(mu_sub, sub_mask, diff).solve_values(fiber_data)
+        groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(grids[tuple(sl)][sub_mask])
+    values_sq = np.zeros(batch)
+    for mu_sub, fiber_data in groups.values():
+        sq = _FiberSolver(mu_sub, sub_mask, diff).solve_values(np.hstack(fiber_data))
+        values_sq += sq.reshape(len(fiber_data), batch).sum(axis=0)
     return np.sqrt(values_sq)
 
 

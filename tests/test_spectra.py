@@ -208,9 +208,11 @@ def _economic_qr_values(sizes, mu, mask, data):
     ids=["interval-32", "strip-32x4"],
 )
 def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
-    # the strip's y axis is full, so its four fibers are solved one by one, and
-    # its long y period keeps every fiber's spread past the Cholesky cap; every
-    # fiber lattice has self-paired (zero and Nyquist) modes
+    # the strip's y axis is full, so its fibers are solved apart: the four
+    # fibers xi_y = 0, 1, -2, -1 have three distinct weights, and fibers with
+    # equal weights share one solver and one solve; the long y period keeps every
+    # fiber's spread past the Cholesky cap; every fiber lattice has self-paired
+    # (zero and Nyquist) modes
     solved = []
 
     class Recording(spectra._FiberSolver):
@@ -231,13 +233,13 @@ def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
     datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
              for _ in range(3)]
     norms = spectra.quotient_norm_batch(idx, datas, mask)
-    assert len(solved) == (1 if geom.spatial_dim == 1 else geom.ny)
+    assert len(solved) == (1 if geom.spatial_dim == 1 else 3)
     ref_sq = np.zeros(len(datas))
     for solver, data, values in solved:
         assert solver._mode == "qr"
         ref = _economic_qr_values(solver.mu.shape, solver.mu, solver.mask, data)
         assert np.max(np.abs(values - ref) / ref) <= 1e-10
-        ref_sq += ref
+        ref_sq += ref.reshape(-1, len(datas)).sum(axis=0)
     assert np.max(np.abs(norms**2 - ref_sq) / ref_sq) <= 1e-10
 
 
@@ -254,9 +256,69 @@ def test_quotient_direct_matches_dense_qr_branch():
         assert dv == pytest.approx(dn, rel=1e-9)
 
 
+def _box(sizes, corner, extent):
+    m = np.zeros(sizes, dtype=bool)
+    m[tuple(slice(c, c + e) for c, e in zip(corner, extent))] = True
+    return m
+
+
+def _mirrored_in_x_only():
+    # symmetric about x = 10; along y every row starts at y = 3 and has its own length
+    m = np.zeros((32, 32), dtype=bool)
+    for i in range(4, 17):
+        m[i, 3 : 6 + abs(i - 10)] = True
+    return m
+
+
+@pytest.mark.parametrize(
+    "mask, blocks",
+    [
+        (_box((64,), (3,), (17,)), 2),  # odd extent: a centre point
+        (_box((64,), (3,), (16,)), 2),  # even extent: the mirror falls between points
+        (_box((32, 32), (2, 5), (9, 10)), 4),
+        (_box((32, 32), (0, 1), (10, 12)), 4),
+        (_mirrored_in_x_only(), 2),
+        (_box((32, 32), (5, 3), (1, 9)), 2),  # one row: nothing to split along x
+        (np.random.default_rng(3).random((32, 32)) < 0.3, 1),
+    ],
+    ids=["1d-odd", "1d-even", "2d-odd-even", "2d-even-even", "mirrored-in-x-only", "one-row",
+         "random"],
+)
+def test_parity_split_matches_dense(mask, blocks):
+    # the QR branch splits on every axis where the mask is its own mirror image
+    # and on no other; each stiff case matches the dense oracle
+    k = mask.ndim
+    lat = spectra.Lattice(sizes=mask.shape, periods=(2.0,) * k)
+    if k == 1:
+        idx = weights.isotropic(4.6, params.log_power(1.0), dimension=1)
+    else:
+        idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
+    solver = spectra._FiberSolver(lat.weight(idx), mask)
+    assert solver._mode == "qr"
+    assert len(solver._factors) == blocks
+    sub = spectra.SubdomainMask(lat, mask)
+    rng = np.random.default_rng(13)
+    datas = [rng.standard_normal(sub.npoints) + 1j * rng.standard_normal(sub.npoints)
+             for _ in range(3)]
+    for dv, d in zip(spectra.quotient_norm_batch(idx, datas, sub), datas):
+        assert dv == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
+
+
+@pytest.mark.parametrize("sizes", [(64,), (16, 32), (8, 4, 16)], ids=["1d", "2d", "3d"])
+def test_difference_index_matches_mod_formula(sizes):
+    rng = np.random.default_rng(len(sizes))
+    mask = rng.random(sizes) < 0.4
+    pts = np.argwhere(mask)
+    expected = 0
+    for d, n in enumerate(sizes):
+        expected = expected * n + (pts[:, None, d] - pts[None, :, d]) % n
+    assert np.array_equal(spectra._difference_index(mask), expected)
+
+
 def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):
     # sla.qr(overwrite_a=True) factors in place only what LAPACK can take as
-    # it is; a C-ordered matrix would be copied first
+    # it is; a C-ordered matrix would be copied first.  The 17 x 17 box splits
+    # on both axes into parity blocks of 9 x 9, 9 x 8, 8 x 9 and 8 x 8 points.
     received = []
     real_qr = sla.qr
 
@@ -269,14 +331,34 @@ def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):
     idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
     solver = spectra._FiberSolver(mask.lattice.weight(idx), mask.mask)
     assert solver._mode == "qr"
-    assert received == [(True, (mask.lattice.npoints, mask.npoints))]
+    assert all(f_contiguous for f_contiguous, _ in received)
+    columns = [shape[1] for _, shape in received]
+    assert columns == [81, 72, 72, 64]
+    assert sum(columns) == mask.npoints
 
 
-@pytest.mark.parametrize("decades", [9.0, 3.0], ids=["qr-branch", "chol-branch"])
-def test_folded_qr_rejects_a_weight_that_is_not_even(decades):
-    # a spread of up to 1e18 lies far past the Cholesky cap, up to 1e6 far below it
-    rng = np.random.default_rng(1)
-    mu = 10.0 ** rng.uniform(0.0, decades, size=(8, 8))
+def _jointly_even_weight():
+    # mu = 1 + (xi_1 + xi_2)^2, the sum wrapped to the lattice: even in xi, but
+    # not in xi_1 or xi_2 alone; its spread of about 3e22 is past the Cholesky cap
+    m = np.fft.fftfreq(8, d=1.0 / 8)
+    total = (m[:, None] + m[None, :] + 4) % 8 - 4
+    mu = 1.0 + (1e5 * total) ** 2
+    spectra._even_mirror_index(mu)
+    return mu
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        # a spread of up to 1e18 lies far past the Cholesky cap, up to 1e6 far below it
+        lambda: 10.0 ** np.random.default_rng(1).uniform(0.0, 9.0, size=(8, 8)),
+        lambda: 10.0 ** np.random.default_rng(1).uniform(0.0, 3.0, size=(8, 8)),
+        _jointly_even_weight,
+    ],
+    ids=["qr-branch", "chol-branch", "qr-jointly-even"],
+)
+def test_folded_qr_rejects_a_weight_that_is_not_even(weight):
+    mu = weight()
     mask = np.zeros((8, 8), dtype=bool)
     mask[:5, :5] = True
     with pytest.raises(RuntimeError, match="even"):
