@@ -21,6 +21,10 @@ class DimensionMismatch(HoermanderKitError):
     """Operands live on incompatible lattices or have inconsistent shapes."""
 
 
+class NonFiniteData(HoermanderKitError, ValueError):
+    """Input data hold NaN or infinite values."""
+
+
 class NoConvergence(HoermanderKitError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 

@@ -5,13 +5,14 @@ support of the functions of interest; this is the standing discretization
 assumption of the whole package.  On the lattice every weight acts as a
 diagonal Fourier multiplier, so norms, inner products and embedding constants
 are exactly computable.  Restriction (quotient) norms over a sub-domain come
-from one direct engine, :func:`quotient_norm_batch`: per fiber it assembles
-the real Toeplitz kernel K of the weighted least-norm extension problem and
-factors it by Cholesky, or, past a weight spread of 1e16, by R-only QRs of a
-real-folded square-root factor, one per mirror-parity block: along every axis
-where the mask is its own mirror image K splits into an even and an odd
-block, so a box gives 2^k small QRs.  Fibers with equal weights share one
-factor.  :func:`quotient_gram` returns K^-1 from the same assembly.
+from one direct engine, :func:`quotient_norm_batch`: per fiber it factors the
+real Toeplitz kernel K of the weighted least-norm extension problem block by
+block.  Along every axis where the mask is its own mirror image K splits into
+an even and an odd block, so a box gives 2^k blocks; a memoized parity plan
+per mask holds their points and Toeplitz gather indices.  Each block is
+factored by Cholesky, or, past a weight spread of 1e16, by an R-only QR of a
+real-folded square-root factor.  Fibers with equal weights share one factor.
+:func:`quotient_gram` returns K^-1 from the same blocks.
 :func:`quotient_norm_dense` is a dense oracle for small lattices, and
 :func:`quotient_norm` (preconditioned conjugate gradient, two DFTs per
 iteration) is the matrix-free cross-check.
@@ -30,8 +31,8 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, NoConvergence
-from .weights import RegularityIndex, weight_on_mesh
+from .errors import DimensionMismatch, NoConvergence, NonFiniteData
+from .weights import RegularityIndex, _GridCache, weight_on_mesh
 
 __all__ = [
     "Lattice",
@@ -311,17 +312,22 @@ def quotient_norm(
 # The least-norm kernel K = S F* mu^(-2) F S* has condition ~ (weight spread)^2,
 # which defeats CG once the spread passes ~1e8.  The direct engine solves the
 # same problem stably: it decouples fibers along periodic axes where the mask
-# is full, and keeps per fiber upper-triangular factors U with U^T U = K.  For
-# mild spreads that is the Cholesky factor of the real K, assembled by one
-# Toeplitz gather.  For stiff ones it is the R of R-only QRs of a real-folded
-# square-root factor B* (condition = spread, not spread^2), one QR per mirror
-# parity block: K is translation invariant and even in each coordinate, so on
-# every axis where the mask is its own mirror image it commutes with that
-# reflection and splits into an even and an odd block (Cantoni & Butler, Linear
-# Algebra Appl. 13, 1976).  A squared norm is then the sum over blocks of
-# ||U^-T d||^2, and one factorization serves a whole batch of data vectors.
+# is full, and keeps per fiber upper-triangular factors U with U^T U = K, one
+# per mirror-parity block: K is translation invariant and even in each
+# coordinate, so on every axis where the mask is its own mirror image it
+# commutes with that reflection and splits into an even and an odd block
+# (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Which points and
+# kernel entries each block takes depends on the mask alone; a memoized
+# parity plan holds them.  For mild spreads U is the Cholesky factor of the
+# real block, assembled by Toeplitz gathers from the plan.  For stiff ones it
+# is the R of an R-only QR of the block's real-folded square-root factor B*
+# (condition = spread, not spread^2).  A squared norm is then the sum over
+# blocks of ||U^-T d||^2, and one factorization serves a whole batch of data
+# vectors.
 
 _CHOL_SPREAD_CAP = 1e16
+# parity plans by (shape, mask bytes); the benchmark's masks need a few MiB
+_PLAN_CACHE = _GridCache(byte_cap=2**26)
 
 
 def _negated_index(shape: tuple[int, ...], axes) -> np.ndarray:
@@ -332,7 +338,7 @@ def _negated_index(shape: tuple[int, ...], axes) -> np.ndarray:
     return neg.reshape(-1)
 
 
-def _even_mirror_index(mu: np.ndarray, axes=None) -> np.ndarray:
+def _even_mirror_index(mu: np.ndarray, axes=None, neg: np.ndarray | None = None) -> np.ndarray:
     """Flat index of xi with its coordinates on ``axes`` (default all) negated.
 
     Raises RuntimeError unless ``mu`` is exactly even under that negation,
@@ -340,38 +346,17 @@ def _even_mirror_index(mu: np.ndarray, axes=None) -> np.ndarray:
     and of its Gram rest on.  Weights from ``weight_on_mesh`` are even in each
     coordinate, because they read xi only through xi_j^2 and |xi_k| and
     ``fftfreq`` negates exactly; a fiber slice of such a weight is too.
+    ``neg``, when given, is the index, already built by :func:`_negated_index`.
     """
     axes = tuple(range(mu.ndim)) if axes is None else tuple(axes)
-    neg = _negated_index(mu.shape, axes)
+    if neg is None:
+        neg = _negated_index(mu.shape, axes)
     mu_flat = mu.reshape(-1)
     if not np.array_equal(mu_flat[neg], mu_flat):
         raise RuntimeError(
             f"the weight is not even in xi on axes {axes}: mu(-xi) differs from mu(xi)"
         )
     return neg
-
-
-def _difference_index(mask: np.ndarray) -> np.ndarray:
-    """Flat lattice index of (p_i - p_j) mod sizes for every pair of masked points."""
-    pts = np.argwhere(mask)
-    diff = 0
-    for d, n in enumerate(mask.shape):
-        # lattice sizes are powers of two, so & (n - 1) is the mod
-        diff = diff * n + (np.subtract.outer(pts[:, d], pts[:, d]) & (n - 1))
-    return diff
-
-
-def _kernel_matrix(mu: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Real symmetric K[i, j] = kern(p_i - p_j), kern the inverse DFT of mu^-2.
-
-    ``diff`` comes from :func:`_difference_index` on the lattice of ``mu``.
-    The weight must be exactly even (RuntimeError otherwise), which makes
-    kern real and even; averaging kern with its mirror drops the rounding
-    ifftn leaves, so K is exactly symmetric.
-    """
-    neg = _even_mirror_index(mu)
-    kern = np.fft.ifftn(mu**-2.0).real.reshape(-1)
-    return (0.5 * (kern + kern[neg]))[diff]
 
 
 def _mirror_axes(mask: np.ndarray, pts: np.ndarray) -> list[tuple[int, int]]:
@@ -390,45 +375,142 @@ def _mirror_axes(mask: np.ndarray, pts: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _butterfly(v: np.ndarray, partner: np.ndarray, centre: np.ndarray):
-    """Even and odd parts of the rows of ``v`` under the mirror ``partner``."""
-    mirrored = v[partner]
-    even = np.where(centre[:, None], v, (v + mirrored) * np.sqrt(0.5))
-    odd = (v - mirrored) * np.sqrt(0.5)
-    return even, odd
+class _ParityPlan:
+    """The mirror-parity structure of one mask: what every fiber on it shares.
+
+    With k split axes (:func:`_mirror_axes`) and q = p - (lo + hi)/2 on each,
+    the representatives are the points with q >= 0 on every split axis, and
+    parity block b (a tuple of k bits, 1 = odd) those with q > 0 on its odd
+    axes.  Reflection patterns U (the same bit tuples, 1 = reflected) act on
+    points by m_U; chi_b(U) = (-1)^(b . U).  In the orthonormal basis of
+    reflection-symmetrized points, block b of K is
+
+        K_b = 2^-k D (sum_U chi_b(U) kern[p_r - m_U p_s]) D,
+
+    r, s in the block and D = sqrt(2) per split axis on which the point is off
+    the mirror.  Every array is read-only:
+
+    - ``pts``: the masked points, mask order; ``twice_q``: 2q on the split axes.
+    - ``negations``: (axes, flat negated index) for each split axis alone and
+      for the other axes jointly, the negations the weight must be even under.
+    - ``columns``: mask-order points of each block; ``locs``: their positions
+      among the representatives.
+    - ``images[U]``: mask-order index of m_U of each representative (for U
+      with one reflected axis, its mirror partner on that axis).
+    - ``gather[U][r, s]``: flat lattice index of (p_r - m_U p_s) mod sizes, in
+      the smallest integer type that holds the lattice size.
+    - ``walsh[b, U]``: chi_b(U); ``dscale``: D on the representatives.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        sizes = mask.shape
+        self.pts = np.argwhere(mask)
+        mirrors = _mirror_axes(mask, self.pts)
+        self.split = tuple(ax for ax, _ in mirrors)
+        self.unsplit = tuple(ax for ax in range(mask.ndim) if ax not in self.split)
+        self.negations = [((ax,), _negated_index(sizes, (ax,))) for ax in self.split]
+        self.negations.append((self.unsplit, _negated_index(sizes, self.unsplit)))
+        self.twice_q = 2 * self.pts[:, self.split] - np.array([a for _, a in mirrors], dtype=int)
+        order = np.full(sizes, -1)
+        order[mask] = np.arange(len(self.pts))
+        partners = []  # mask-order index of each point's mirror image, per split axis
+        for ax, a in mirrors:
+            image = self.pts.copy()
+            image[:, ax] = a - self.pts[:, ax]
+            partners.append(order[tuple(image.T)])
+        self.parities = np.array(list(itertools.product((0, 1), repeat=len(mirrors))),
+                                 dtype=int).reshape(2 ** len(mirrors), len(mirrors))
+        reps = np.flatnonzero(np.all(self.twice_q >= 0, axis=1))
+        self.locs = [np.flatnonzero(np.all((self.twice_q[reps] > 0) | (b == 0), axis=1))
+                     for b in self.parities]
+        self.columns = [reps[loc] for loc in self.locs]
+        images = []
+        for pattern in self.parities:
+            img = reps
+            for partner, u in zip(partners, pattern):
+                img = partner[img] if u else img
+            images.append(img)
+        self.images = np.array(images)
+        dtype = np.min_scalar_type(mask.size - 1)
+        self.gather = np.empty(self.images.shape + (len(reps),), dtype=dtype)
+        for g, img in zip(self.gather, self.images):
+            diff = 0
+            for d, n in enumerate(sizes):
+                # lattice sizes are powers of two, so & (n - 1) is the mod
+                step = np.subtract.outer(self.pts[reps, d], self.pts[img, d]) & (n - 1)
+                diff = diff * n + step
+            g[...] = diff
+        self.walsh = (-1.0) ** (self.parities @ self.parities.T)
+        self.dscale = np.sqrt(2.0) ** np.count_nonzero(self.twice_q[reps], axis=1)
+        arrays = [self.pts, self.twice_q, self.parities, self.images, self.gather, self.walsh,
+                  self.dscale, *self.locs, *self.columns,
+                  *(n for _, n in self.negations)]
+        for a in arrays:
+            a.flags.writeable = False
+        self.nbytes = sum(a.nbytes for a in arrays)
+
+    def check_even(self, mu: np.ndarray) -> None:
+        """RuntimeError unless ``mu`` is exactly even under every negation of the plan."""
+        for axes, neg in self.negations:
+            _even_mirror_index(mu, axes, neg)
+
+
+def _parity_plan(mask: np.ndarray) -> _ParityPlan:
+    """The memoized :class:`_ParityPlan` of ``mask``, keyed on its shape and bits."""
+    key = (mask.shape, mask.tobytes())
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _ParityPlan(mask)
+        _PLAN_CACHE.put(key, plan)
+    return plan
+
+
+def _kernel_blocks(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
+    """The real symmetric blocks K_b of K (see :class:`_ParityPlan`), C order.
+
+    kern, the inverse DFT of mu^-2, is real and even in each coordinate of
+    an even weight; averaging it with its mirror under each of the plan's
+    negations in turn drops the rounding ifftn leaves, so every block is
+    exactly symmetric.
+    """
+    kern = np.fft.ifftn(mu**-2.0).real.reshape(-1)
+    for _, neg in plan.negations:
+        kern = 0.5 * (kern + kern[neg])
+    summed = np.tensordot(plan.walsh, kern[plan.gather], axes=1)
+    summed *= np.outer(plan.dscale, plan.dscale / len(plan.walsh))
+    return [K[np.ix_(loc, loc)] for K, loc in zip(summed, plan.locs)]
 
 
 class _FiberSolver:
     """Least-norm solve on one fiber: weight ``mu`` on the fiber lattice, ``mask``.
 
-    ``diff``, the :func:`_difference_index` of ``mask``, lets the fibers of
-    one call share it; without it, the index is built only if the Cholesky
-    branch needs it.  ``mu`` must be exactly even on its lattice (see
-    :func:`_even_mirror_index`); past the Cholesky cap, also in each
-    coordinate along which the mask is mirror symmetric.
+    Both branches factor K by the blocks of the mask's parity plan
+    (:func:`_parity_plan`), so ``mu`` must be exactly even in each coordinate
+    along which the mask is mirror symmetric and jointly in the others (see
+    :func:`_even_mirror_index`).  A Cholesky failure on any block sends the
+    whole fiber to the QR branch.
     """
 
-    def __init__(self, mu: np.ndarray, mask: np.ndarray, diff: np.ndarray | None = None):
+    def __init__(self, mu: np.ndarray, mask: np.ndarray):
+        plan = _parity_plan(mask)
+        plan.check_even(mu)
         spread = float((mu.max() / mu.min()) ** 2)
         self._mode = "chol" if spread <= _CHOL_SPREAD_CAP else "qr"
-        # _factors holds one factor per parity block and _columns the mask-order
-        # points each acts on; _mirrors the (mirror partner, on the mirror) pair of
-        # each split axis.  The Cholesky factor is one block over every point.
-        self._mirrors: list[tuple[np.ndarray, np.ndarray]] = []
-        self._columns: list = [slice(None)]
+        # _factors holds one upper factor per parity block of _plan
+        self._plan = plan
         if self._mode == "chol":
-            if diff is None:
-                diff = _difference_index(mask)
-            # K is symmetric, so K.T is K in Fortran order and factors in place
-            K = _kernel_matrix(mu, diff).T
             try:
-                self._factors = [sla.cho_factor(K, overwrite_a=True, check_finite=False)[0]]
+                # each K_b is symmetric, so K_b.T is K_b in Fortran order and factors
+                # in place
+                self._factors = [sla.cho_factor(K.T, overwrite_a=True, check_finite=False)[0]
+                                 for K in _kernel_blocks(mu, plan)]
                 return
             except np.linalg.LinAlgError:
                 self._mode = "qr"
-        self._factor_by_parity(mu, mask)
+        self._factors = self._factor_by_parity(mu, plan)
 
-    def _factor_by_parity(self, mu: np.ndarray, mask: np.ndarray) -> None:
+    @staticmethod
+    def _factor_by_parity(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
         # B*[xi, j] = mu(xi)^(-1) exp(-i xi . p_j) / sqrt(N) gives
         # K[i, j] = sum_xi mu^-2 cos(xi . (p_i - p_j)) / N.  On a split axis,
         # with q = p - (lo + hi)/2, the modes +-m add up to f_m cos(2 pi m dq / n)
@@ -442,13 +524,7 @@ class _FiberSolver:
         # gives sqrt(2) cos(xi . p) and sqrt(2) sin(xi . p); a self-paired xi (every
         # coordinate 0 or Nyquist) keeps its row cos(xi . p).
         sizes = mu.shape
-        pts = np.argwhere(mask)
-        mirrors = _mirror_axes(mask, pts)
-        split = [ax for ax, _ in mirrors]
-        unsplit = [ax for ax in range(len(sizes)) if ax not in split]
-        for ax in split:
-            _even_mirror_index(mu, (ax,))
-        _even_mirror_index(mu, unsplit)  # with the above: mu(xi_S, -xi_U) = mu(xi)
+        pts, split, unsplit = plan.pts, plan.split, plan.unsplit
         u_sizes = tuple(sizes[ax] for ax in unsplit)
         neg = _negated_index(u_sizes, range(len(u_sizes)))
         flat = np.arange(neg.size)
@@ -468,26 +544,14 @@ class _FiberSolver:
             tuple(sizes[ax] for ax in split) + (-1,)
         )[..., keep]
         scale = np.concatenate([mu_s, mu_s[..., paired]], axis=-1) ** -1.0 / np.sqrt(mu.size)
-        twice_q = 2 * pts[:, split] - np.array([a for _, a in mirrors], dtype=int)
-        order = np.full(sizes, -1)
-        order[mask] = np.arange(len(pts))
-        for j, (ax, a) in enumerate(mirrors):
-            image = pts.copy()
-            image[:, ax] = a - pts[:, ax]
-            self._mirrors.append((order[tuple(image.T)], twice_q[:, j] == 0))
-        self._factors, self._columns = [], []
-        for parity in itertools.product((0, 1), repeat=len(split)):
-            # the representatives: q > 0 on the odd axes, q >= 0 on the even ones
-            on_block = np.ones(len(pts), dtype=bool)
-            for tq, b in zip(twice_q.T, parity):
-                on_block &= tq > 0 if b else tq >= 0
-            cols = np.flatnonzero(on_block)
+        factors = []
+        for parity, cols in zip(plan.parities, plan.columns):
             modes = [np.arange(b, sizes[ax] // 2 + 1) for ax, b in zip(split, parity)]
             # the block matrix, built transposed (point by mode) so that the QR gets
             # it in Fortran order and factors it in place
             block = scale[np.ix_(*modes)][None]
             for j, (ax, b, m) in enumerate(zip(split, parity, modes)):
-                tq = twice_q[cols, j]
+                tq = plan.twice_q[cols, j]
                 table = (np.sin if b else np.cos)(np.outer(tq, m) * (np.pi / sizes[ax]))
                 # sqrt(f_m) by mode, and sqrt(2) off the mirror
                 table *= np.where((m == 0) | (2 * m == sizes[ax]), 1.0, np.sqrt(2.0))
@@ -498,19 +562,21 @@ class _FiberSolver:
                 (len(cols),) + (1,) * len(split) + (-1,))
             folded = block.reshape(len(cols), -1).T
             (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
-            self._factors.append(R[: len(cols)].copy())  # mode "r" returns every row
-            self._columns.append(cols)
+            factors.append(R[: len(cols)].copy())  # mode "r" returns every row
+        return factors
 
     def solve_values(self, data: np.ndarray) -> np.ndarray:
         """Squared quotient norms ||U^-T d||^2 for each column d of ``data`` (n x batch)."""
         # the real and imaginary parts of each column solve as two real columns
-        parts = [np.ascontiguousarray(data, dtype=complex).view(np.float64)]
-        # per-axis butterflies take the data to the parity blocks
-        for partner, centre in self._mirrors:
-            parts = [half for v in parts for half in _butterfly(v, partner, centre)]
+        v = np.ascontiguousarray(data, dtype=complex).view(np.float64)
+        # the data in the parity basis: block b at representative r takes
+        # 2^-k D_r sum_U chi_b(U) v[m_U r], the transpose of the K_b assembly
+        plan = self._plan
+        parts = np.tensordot(plan.walsh, v[plan.images], axes=1)
+        parts *= (plan.dscale / len(plan.walsh))[:, None]
         sq = 0.0
-        for U, cols, v in zip(self._factors, self._columns, parts):
-            z = sla.solve_triangular(U, v[cols], trans="T", check_finite=False)
+        for U, loc, part in zip(self._factors, plan.locs, parts):
+            z = sla.solve_triangular(U, part[loc], trans="T", check_finite=False)
             sq = sq + np.sum(z**2, axis=0)
         return sq[0::2] + sq[1::2]
 
@@ -534,18 +600,23 @@ def quotient_norm_batch(
 
     The direct engine: one factorization per distinct fiber weight, one
     triangular solve for the whole batch.  Fibers decouple along periodic axes
-    on which the mask is full; they share one sub-mask and hence one
-    difference index.
+    on which the mask is full; they share one sub-mask and hence one parity
+    plan.  An empty batch gives an empty array; data that are not finite
+    raise :class:`NonFiniteData`.
     """
     lattice = mask.lattice
     if idx.dimension != lattice.k:
         raise DimensionMismatch("index dimension does not match the mask lattice")
     batch = len(samples_list)
+    if batch == 0:
+        return np.zeros(0)
     data = np.column_stack(
         [np.asarray(s, dtype=complex).reshape(-1) for s in samples_list]
     )
     if data.shape[0] != mask.npoints:
         raise DimensionMismatch("sample count does not match mask size")
+    if not np.isfinite(data).all():
+        raise NonFiniteData("quotient norm data hold NaN or infinite values")
     mu = lattice.weight(idx)
     full = _full_axes(mask.mask)
     if not full:
@@ -559,7 +630,6 @@ def quotient_norm_batch(
     for ax in full:
         slicer[ax] = 0
     sub_mask = mask.mask[tuple(slicer)]
-    diff = _difference_index(sub_mask)
     # fibers with bitwise equal weights (xi and -xi, as weights are even) share
     # one factorization and one triangular solve
     groups: dict[bytes, tuple[np.ndarray, list]] = {}
@@ -571,7 +641,7 @@ def quotient_norm_batch(
         groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(grids[tuple(sl)][sub_mask])
     values_sq = np.zeros(batch)
     for mu_sub, fiber_data in groups.values():
-        sq = _FiberSolver(mu_sub, sub_mask, diff).solve_values(np.hstack(fiber_data))
+        sq = _FiberSolver(mu_sub, sub_mask).solve_values(np.hstack(fiber_data))
         values_sq += sq.reshape(len(fiber_data), batch).sum(axis=0)
     return np.sqrt(values_sq)
 
@@ -581,12 +651,26 @@ def quotient_gram(idx: RegularityIndex, mask: SubdomainMask) -> np.ndarray:
 
     For data d on the masked points, Re d^H G d equals
     ``quotient_norm_batch(idx, [d], mask)[0] ** 2``.  K is assembled as in
-    the direct engine, over the whole mask (no fiber split).
+    the direct engine, over the whole mask (no fiber split), and inverted
+    block by block.  With H_W = sum_b chi_b(W) K_b^-1 (see
+    :class:`_ParityPlan`), G[m_U r, m_V s] = H_(U xor V)[r, s] / (D_r D_s)
+    for representatives r, s.
     """
     if idx.dimension != mask.lattice.k:
         raise DimensionMismatch("index dimension does not match the mask lattice")
-    K = _kernel_matrix(mask.lattice.weight(idx), _difference_index(mask.mask))
-    return sla.inv(K)
+    mu = mask.lattice.weight(idx)
+    plan = _parity_plan(mask.mask)
+    plan.check_even(mu)
+    inverses = np.zeros(plan.gather.shape)
+    for inv, loc, K in zip(inverses, plan.locs, _kernel_blocks(mu, plan)):
+        inv[np.ix_(loc, loc)] = sla.inv(K)
+    H = np.tensordot(plan.walsh, inverses, axes=1)
+    H /= np.outer(plan.dscale, plan.dscale)
+    G = np.empty((mask.npoints, mask.npoints))
+    for u, rows in enumerate(plan.images):
+        for v, cols in enumerate(plan.images):
+            G[np.ix_(rows, cols)] = H[u ^ v]
+    return G
 
 
 def quotient_norm_dense(

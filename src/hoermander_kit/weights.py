@@ -34,10 +34,12 @@ __all__ = [
 
 
 class _GridCache:
-    """Read-only weight grids by key, least recently used first out.
+    """Read-only grids by key, least recently used first out.
 
-    Holds at most ``byte_cap`` bytes of grids in total; storing a grid evicts
-    the least recently used ones until the total fits again.
+    A grid is an array, or any read-only value with an ``nbytes`` size (the
+    parity plans of ``spectra``).  Holds at most ``byte_cap`` bytes of grids
+    in total; storing a grid evicts the least recently used ones until the
+    total fits again.
     """
 
     def __init__(self, byte_cap: int):

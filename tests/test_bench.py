@@ -397,6 +397,32 @@ def test_quotient_gram_rejects_a_weight_that_is_not_even(monkeypatch):
         spectra.quotient_gram(idx, mask)
 
 
+@pytest.mark.parametrize("resolution", [16, 64])
+def test_quotient_gram_inverts_parity_blocks_only(resolution, monkeypatch):
+    # every jump-study mask is a box, mirror symmetric on each axis, so sla.inv
+    # sees only its 2^k parity blocks, never the whole K
+    received = []
+    real_inv = sla.inv
+
+    def recording_inv(a, *args, **kwargs):
+        received.append(a.shape)
+        return real_inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "inv", recording_inv)
+    geom = pb.IntervalGeometry(nx=resolution // 2)
+    nt = resolution // 2
+    masks = (pb.omega_domain(geom, 1.0, nt), pb.lateral_domain(geom, 1.0, nt),
+             pb.spatial_domain(geom))
+    for idx, mask in zip(pb._component_indices(geom, 3.5, 0, params.constant()), masks):
+        received.clear()
+        spectra.quotient_gram(idx, mask)
+        plan = spectra._parity_plan(mask.mask)
+        assert received == [(len(c), len(c)) for c in plan.columns]
+        assert len(received) == 2 ** mask.lattice.k
+        assert sum(n for n, _ in received) == mask.npoints
+        assert max(n for n, _ in received) < mask.npoints
+
+
 @pytest.mark.parametrize("resolution", [16, 32])
 def test_quotient_gram_matches_quotient_norms(resolution):
     # the jump study's Gram and the norm engine share one assembly of K:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from hoermander_kit import parabolic as pb, params, spectra, weights
-from hoermander_kit.errors import DimensionMismatch, NoConvergence
+from hoermander_kit.errors import DimensionMismatch, NoConvergence, NonFiniteData
 
 TWO_PI = 2.0 * np.pi
 
@@ -216,8 +216,8 @@ def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
     solved = []
 
     class Recording(spectra._FiberSolver):
-        def __init__(self, mu, mask, diff=None):
-            super().__init__(mu, mask, diff)
+        def __init__(self, mu, mask):
+            super().__init__(mu, mask)
             self.mu = mu
             self.mask = mask
 
@@ -270,7 +270,7 @@ def _mirrored_in_x_only():
     return m
 
 
-@pytest.mark.parametrize(
+_PARITY_MASKS = pytest.mark.parametrize(
     "mask, blocks",
     [
         (_box((64,), (3,), (17,)), 2),  # odd extent: a centre point
@@ -284,17 +284,17 @@ def _mirrored_in_x_only():
     ids=["1d-odd", "1d-even", "2d-odd-even", "2d-even-even", "mirrored-in-x-only", "one-row",
          "random"],
 )
-def test_parity_split_matches_dense(mask, blocks):
-    # the QR branch splits on every axis where the mask is its own mirror image
-    # and on no other; each stiff case matches the dense oracle
+
+
+def _split_matches_dense(mask, blocks, s, mode):
     k = mask.ndim
     lat = spectra.Lattice(sizes=mask.shape, periods=(2.0,) * k)
     if k == 1:
-        idx = weights.isotropic(4.6, params.log_power(1.0), dimension=1)
+        idx = weights.isotropic(s, params.log_power(1.0), dimension=1)
     else:
-        idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
+        idx = weights.parabolic_split(s, params.log_power(1.0), dimension=2)
     solver = spectra._FiberSolver(lat.weight(idx), mask)
-    assert solver._mode == "qr"
+    assert solver._mode == mode
     assert len(solver._factors) == blocks
     sub = spectra.SubdomainMask(lat, mask)
     rng = np.random.default_rng(13)
@@ -304,15 +304,155 @@ def test_parity_split_matches_dense(mask, blocks):
         assert dv == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
 
 
-@pytest.mark.parametrize("sizes", [(64,), (16, 32), (8, 4, 16)], ids=["1d", "2d", "3d"])
-def test_difference_index_matches_mod_formula(sizes):
-    rng = np.random.default_rng(len(sizes))
-    mask = rng.random(sizes) < 0.4
+@_PARITY_MASKS
+def test_parity_split_matches_dense(mask, blocks):
+    # the QR branch splits on every axis where the mask is its own mirror image
+    # and on no other; each stiff case matches the dense oracle
+    _split_matches_dense(mask, blocks, 4.6, "qr")
+
+
+@_PARITY_MASKS
+def test_parity_cholesky_matches_dense(mask, blocks):
+    # mild weights: the Cholesky branch factors the same parity blocks
+    _split_matches_dense(mask, blocks, 1.0, "chol")
+
+
+def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
+    calls = []
+    real_cho_factor = sla.cho_factor
+
+    def failing_on_second_block(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real_cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "cho_factor", failing_on_second_block)
+    mask = _box((32, 32), (2, 5), (9, 10))
+    lat = spectra.Lattice(sizes=mask.shape, periods=(2.0, 2.0))
+    idx = weights.parabolic_split(1.0, params.log_power(1.0), dimension=2)
+    solver = spectra._FiberSolver(lat.weight(idx), mask)
+    assert len(calls) == 2 and solver._mode == "qr" and len(solver._factors) == 4
+    sub = spectra.SubdomainMask(lat, mask)
+    d = np.random.default_rng(14).standard_normal(sub.npoints) + 0j
+    value = np.sqrt(solver.solve_values(d[:, None])[0])
+    assert value == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.random.default_rng(1).random((64,)) < 0.4,
+     np.random.default_rng(2).random((16, 32)) < 0.4,
+     np.random.default_rng(3).random((8, 4, 16)) < 0.4,
+     _box((32,), (30,), (5,)) | _box((32,), (0,), (3,)),  # wraps around the lattice
+     _box((32, 32), (2, 5), (9, 10)),
+     _mirrored_in_x_only()],
+    ids=["random-1d", "random-2d", "random-3d", "1d-wrapped", "2d-box", "mirrored-in-x-only"],
+)
+def test_parity_plan_gather_matches_mod_formula(mask):
+    # gather[U][r, s] is the flat lattice index of (p_r - m_U p_s) mod n, m_U the
+    # reflection of the axes in U about the midpoint of the mask's extent, p_r
+    # and p_s representatives (q >= 0 on every split axis)
+    plan = spectra._parity_plan(mask)
+    assert plan.gather.dtype == np.min_scalar_type(mask.size - 1)
     pts = np.argwhere(mask)
-    expected = 0
-    for d, n in enumerate(sizes):
-        expected = expected * n + (pts[:, None, d] - pts[None, :, d]) % n
-    assert np.array_equal(spectra._difference_index(mask), expected)
+    split = [ax for ax, _ in spectra._mirror_axes(mask, pts)]
+    assert list(plan.split) == split
+    reps = pts[plan.images[0]]
+    for pattern, images, gather in zip(plan.parities, plan.images, plan.gather):
+        reflected = reps.copy()
+        for ax, u in zip(split, pattern):
+            if u:
+                lo, hi = pts[:, ax].min(), pts[:, ax].max()
+                reflected[:, ax] = lo + hi - reps[:, ax]
+        assert np.array_equal(pts[images], reflected)
+        expected = 0
+        for d, n in enumerate(mask.shape):
+            expected = expected * n + (reps[:, None, d] - reflected[None, :, d]) % n
+        assert np.array_equal(gather, expected)
+    # the blocks' columns cover every representative once for each parity that has it
+    columns = np.concatenate(plan.columns)
+    assert len(columns) == mask.sum()
+
+
+def _plan_arrays(plan):
+    """Every array a parity plan holds, also inside its lists and tuples."""
+    arrays, todo = [], list(vars(plan).values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray):
+            arrays.append(v)
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+    return arrays
+
+
+def test_parity_plans_are_read_only_and_keyed_on_mask_bits(monkeypatch):
+    cache = weights._GridCache(byte_cap=2**26)
+    monkeypatch.setattr(spectra, "_PLAN_CACHE", cache)
+    lat = spectra.Lattice(sizes=(32, 32), periods=(2.0, 2.0))
+    idx = weights.parabolic_split(1.0, params.log_power(1.0), dimension=2)
+    rng = np.random.default_rng(15)
+
+    def check(m):
+        sub = spectra.SubdomainMask(lat, m.copy())
+        d = rng.standard_normal(sub.npoints) + 1j * rng.standard_normal(sub.npoints)
+        value = spectra.quotient_norm_batch(idx, [d], spectra.SubdomainMask(lat, m))[0]
+        assert value == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
+
+    # two masks of one shape with different points
+    check(_box((32, 32), (2, 5), (9, 10)))
+    check(_box((32, 32), (4, 1), (7, 12)))
+    assert len(cache) == 2
+    plan = spectra._parity_plan(_box((32, 32), (2, 5), (9, 10)))
+    assert len(cache) == 2  # a hit
+    for a in _plan_arrays(plan):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        plan.gather[0, 0, 0] = 0
+    # one mask array mutated in place between calls
+    m = _box((32, 32), (2, 5), (9, 10))
+    check(m)
+    m[2, 5] = False
+    m[20, 20] = True
+    check(m)
+    assert len(cache) == 3
+
+
+def test_parity_plan_cache_evicts_past_byte_cap(monkeypatch):
+    masks = [_box((32, 32), (2, 5), (9, 10 + i)) for i in range(4)]
+    sizes = [spectra._ParityPlan(m).nbytes for m in masks]
+    cache = weights._GridCache(byte_cap=sizes[0] + sizes[1])
+    monkeypatch.setattr(spectra, "_PLAN_CACHE", cache)
+    first = spectra._parity_plan(masks[0])
+    spectra._parity_plan(masks[1])
+    assert len(cache) == 2 and cache.nbytes == sizes[0] + sizes[1]
+    for m in masks[2:]:
+        spectra._parity_plan(m)
+        assert cache.nbytes <= cache.byte_cap
+    assert len(cache) < 4
+    assert spectra._parity_plan(masks[0]) is not first  # evicted, rebuilt
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_quotient_norm_batch_rejects_non_finite_data(bad):
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8)
+    idx = weights.parabolic_split(2.0, params.constant(), dimension=2)
+    good = np.ones(mask.npoints, dtype=complex)
+    d = good.copy()
+    d[5] = bad
+    with pytest.raises(NonFiniteData):
+        spectra.quotient_norm_batch(idx, [good, d], mask)
+    with pytest.raises(ValueError):
+        spectra.quotient_norm_batch(idx, [d], mask)
+
+
+def test_quotient_norm_batch_of_no_data_is_empty():
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8)
+    idx = weights.parabolic_split(2.0, params.constant(), dimension=2)
+    out = spectra.quotient_norm_batch(idx, [], mask)
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):
