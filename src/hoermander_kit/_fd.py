@@ -1,4 +1,9 @@
-"""Finite-difference stencils on uniform grids (Fornberg weights)."""
+"""Finite-difference stencils on uniform grids (Fornberg weights).
+
+The n rows of a width-(k + acc) stencil on a uniform grid hold only k + acc
+distinct weight vectors, one per evaluation point of a single window (Fornberg
+1988); ``apply_deriv_axis`` builds those once per call and applies them banded.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ from .errors import InsufficientSmoothness
 
 __all__ = [
     "fornberg_weights",
-    "deriv_matrix",
     "one_sided_weights",
     "apply_deriv_axis",
     "trace_deriv_at_zero",
@@ -48,25 +52,6 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def deriv_matrix(n: int, dx: float, k: int, acc: int = 8) -> np.ndarray:
-    """Dense k-th derivative matrix on n uniform points, one-sided near edges.
-
-    Stencil width k + acc guarantees order ``acc`` on smooth data.
-    """
-    width = k + acc
-    if n < width:
-        raise InsufficientSmoothness(
-            f"grid with {n} points cannot support order-{k} derivative at accuracy {acc}"
-        )
-    D = np.zeros((n, n), dtype=np.longdouble)
-    half = width // 2
-    for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        nodes = np.arange(lo, lo + width) * np.longdouble(dx)
-        D[i, lo:lo + width] = fornberg_weights(i * np.longdouble(dx), nodes, k)[k]
-    return D
-
-
 def one_sided_weights(k: int, acc: int, dt: float, n_available: int) -> np.ndarray:
     """Weights for d^k/dt^k at t=0 from samples t = 0, dt, 2dt, ...
 
@@ -82,37 +67,49 @@ def one_sided_weights(k: int, acc: int, dt: float, n_available: int) -> np.ndarr
     return fornberg_weights(0.0, nodes, k)[k]
 
 
+def _banded_sum(field: np.ndarray, axis: int, w: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j w[i, j] * field[first[i] + j] along ``axis``, moved to axis 0.
+
+    Summed in long double and in j order from zero, as a dense long-double
+    product over the full row sums (with the weights cast to the work type as
+    it casts them); cast back to float/complex unless the input was extended.
+    """
+    field = np.asarray(field)
+    work = np.clongdouble if np.iscomplexobj(field) else np.longdouble
+    x = np.moveaxis(field, axis, 0)[: first[-1] + w.shape[1]].astype(work, order="C")
+    w = w.astype(work).reshape(w.shape + (1,) * (x.ndim - 1))
+    out = np.zeros((len(first),) + x.shape[1:], dtype=work)
+    for j in range(w.shape[1]):
+        out += w[:, j] * x[first + j]
+    if field.dtype in (np.longdouble, np.clongdouble):
+        return out
+    return out.astype(complex if work is np.clongdouble else float)
+
+
 def apply_deriv_axis(field: np.ndarray, axis: int, dx: float, k: int, acc: int = 8) -> np.ndarray:
     """k-th derivative along one axis of a uniform non-periodic grid.
 
-    The one-sided boundary stencils carry large weights (sum |w| ~ 1e3/dx^k),
-    so the product is taken in extended precision to keep compositions of
-    derivative passes from amplifying roundoff.
+    Stencil width k + acc guarantees order ``acc`` on smooth data; points
+    within width/2 of an edge take the one-sided window at that edge.  The
+    boundary stencils carry large weights (sum |w| ~ 1e3/dx^k), so the sum is
+    taken in extended precision to keep compositions of derivative passes
+    from amplifying roundoff.
     """
-    field = np.asarray(field)
-    n = field.shape[axis]
-    D = deriv_matrix(n, dx, k, acc)
-    moved = np.moveaxis(field, axis, 0)
-    extended = field.dtype in (np.longdouble, np.clongdouble)
-    if np.iscomplexobj(moved):
-        out = np.tensordot(D, moved.astype(np.clongdouble), axes=(1, 0))
-        if not extended:
-            out = out.astype(complex)
-    else:
-        out = np.tensordot(D, moved.astype(np.longdouble), axes=(1, 0))
-        if not extended:
-            out = out.astype(float)
+    n = np.shape(field)[axis]
+    width = k + acc
+    if n < width:
+        raise InsufficientSmoothness(
+            f"grid with {n} points cannot support order-{k} derivative at accuracy {acc}"
+        )
+    nodes = np.arange(width) * np.longdouble(dx)
+    table = np.array([fornberg_weights(z, nodes, k)[k] for z in nodes])
+    points = np.arange(n)
+    first = np.clip(points - width // 2, 0, n - width)
+    out = _banded_sum(field, axis, table[points - first], first)
     return np.moveaxis(out, 0, axis)
 
 
 def trace_deriv_at_zero(field: np.ndarray, axis: int, dt: float, k: int, acc: int = 8) -> np.ndarray:
     """d^k/dt^k at the left endpoint of ``axis`` via one-sided differences."""
-    field = np.asarray(field)
-    w = one_sided_weights(k, acc, dt, field.shape[axis])
-    moved = np.moveaxis(field, axis, 0)
-    extended = field.dtype in (np.longdouble, np.clongdouble)
-    if np.iscomplexobj(moved):
-        out = np.tensordot(w, moved[: len(w)].astype(np.clongdouble), axes=(0, 0))
-        return out if extended else out.astype(complex)
-    out = np.tensordot(w, moved[: len(w)].astype(np.longdouble), axes=(0, 0))
-    return out if extended else out.astype(float)
+    w = one_sided_weights(k, acc, dt, np.shape(field)[axis])
+    return _banded_sum(field, axis, w[None, :], np.zeros(1, dtype=int))[0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import spectra
 from ._expr import compile_expr
-from ._fd import apply_deriv_axis, one_sided_weights, trace_deriv_at_zero
+from ._fd import apply_deriv_axis, trace_deriv_at_zero
 from .errors import (
     DimensionMismatch,
     InsufficientSmoothness,
@@ -186,11 +186,8 @@ class Coefficient:
                 self.dt_evaluators[q - 1](*meshes, 0.0), dtype=complex
             ) + np.zeros(geom.g_shape(), dtype=complex)
         h = tau / 256.0
-        w = one_sided_weights(q, 8, h, q + 8)
-        out = np.zeros(geom.g_shape(), dtype=complex)
-        for j, wj in enumerate(w):
-            out += wj * self.on_G(geom, j * h)
-        return out
+        samples = np.stack([self.on_G(geom, j * h) for j in range(q + acc)], axis=-1)
+        return trace_deriv_at_zero(samples, samples.ndim - 1, h, q, acc)
 
 
 def _as_coefficient(c) -> Coefficient:
@@ -752,46 +749,35 @@ def check_compatibility(
 
 # -- target norms ------------------------------------------------------------------------
 
+def _box_domain(axes: list[tuple[int, float, int]]) -> SubdomainMask:
+    """A closed grid at the origin of a periodic box; one (size, period, points) per axis."""
+    sizes, periods, points = zip(*axes)
+    mask = np.zeros(sizes, dtype=bool)
+    mask[tuple(slice(m) for m in points)] = True
+    return SubdomainMask(Lattice(sizes=sizes, periods=periods), mask)
+
+
+def _space_axes(geom: Geometry) -> list[tuple[int, float, int]]:
+    """x doubled to (0, 2) with nx+1 closed points; the strip's y axis as it is."""
+    axes = [(2 * geom.nx, 2.0, geom.nx + 1)]
+    if isinstance(geom, PeriodicStripGeometry):
+        axes.append((geom.ny, geom.period_y, geom.ny))
+    return axes
+
+
 def omega_domain(geom: Geometry, tau: float, nt: int) -> SubdomainMask:
     """The closed cylinder grid embedded in a doubled periodic box."""
-    if isinstance(geom, IntervalGeometry):
-        lat = Lattice(sizes=(2 * geom.nx, 2 * nt), periods=(2.0, 2.0 * tau))
-        mask = np.zeros(lat.sizes, dtype=bool)
-        mask[: geom.nx + 1, : nt + 1] = True
-    else:
-        lat = Lattice(
-            sizes=(2 * geom.nx, geom.ny, 2 * nt),
-            periods=(2.0, geom.period_y, 2.0 * tau),
-        )
-        mask = np.zeros(lat.sizes, dtype=bool)
-        mask[: geom.nx + 1, :, : nt + 1] = True
-    return SubdomainMask(lat, mask)
+    return _box_domain(_space_axes(geom) + [(2 * nt, 2.0 * tau, nt + 1)])
 
 
 def lateral_domain(geom: Geometry, tau: float, nt: int) -> SubdomainMask:
     """One boundary sheet of the lateral boundary, time-padded."""
-    if isinstance(geom, IntervalGeometry):
-        lat = Lattice(sizes=(2 * nt,), periods=(2.0 * tau,))
-        mask = np.zeros(lat.sizes, dtype=bool)
-        mask[: nt + 1] = True
-    else:
-        lat = Lattice(sizes=(geom.ny, 2 * nt), periods=(geom.period_y, 2.0 * tau))
-        mask = np.zeros(lat.sizes, dtype=bool)
-        mask[:, : nt + 1] = True
-    return SubdomainMask(lat, mask)
+    return _box_domain(_space_axes(geom)[1:] + [(2 * nt, 2.0 * tau, nt + 1)])
 
 
 def spatial_domain(geom: Geometry) -> SubdomainMask:
     """The closed spatial domain embedded in an x-doubled periodic box."""
-    if isinstance(geom, IntervalGeometry):
-        lat = Lattice(sizes=(2 * geom.nx,), periods=(2.0,))
-        mask = np.zeros(lat.sizes, dtype=bool)
-        mask[: geom.nx + 1] = True
-    else:
-        lat = Lattice(sizes=(2 * geom.nx, geom.ny), periods=(2.0, geom.period_y))
-        mask = np.zeros(lat.sizes, dtype=bool)
-        mask[: geom.nx + 1, :] = True
-    return SubdomainMask(lat, mask)
+    return _box_domain(_space_axes(geom))
 
 
 def _measure_factor(lat: Lattice) -> float:

@@ -23,20 +23,22 @@ against an independent spectral oracle in the test suite.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import parabolic as pb
-from ._fd import trace_deriv_at_zero
+from ._fd import fornberg_weights, trace_deriv_at_zero
 from .errors import (
     CutoffWrapsAround,
     DimensionMismatch,
     InsufficientTimeResolution,
 )
 from .params import FunctionParam, constant
-from .spectra import Lattice, SpectralField
+from .spectra import Lattice, SpectralField, load_field, random_field, save_field
 from .weights import isotropic
 
 __all__ = [
@@ -142,8 +144,6 @@ class CauchyData:
 
     @classmethod
     def random(cls, lattice: Lattice, r: int, seed: int, band: int | None = None) -> "CauchyData":
-        from .spectra import random_field
-
         comps = tuple(
             random_field(lattice, seed + 17 * k, band=band).to_samples()
             for k in range(r)
@@ -153,11 +153,6 @@ class CauchyData:
 
 def save_cauchy(v: CauchyData, path, fmt: str = "binary") -> None:
     """Component files plus a JSON header, mirroring the field conventions."""
-    import json
-    from pathlib import Path
-
-    from .spectra import SpectralField, save_field
-
     path = Path(path)
     header = {
         "r": v.r,
@@ -172,11 +167,6 @@ def save_cauchy(v: CauchyData, path, fmt: str = "binary") -> None:
 
 
 def load_cauchy(path) -> CauchyData:
-    import json
-    from pathlib import Path
-
-    from .spectra import load_field
-
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     lattice = Lattice(sizes=tuple(header["sizes"]), periods=tuple(header["periods"]))
@@ -359,8 +349,6 @@ def _profile_derivative_samples(
     if m == 0:
         return beta(pts) * pts**k_pow
     acc = 10
-    from ._fd import fornberg_weights
-
     nodes = (np.arange(m + acc + 1) - (m + acc) / 2.0) * h
     w = fornberg_weights(0.0, nodes, m)[m]
     vals = np.zeros_like(pts, dtype=np.longdouble)

@@ -125,12 +125,13 @@ def parabolic_split(
     )
 
 
-def _rho_squared(idx: RegularityIndex, xi: np.ndarray) -> np.ndarray:
-    if idx.anisotropy == "parabolic":
-        spatial = xi[..., :-1]
-        time = xi[..., -1]
-        return 1.0 + np.sum(spatial**2, axis=-1) + np.abs(time)
-    return 1.0 + np.sum(xi**2, axis=-1)
+def _rho_squared(idx: RegularityIndex, components: Sequence[np.ndarray]) -> np.ndarray:
+    """1 + |xi'|^2 + |xi_k| or 1 + |xi|^2, summed axis by axis over broadcastable components."""
+    rho2 = 1.0
+    for ax, c in enumerate(components):
+        time = idx.anisotropy == "parabolic" and ax == len(components) - 1
+        rho2 = rho2 + (np.abs(c) if time else c**2)
+    return rho2
 
 
 def eval_weight(idx: RegularityIndex, xi) -> np.ndarray:
@@ -142,9 +143,8 @@ def eval_weight(idx: RegularityIndex, xi) -> np.ndarray:
         )
     if not np.all(np.isfinite(xi)):
         raise ValueError("frequencies must be finite")
-    rho2 = _rho_squared(idx, xi)
-    rho = np.sqrt(rho2)
-    return rho2 ** (idx.s / 2.0) * idx.phi(rho)
+    rho2 = _rho_squared(idx, [xi[..., j] for j in range(idx.dimension)])
+    return rho2 ** (idx.s / 2.0) * idx.phi(np.sqrt(rho2))
 
 
 def weight_on_mesh(idx: RegularityIndex, freq_axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -166,21 +166,10 @@ def weight_on_mesh(idx: RegularityIndex, freq_axes: Sequence[np.ndarray]) -> np.
         cached = _GRID_CACHE.get(key)
         if cached is not None:
             return cached
-    if idx.anisotropy == "parabolic":
-        rho2 = np.ones(tuple(len(a) for a in freq_axes))
-        for ax, f in enumerate(freq_axes[:-1]):
-            shape = [1] * len(freq_axes)
-            shape[ax] = len(f)
-            rho2 = rho2 + (f**2).reshape(shape)
-        shape = [1] * len(freq_axes)
-        shape[-1] = len(freq_axes[-1])
-        rho2 = rho2 + np.abs(freq_axes[-1]).reshape(shape)
-    else:
-        rho2 = np.ones(tuple(len(a) for a in freq_axes))
-        for ax, f in enumerate(freq_axes):
-            shape = [1] * len(freq_axes)
-            shape[ax] = len(f)
-            rho2 = rho2 + (f**2).reshape(shape)
+    d = len(freq_axes)
+    rho2 = _rho_squared(
+        idx, [f.reshape([-1 if j == ax else 1 for j in range(d)]) for ax, f in enumerate(freq_axes)]
+    )
     out = rho2 ** (idx.s / 2.0) * idx.phi(np.sqrt(rho2))
     if key is not None:
         out.flags.writeable = False

@@ -485,6 +485,51 @@ def test_compute_v_differentiates_each_v_q_once(monkeypatch):
     assert len(calls) == 3  # D^2 of v_0, v_1, v_2; the recurrence reads each for every k > q
 
 
+def test_dt_on_G_differentiates_without_exact_evaluators():
+    geom = interval(8)
+    x = geom.x_axis()
+    c = pb.Coefficient(evaluator=lambda x, t: (1.0 + x) * np.sin(t))
+    assert np.max(np.abs(c.dt_on_G(geom, 1, 1.0) - (1.0 + x))) < 1e-9
+    assert np.max(np.abs(c.dt_on_G(geom, 2, 1.0))) < 1e-9
+    assert np.max(np.abs(c.dt_on_G(geom, 1, 1.0, acc=4) - (1.0 + x))) < 1e-8
+    assert c.dt_on_G(geom, 1, 1.0, acc=4).tobytes() != c.dt_on_G(geom, 1, 1.0).tobytes()
+
+
+def _box_expectation(sizes, periods, closed):
+    mask = np.zeros(sizes, dtype=bool)
+    mask[closed] = True
+    return sizes, periods, mask
+
+
+@pytest.mark.parametrize(
+    "geom,expected",
+    [
+        (interval(4), {
+            "omega": _box_expectation((8, 16), (2.0, 1.0), np.s_[:5, :9]),
+            "lateral": _box_expectation((16,), (1.0,), np.s_[:9]),
+            "spatial": _box_expectation((8,), (2.0,), np.s_[:5]),
+        }),
+        (pb.PeriodicStripGeometry(nx=4, ny=4, period_y=3.0), {
+            "omega": _box_expectation((8, 4, 16), (2.0, 3.0, 1.0), np.s_[:5, :, :9]),
+            "lateral": _box_expectation((4, 16), (3.0, 1.0), np.s_[:, :9]),
+            "spatial": _box_expectation((8, 4), (2.0, 3.0), np.s_[:5, :]),
+        }),
+    ],
+    ids=["interval", "strip"],
+)
+def test_domains_embed_closed_grids_at_box_origin(geom, expected):
+    got = {
+        "omega": pb.omega_domain(geom, 0.5, 8),
+        "lateral": pb.lateral_domain(geom, 0.5, 8),
+        "spatial": pb.spatial_domain(geom),
+    }
+    for name, (sizes, periods, mask) in expected.items():
+        dom = got[name]
+        assert dom.lattice.sizes == sizes, name
+        assert dom.lattice.periods == periods, name
+        assert np.array_equal(dom.mask, mask), name
+
+
 def test_compute_v_batch_shape_guard():
     geom = interval(16)
     p = pb.heat_problem(geom)

@@ -103,6 +103,28 @@ def test_weight_on_mesh_matches_pointwise():
             assert grid[i, j] == pytest.approx(weights.eval_weight(idx, [a, b]))
 
 
+def _mesh_rho_squared_loop(anisotropy, freq_axes):
+    """Reference: rho^2 accumulated onto a full grid of ones, axis by axis."""
+    rho2 = np.ones(tuple(len(a) for a in freq_axes))
+    for ax, f in enumerate(freq_axes):
+        shape = [1] * len(freq_axes)
+        shape[ax] = len(f)
+        time = anisotropy == "parabolic" and ax == len(freq_axes) - 1
+        rho2 = rho2 + (np.abs(f) if time else f**2).reshape(shape)
+    return rho2
+
+
+@pytest.mark.parametrize("anisotropy", ["parabolic", "isotropic"])
+def test_weight_on_mesh_matches_axis_loop_bitwise(anisotropy):
+    rng = np.random.default_rng(3)
+    axes = [rng.standard_normal(n) * 20 for n in (4, 3, 5)]
+    phi = params.log_power(0.7)
+    idx = weights.RegularityIndex(s=2.3, phi=phi, anisotropy=anisotropy, dimension=3)
+    rho2 = _mesh_rho_squared_loop(anisotropy, axes)
+    want = rho2 ** (idx.s / 2.0) * phi(np.sqrt(rho2))
+    assert weights.weight_on_mesh(idx, axes).tobytes() == want.tobytes()
+
+
 def test_custom_phi_weights_never_go_stale():
     # ids of collected evaluators get reused; each fresh custom phi must get
     # its own weights, not those of an earlier parameter
