@@ -129,41 +129,29 @@ _ISO_BENCH_KEYS = ("geometry", "boundary", "s_grid", "phi", "trials",
 
 
 def _cmd_iso_bench(args) -> int:
-    if args.config:
-        cfg = json.loads(Path(args.config).read_text())
-        unknown = sorted(set(cfg) - set(_ISO_BENCH_KEYS))
-        if unknown:
-            raise UnknownConfigKey(
-                f"{args.config}: unknown keys {unknown}; "
-                f"a bench case reads {list(_ISO_BENCH_KEYS)}"
-            )
-        phis = tuple(param_from_dict(d) for d in cfg.get(
-            "phi", [{"kind": "Constant", "value": 1.0}]))
-        case = bench.BenchCase(
-            geometry_kind=cfg.get("geometry", args.geometry),
-            boundary=cfg.get("boundary", "dirichlet"),
-            s_grid=tuple(cfg.get("s_grid", [2.6, 3.0, 4.0, 4.6])),
-            phi_list=phis,
-            trial_count=int(cfg.get("trials", args.trials)),
-            resolutions=tuple(cfg.get("resolutions",
-                                      [int(s) for s in args.resolutions.split(",")])),
-            seed=int(cfg.get("seed", args.seed)),
-            ny=int(cfg.get("ny", args.ny)),
-            band=int(cfg.get("band", args.band)),
+    # the flags give every default; the keys of a --config file override them
+    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    unknown = sorted(set(cfg) - set(_ISO_BENCH_KEYS))
+    if unknown:
+        raise UnknownConfigKey(
+            f"{args.config}: unknown keys {unknown}; "
+            f"a bench case reads {list(_ISO_BENCH_KEYS)}"
         )
+    if "phi" in cfg:
+        phis = tuple(param_from_dict(d) for d in cfg["phi"])
     else:
-        resolutions = tuple(int(s) for s in args.resolutions.split(","))
         phis = (constant(), log_power(1.0), log_power(-1.0))
-        case = bench.BenchCase(
-            geometry_kind=args.geometry,
-            s_grid=tuple(float(s) for s in args.s_grid.split(",")),
-            phi_list=phis,
-            trial_count=args.trials,
-            resolutions=resolutions,
-            seed=args.seed,
-            ny=args.ny,
-            band=args.band,
-        )
+    case = bench.BenchCase(
+        geometry_kind=cfg.get("geometry", args.geometry),
+        boundary=cfg.get("boundary", "dirichlet"),
+        s_grid=tuple(float(s) for s in cfg.get("s_grid", args.s_grid.split(","))),
+        phi_list=phis,
+        trial_count=int(cfg.get("trials", args.trials)),
+        resolutions=tuple(int(n) for n in cfg.get("resolutions", args.resolutions.split(","))),
+        seed=int(cfg.get("seed", args.seed)),
+        ny=int(cfg.get("ny", args.ny)),
+        band=int(cfg.get("band", args.band)),
+    )
     rep = bench.estimate_isomorphism(case)
     ok = rep.drift_passed()
     _emit(args, rep.to_json(), "iso-bench", csv=rep.to_csv() if args.csv else None)

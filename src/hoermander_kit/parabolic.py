@@ -58,6 +58,7 @@ __all__ = [
     "compute_v",
     "apply_boundary_recurrence",
     "CompatibilityReport",
+    "compatibility_mismatch",
     "check_compatibility",
     "boundary_values",
     "gamma_norm",
@@ -694,6 +695,40 @@ def gamma_norm(
     return math.sqrt(total)
 
 
+def compatibility_mismatch(
+    p: ParabolicProblem,
+    f: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    count: int,
+    acc_t: int = 8,
+    acc_x: int = 8,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """v_0..v_(count-1) (v_0 at least) and the first ``count`` compatibility mismatches.
+
+    Mismatch k, complex on the two boundary sheets, is the boundary target
+    minus the one-sided time trace dt^k g(., 0) of order ``acc_t``: the target
+    is v_k on the boundary for the Dirichlet problem and B_k[v_0..v_k] for a
+    first-order boundary operator.
+    """
+    geom = p.geometry
+    g = np.asarray(g, dtype=complex)
+    expected_g = (2,) + geom.g_shape()[1:]
+    if g.shape[:-1] != expected_g:
+        raise DimensionMismatch(f"g must have shape {expected_g} x (nt+1)")
+    dt_g = p.tau / (g.shape[-1] - 1)
+    v = compute_v(p, f, h, max(count - 1, 0), acc_t, acc_x)
+    mismatches = []
+    for k in range(count):
+        if p.order_l == 0:
+            target = boundary_values(geom, v[k])
+        else:
+            target = apply_boundary_recurrence(p, v, k, acc_x)
+        trace = trace_deriv_at_zero(g, g.ndim - 1, dt_g, k, acc_t)
+        mismatches.append(np.asarray(target - trace, dtype=complex))
+    return v, mismatches
+
+
 def check_compatibility(
     p: ParabolicProblem,
     f: np.ndarray,
@@ -708,11 +743,11 @@ def check_compatibility(
 
     For the Dirichlet problem the k-th condition is dt^k g(.,0) = v_k on the
     boundary; for a first-order boundary operator the right side is
-    B_k[v_0..v_k].  Residual k is measured in the boundary norm of order
-    s - 3/2 - 2k (respectively s - 5/2 - 2k) with trivial weight factor.  At
-    a jump point both adjacent counts are evaluated and flagged.
+    B_k[v_0..v_k] (see :func:`compatibility_mismatch`).  Residual k is
+    measured in the boundary norm of order s - 3/2 - 2k (respectively
+    s - 5/2 - 2k) with trivial weight factor.  At a jump point both adjacent
+    counts are evaluated and flagged.
     """
-    geom = p.geometry
     l = p.order_l
     if s <= 2:
         raise ValueError("compatibility checks require s > 2")
@@ -720,26 +755,10 @@ def check_compatibility(
     count = compat_count(s, l)
     count_above = compat_count(s + 1e-9, l) if at_jump else count
     n_eval = count_above if at_jump else count
-    g = np.asarray(g, dtype=complex)
-    expected_g = (2,) + geom.g_shape()[1:]
-    if g.shape[:-1] != expected_g:
-        raise DimensionMismatch(f"g must have shape {expected_g} x (nt+1)")
-    nt_g = g.shape[-1] - 1
-    dt_g = p.tau / nt_g
-
-    v = compute_v(p, f, h, max(n_eval - 1, 0), acc_t, acc_x)
-    residuals: list[float] = []
-    orders: list[float] = []
-    for k in range(n_eval):
-        lhs = trace_deriv_at_zero(g, g.ndim - 1, dt_g, k, acc_t)
-        if l == 0:
-            rhs = boundary_values(geom, v[k])
-            order = s - 1.5 - 2 * k
-        else:
-            rhs = apply_boundary_recurrence(p, v, k, acc_x)
-            order = s - 2.5 - 2 * k
-        residuals.append(gamma_norm(geom, lhs - rhs, order))
-        orders.append(order)
+    v, mismatches = compatibility_mismatch(p, f, g, h, n_eval, acc_t, acc_x)
+    top = s - 1.5 if l == 0 else s - 2.5
+    orders = [top - 2 * k for k in range(n_eval)]
+    residuals = [gamma_norm(p.geometry, m, order) for m, order in zip(mismatches, orders)]
     return CompatibilityReport(
         s=s, l=l, count=count, count_above=count_above, at_jump=at_jump,
         residuals=residuals, residual_orders=orders, v_funcs=v, tol=tol,

@@ -5,13 +5,15 @@ support of the functions of interest; this is the standing discretization
 assumption of the whole package.  On the lattice every weight acts as a
 diagonal Fourier multiplier, so norms, inner products and embedding constants
 are exactly computable.  Restriction (quotient) norms over a sub-domain come
-from one direct engine, :func:`quotient_norm_batch`: per fiber it factors the
-real Toeplitz kernel K of the weighted least-norm extension problem block by
-block.  Along every axis where the mask is its own mirror image K splits into
-an even and an odd block, so a box gives 2^k blocks; a memoized parity plan
-per mask holds their points and Toeplitz gather indices.  Each block is
-factored by Cholesky, or, past a weight spread of 1e16, by an R-only QR of a
-real-folded square-root factor.  Fibers with equal weights share one factor.
+from one direct engine, :func:`quotient_norm_batch`: it gathers the data into
+fibers along the axes where the mask is full (none: one fiber), and per fiber
+factors the real Toeplitz kernel K of the weighted least-norm extension
+problem block by block.  Along every axis where the mask is its own mirror
+image K splits into an even and an odd block, so a box gives 2^k blocks; a
+memoized parity plan per mask holds their points and Toeplitz gather
+indices.  Each block is factored by Cholesky, or, past a weight spread of
+1e16, by an R-only QR of a real-folded square-root factor.  Fibers with equal
+weights share one factor.
 :func:`quotient_gram` returns K^-1 from the same blocks.
 :func:`quotient_norm_dense` is a dense oracle for small lattices, and
 :func:`quotient_norm` (preconditioned conjugate gradient, two DFTs per
@@ -600,9 +602,9 @@ def quotient_norm_batch(
 
     The direct engine: one factorization per distinct fiber weight, one
     triangular solve for the whole batch.  Fibers decouple along periodic axes
-    on which the mask is full; they share one sub-mask and hence one parity
-    plan.  An empty batch gives an empty array; data that are not finite
-    raise :class:`NonFiniteData`.
+    on which the mask is full (a mask with none is one fiber); all share one
+    sub-mask and hence one parity plan.  An empty batch gives an empty array;
+    data that are not finite raise :class:`NonFiniteData`.
     """
     lattice = mask.lattice
     if idx.dimension != lattice.k:
@@ -610,35 +612,30 @@ def quotient_norm_batch(
     batch = len(samples_list)
     if batch == 0:
         return np.zeros(0)
-    data = np.column_stack(
-        [np.asarray(s, dtype=complex).reshape(-1) for s in samples_list]
-    )
+    # stacked as rows and transposed: a column stack would copy column by column
+    data = np.stack([np.asarray(s, dtype=complex).reshape(-1) for s in samples_list]).T
     if data.shape[0] != mask.npoints:
         raise DimensionMismatch("sample count does not match mask size")
     if not np.isfinite(data).all():
         raise NonFiniteData("quotient norm data hold NaN or infinite values")
     mu = lattice.weight(idx)
     full = _full_axes(mask.mask)
-    if not full:
-        solver = _FiberSolver(mu, mask.mask)
-        return np.sqrt(solver.solve_values(data))
-    # partial unitary FFT of data along the full axes, then per-fiber solves
-    grids = np.zeros(lattice.sizes + (batch,), dtype=complex)
-    grids[mask.mask] = data
-    grids = np.fft.fftn(grids, axes=full, norm="ortho")
-    slicer: list = [slice(None)] * lattice.k
-    for ax in full:
-        slicer[ax] = 0
-    sub_mask = mask.mask[tuple(slicer)]
+    lead = tuple(range(len(full)))
+    # the mask-order position of every lattice point, full axes first: taken at
+    # the sub-mask (every fiber's mask) it gathers the data fiber by fiber
+    order = np.zeros(lattice.sizes, dtype=np.intp)
+    order[mask.mask] = np.arange(mask.npoints)
+    order = np.moveaxis(order, full, lead)
+    sub_mask = np.moveaxis(mask.mask, full, lead)[(0,) * len(full)]
+    # partial unitary FFT along the full axes, then one row per fiber
+    fibers = np.fft.fftn(data[order[..., sub_mask]], axes=lead, norm="ortho")
+    fibers = fibers.reshape((-1,) + fibers.shape[-2:])
+    mu_fibers = np.moveaxis(mu, full, lead).reshape((len(fibers),) + sub_mask.shape)
     # fibers with bitwise equal weights (xi and -xi, as weights are even) share
     # one factorization and one triangular solve
     groups: dict[bytes, tuple[np.ndarray, list]] = {}
-    for fiber_idx in np.ndindex(*(lattice.sizes[ax] for ax in full)):
-        sl: list = [slice(None)] * lattice.k
-        for ax, i in zip(full, fiber_idx):
-            sl[ax] = i
-        mu_sub = np.ascontiguousarray(mu[tuple(sl)])
-        groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(grids[tuple(sl)][sub_mask])
+    for mu_sub, fiber in zip(mu_fibers, fibers):
+        groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(fiber)
     values_sq = np.zeros(batch)
     for mu_sub, fiber_data in groups.values():
         sq = _FiberSolver(mu_sub, sub_mask).solve_values(np.hstack(fiber_data))

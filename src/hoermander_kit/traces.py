@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parabolic as pb
-from ._fd import fornberg_weights, trace_deriv_at_zero
+from ._fd import fornberg_weights
 from .errors import (
     CutoffWrapsAround,
     DimensionMismatch,
@@ -409,40 +409,30 @@ def equivalent_2m_norm(u: SpectralField, m: int) -> float:
 
 # -- the compatibility projector --------------------------------------------------------
 
-def _boundary_bracket_sq(geom) -> np.ndarray | float:
+def _boundary_bracket_sq(geom) -> np.ndarray:
+    """<xi>^2 = 1 + xi^2 per frequency of the periodic boundary axis; [1] on the interval."""
     if isinstance(geom, pb.IntervalGeometry):
-        return 1.0
+        return np.ones(1)
     xi = 2.0 * np.pi * np.fft.fftfreq(geom.ny, d=geom.period_y / geom.ny)
     return 1.0 + xi**2
 
 
 def _lift_on_window(
-    w_comps: list[np.ndarray], beta: CutoffProfile, geom, tgrid: np.ndarray
+    w_comps: list[np.ndarray], beta: CutoffProfile, xi_sq: np.ndarray, tgrid: np.ndarray
 ) -> np.ndarray:
-    """Lateral-boundary lift: per sheet, the cutoff-polynomial profile sampled
-    on the window times [0, tau]; spatial frequencies along the periodic axis."""
-    if isinstance(geom, pb.IntervalGeometry):
-        out = np.zeros((2, len(tgrid)), dtype=complex)
-        for sheet in range(2):
-            poly = np.zeros(len(tgrid), dtype=complex)
-            tpow = np.ones_like(tgrid)
-            for k, w in enumerate(w_comps):
-                poly += w[sheet] * tpow / math.factorial(k)
-                tpow = tpow * tgrid
-            out[sheet] = beta(tgrid) * poly
-        return out
-    xi_sq = _boundary_bracket_sq(geom)
-    out = np.zeros((2, geom.ny, len(tgrid)), dtype=complex)
-    for sheet in range(2):
-        w_hats = [np.fft.fft(w[sheet], norm="ortho") for w in w_comps]
-        poly = np.zeros((geom.ny, len(tgrid)), dtype=complex)
-        tpow = np.ones_like(tgrid)
-        for k, wh in enumerate(w_hats):
-            poly += wh[:, None] * tpow / math.factorial(k)
-            tpow = tpow * tgrid
-        poly *= beta(xi_sq[:, None] * tgrid[None, :])
-        out[sheet] = np.fft.ifft(poly, axis=0, norm="ortho")
-    return out
+    """Lateral-boundary lift of the mismatches w_0, w_1, ... on the window times.
+
+    Per sheet and frequency xi of the periodic axis (xi = 0 alone on the
+    interval) the profile is beta(xi_sq t) sum_k w_hat_k t^k / k!.
+    """
+    poly = np.zeros((2, len(xi_sq), len(tgrid)), dtype=complex)
+    tpow = np.ones_like(tgrid)
+    for k, w in enumerate(w_comps):
+        w_hat = np.fft.fft(w.reshape(2, -1), axis=-1, norm="ortho")
+        poly += w_hat[..., None] * tpow / math.factorial(k)
+        tpow = tpow * tgrid
+    poly *= beta(xi_sq[:, None] * tgrid)
+    return np.fft.ifft(poly, axis=1, norm="ortho").reshape(w_comps[0].shape + tgrid.shape)
 
 
 def lemma2_projector(
@@ -459,25 +449,22 @@ def lemma2_projector(
     (v_k traces for Dirichlet, B_k values for first order) and the time
     traces of g, so corrected data satisfies the first r compatibility
     conditions; data that already satisfies them is fixed.  Idempotent up to
-    the trace-extraction accuracy.
+    the trace-extraction accuracy.  The mismatches are those of
+    :func:`parabolic.compatibility_mismatch`, which checks the shape of g.
     """
     beta = beta if beta is not None else default_cutoff()
     f, g, h = data
-    geom = p.geometry
     g = np.asarray(g, dtype=complex)
-    nt_g = g.shape[-1] - 1
-    dt_g = p.tau / nt_g
     if r < 1:
         return (np.asarray(f, dtype=complex), g.copy(), np.asarray(h, dtype=complex))
-    v = pb.compute_v(p, f, h, r - 1, acc_t, acc_x)
-    w_comps = []
-    for k in range(r):
-        if p.order_l == 0:
-            target = pb.boundary_values(geom, v[k])
-        else:
-            target = pb.apply_boundary_recurrence(p, v, k, acc_x)
-        have = trace_deriv_at_zero(g, g.ndim - 1, dt_g, k, acc_t)
-        w_comps.append(np.asarray(target - have, dtype=complex))
-    tgrid = np.arange(nt_g + 1) * dt_g
-    g_star = g + _lift_on_window(w_comps, beta, geom, tgrid)
+    _, w_comps = pb.compatibility_mismatch(p, f, g, h, r, acc_t, acc_x)
+    dt_g = p.tau / (g.shape[-1] - 1)
+    tgrid = np.arange(g.shape[-1]) * dt_g
+    # the trace stencils read g up to t = (r - 2 + acc_t) dt, and the lift is the
+    # bare polynomial only where beta(xi_sq t) = 1, t <= flat_radius / xi_sq:
+    # xi_sq is capped so that this covers the stencils at every frequency
+    reach = (r - 2 + acc_t) * dt_g
+    cap = beta.flat_radius / reach if reach > 0 else np.inf
+    xi_sq = np.minimum(_boundary_bracket_sq(p.geometry), cap)
+    g_star = g + _lift_on_window(w_comps, beta, xi_sq, tgrid)
     return (np.asarray(f, dtype=complex), g_star, np.asarray(h, dtype=complex))

@@ -131,6 +131,39 @@ def test_iso_bench_config_passes_boundary(tmp_path, monkeypatch):
     assert payload["case"]["boundary"] == "neumann"
 
 
+class _CaseSeen(Exception):
+    pass
+
+
+def _iso_bench_case(monkeypatch, argv):
+    """The BenchCase that ``iso-bench`` with ``argv`` builds, captured before it runs."""
+    seen = []
+
+    def capture(case, **kw):
+        seen.append(case)
+        raise _CaseSeen
+
+    monkeypatch.setattr(bench, "estimate_isomorphism", capture)
+    with pytest.raises(_CaseSeen):
+        main(["iso-bench", *argv])
+    return seen[0]
+
+
+def test_iso_bench_config_keys_override_the_flags(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps({"geometry": "interval"}))
+    from_flags = _iso_bench_case(monkeypatch, [])
+    assert len(from_flags.phi_list) == 3
+    assert _iso_bench_case(monkeypatch, ["--config", str(cfg_path)]) == from_flags
+    # a flag takes effect wherever the config is silent
+    case = _iso_bench_case(monkeypatch, ["--config", str(cfg_path), "--s-grid", "3"])
+    assert case.s_grid == (3.0,)
+    cfg_path.write_text(json.dumps({"geometry": "strip", "s_grid": [2.6]}))
+    case = _iso_bench_case(monkeypatch, ["--config", str(cfg_path), "--s-grid", "3",
+                                         "--geometry", "interval", "--ny", "8"])
+    assert (case.geometry_kind, case.s_grid, case.ny) == ("strip", (2.6,), 8)
+
+
 def test_iso_bench_config_rejects_unknown_keys(tmp_path):
     cfg = {"geometry": "interval", "s_grid": [3.0], "trails": 30, "resolution": [16],
            "tau": 0.5}

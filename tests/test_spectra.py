@@ -517,6 +517,94 @@ def test_quotient_batch_fiber_decoupling_matches_cg():
         assert val == pytest.approx(spectra.quotient_norm(idx, d, mask, tol=1e-10), rel=1e-8)
 
 
+def _padded_box_norms(idx, samples_list, mask):
+    """Reference: the fiber split through a zero-padded lattice x batch array.
+
+    The data are scattered into the whole lattice, transformed along the full
+    axes and sliced fiber by fiber; a mask without a full axis is one solve.
+    """
+    lattice = mask.lattice
+    data = np.column_stack([np.asarray(s, dtype=complex).reshape(-1) for s in samples_list])
+    batch = data.shape[1]
+    mu = lattice.weight(idx)
+    full = spectra._full_axes(mask.mask)
+    if not full:
+        return np.sqrt(spectra._FiberSolver(mu, mask.mask).solve_values(data))
+    grids = np.zeros(lattice.sizes + (batch,), dtype=complex)
+    grids[mask.mask] = data
+    grids = np.fft.fftn(grids, axes=full, norm="ortho")
+    slicer: list = [slice(None)] * lattice.k
+    for ax in full:
+        slicer[ax] = 0
+    sub_mask = mask.mask[tuple(slicer)]
+    groups: dict = {}
+    for fiber_idx in np.ndindex(*(lattice.sizes[ax] for ax in full)):
+        sl: list = [slice(None)] * lattice.k
+        for ax, i in zip(full, fiber_idx):
+            sl[ax] = i
+        mu_sub = np.ascontiguousarray(mu[tuple(sl)])
+        groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(grids[tuple(sl)][sub_mask])
+    values_sq = np.zeros(batch)
+    for mu_sub, fiber_data in groups.values():
+        sq = spectra._FiberSolver(mu_sub, sub_mask).solve_values(np.hstack(fiber_data))
+        values_sq += sq.reshape(len(fiber_data), batch).sum(axis=0)
+    return np.sqrt(values_sq)
+
+
+def _two_full_axes_box():
+    # full along axes 0 and 2 (neither is the last axis of the fiber), a run on axis 1
+    m = np.zeros((4, 16, 8), dtype=bool)
+    m[:, 2:11, :] = True
+    return spectra.SubdomainMask(spectra.Lattice(sizes=m.shape, periods=(1.0, 2.0, 1.0)), m)
+
+
+def _random_times_full_axis():
+    m = np.zeros((16, 8), dtype=bool)
+    m[:] = (np.random.default_rng(21).random(16) < 0.5)[:, None]
+    return spectra.SubdomainMask(spectra.Lattice(sizes=m.shape, periods=(2.0, 1.0)), m)
+
+
+_STRIP = pb.PeriodicStripGeometry(nx=16, ny=4, period_y=32.0)
+
+
+@pytest.mark.parametrize("s, mode", [(1.0, "chol"), (10.0, "qr")], ids=["mild", "stiff"])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize(
+    "make_mask, n_full",
+    [
+        (lambda: pb.omega_domain(_STRIP, 1.0, 16), 1),
+        (lambda: pb.lateral_domain(_STRIP, 1.0, 16), 1),
+        (lambda: pb.spatial_domain(_STRIP), 1),
+        (lambda: pb.omega_domain(pb.IntervalGeometry(nx=16), 1.0, 16), 0),
+        (_two_full_axes_box, 2),
+        (_random_times_full_axis, 1),
+    ],
+    ids=["strip-omega", "strip-lateral", "strip-spatial", "interval-omega", "3d-two-full",
+         "random-times-full"],
+)
+def test_fiber_split_matches_padded_box_bitwise(make_mask, n_full, batch, s, mode, monkeypatch):
+    # gathering each fiber straight from the data gives the bits of the
+    # zero-padded split, with and without full axes, on both factor branches
+    modes = []
+
+    class Recording(spectra._FiberSolver):
+        def __init__(self, mu, mask):
+            super().__init__(mu, mask)
+            modes.append(self._mode)
+
+    monkeypatch.setattr(spectra, "_FiberSolver", Recording)
+    mask = make_mask()
+    assert len(spectra._full_axes(mask.mask)) == n_full
+    k = mask.lattice.k
+    idx = weights.parabolic_split(s, params.log_power(1.0), dimension=k)
+    rng = np.random.default_rng(batch)
+    datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
+             for _ in range(batch)]
+    got = spectra.quotient_norm_batch(idx, datas, mask)
+    assert mode in modes and (mode == "qr" or set(modes) == {"chol"})
+    assert got.tobytes() == _padded_box_norms(idx, datas, mask).tobytes()
+
+
 def test_quotient_no_convergence_raises():
     lat = lattice2(16)
     idx = weights.parabolic_split(4.6, params.constant(), dimension=2)

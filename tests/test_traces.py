@@ -5,7 +5,11 @@ import pytest
 
 from hoermander_kit import parabolic as pb
 from hoermander_kit import spectra, traces
-from hoermander_kit.errors import CutoffWrapsAround, InsufficientTimeResolution
+from hoermander_kit.errors import (
+    CutoffWrapsAround,
+    DimensionMismatch,
+    InsufficientTimeResolution,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -282,6 +286,66 @@ def test_projector_range_is_compat_pass_set():
     corrected = traces.lemma2_projector((f, g, h), p, r=2)
     rep_after = pb.check_compatibility(p, corrected[0], corrected[1], corrected[2], s=4.0)
     assert rep_after.passed, rep_after.residuals
+
+
+def _interval_lift(w_comps, beta, tgrid):
+    """Reference: the former interval branch of the lateral lift, one sheet at a time."""
+    out = np.zeros((2, len(tgrid)), dtype=complex)
+    for sheet in range(2):
+        poly = np.zeros(len(tgrid), dtype=complex)
+        tpow = np.ones_like(tgrid)
+        for k, w in enumerate(w_comps):
+            poly += w[sheet] * tpow / math.factorial(k)
+            tpow = tpow * tgrid
+        out[sheet] = beta(tgrid) * poly
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_projector_interval_lift_matches_the_former_branch_bitwise(r):
+    # the interval is the strip path with one frequency, xi = 0 and <xi>^2 = 1
+    geom = pb.IntervalGeometry(nx=64)
+    p = pb.heat_problem(geom)
+    nt = 512
+    tgrid = np.arange(nt + 1) * (p.tau / nt)
+    f = np.zeros((geom.nx + 1, nt + 1), dtype=complex)
+    h = np.sin(np.pi * geom.x_axis()).astype(complex) + 2.0
+    g = np.stack([1.0 + 0.3 * tgrid, np.cos(tgrid)]).astype(complex)
+    _, g_star, _ = traces.lemma2_projector((f, g, h), p, r=r)
+    _, w_comps = pb.compatibility_mismatch(p, f, g, h, r)
+    ref = g + _interval_lift(w_comps, traces.default_cutoff(), tgrid)
+    assert g_star.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m, ny", [(0, 8), (1, 8), (2, 16), (3, 16)])
+def test_projector_on_the_strip_corrects_y_dependent_mismatches(m, ny):
+    # the trace stencils reach past the flat part of beta(<xi>^2 t) at every
+    # xi != 0 unless the scale is capped; with the cap each corrected datum
+    # passes and a second application leaves it in place
+    geom = pb.PeriodicStripGeometry(nx=16, ny=ny)
+    p = pb.heat_problem(geom)
+    nt = 512
+    tgrid = np.arange(nt + 1) * (p.tau / nt)
+    y = geom.y_axis()
+    f = np.zeros((geom.nx + 1, ny, nt + 1), dtype=complex)
+    h = np.ones((geom.nx + 1, ny), dtype=complex)
+    offset = 0.7 * np.cos(TWO_PI * m * y / geom.period_y)
+    g = np.ones((2, ny, nt + 1), dtype=complex) + offset[None, :, None] * (1.0 + 0.3 * tgrid)
+    once = traces.lemma2_projector((f, g, h), p, r=2)
+    rep = pb.check_compatibility(p, *once, s=4.0)
+    assert rep.count == 2 and rep.passed, rep.residuals
+    twice = traces.lemma2_projector(once, p, r=2)
+    scale = max(np.max(np.abs(once[1])), 1.0)
+    assert np.max(np.abs(twice[1] - once[1])) <= 1e-9 * scale
+
+
+def test_projector_rejects_g_of_the_wrong_shape():
+    geom = pb.PeriodicStripGeometry(nx=16, ny=8)
+    p = pb.heat_problem(geom)
+    f = np.zeros((geom.nx + 1, 8, 65), dtype=complex)
+    h = np.ones((geom.nx + 1, 8), dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        traces.lemma2_projector((f, np.ones((2, 4, 65)), h), p, r=1)
 
 
 def test_cauchy_io_round_trip(tmp_path):
