@@ -28,6 +28,7 @@ import scipy.linalg as sla
 
 from . import interp, parabolic as pb, spectra
 from ._fd import one_sided_weights
+from .errors import MirrorAsymmetry
 from .params import FunctionParam, constant
 from .solver import HeatData, SolveResult, solve_heat_interval
 from .spectra import Lattice
@@ -372,8 +373,8 @@ def round_trip_interval(
 
 # -- jump study --------------------------------------------------------------------------
 
-def _data_gram(p: pb.ParabolicProblem, nt: int, s: float) -> np.ndarray:
-    """Block Gram of the three-component data space at smoothness s."""
+def _data_gram(p: pb.ParabolicProblem, nt: int, s: float, split: _MirrorSplit) -> list[np.ndarray]:
+    """Block Gram of the three-component data space at smoothness s, on each half of ``split``."""
     geom = p.geometry
     idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, constant())
     G_f, G_g, G_h = (
@@ -382,7 +383,7 @@ def _data_gram(p: pb.ParabolicProblem, nt: int, s: float) -> np.ndarray:
                           (idx_g, pb.lateral_domain(geom, p.tau, nt)),
                           (idx_h, pb.spatial_domain(geom)))
     )
-    return sla.block_diag(G_f, G_g, G_g, G_h)
+    return split.grams([G_f, sla.block_diag(G_g, G_g), G_h])
 
 
 def _flatten_data(f, g, h) -> np.ndarray:
@@ -397,6 +398,85 @@ def _data_shapes(geom: pb.Geometry, nt: int):
     g_shape = (2,) + geom.g_shape()[1:] + (nt + 1,)
     h_shape = geom.g_shape()
     return f_shape, g_shape, h_shape
+
+
+class _MirrorSplit:
+    """Even and odd halves of the flattened (f, g, h) data under R: x -> 1 - x.
+
+    R reverses the x axis of f and h and swaps the two g sheets; on every
+    layout of :func:`_data_shapes` that reverses the leading axis, so
+    ``mirror[i]``, the index of R i, is built once per grid.  The even
+    coordinates are (x_i + x_Ri)/sqrt 2 on one point i of each mirror pair
+    and x_i on the fixed points (the x midpoint), the odd ones
+    (x_i - x_Ri)/sqrt 2 on the pairs: together an orthonormal basis.  A Gram
+    and a constraint kernel that R preserves therefore split into an
+    orthogonal sum of an even and an odd pencil of about half the size each
+    (Cantoni & Butler, 1976, symmetric centrosymmetric matrices).  Both
+    invariances are checked bitwise where the halves are built, and a
+    failure raises :class:`MirrorAsymmetry`.
+    """
+
+    def __init__(self, geom: pb.Geometry, nt: int):
+        offset, parts = 0, []
+        for shape in _data_shapes(geom, nt):
+            n = int(np.prod(shape))
+            parts.append(offset + np.arange(n).reshape(shape)[::-1].reshape(-1))
+            offset += n
+        self.mirror = np.concatenate(parts)
+        i = np.arange(offset)
+        self.even = np.flatnonzero(i <= self.mirror)
+        self.odd = np.flatnonzero(i < self.mirror)
+        # sqrt 2 times the even coordinate's weight: 1 on a pair, 1/sqrt 2 on a fixed point
+        self.scale = np.where(self.mirror[self.even] == self.even, math.sqrt(0.5), 1.0)
+        self.sheet_points = int(np.prod(geom.g_shape()[1:]))
+
+    def coords(self, x: np.ndarray) -> list[np.ndarray]:
+        """The even and odd coordinates of x, a (dim,) vector or a (dim, batch) block."""
+        c = math.sqrt(0.5) * self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
+        even = c * (x[self.even] + x[self.mirror[self.even]])
+        odd = math.sqrt(0.5) * (x[self.odd] - x[self.mirror[self.odd]])
+        return [even, odd]
+
+    def constraints(self, C: np.ndarray) -> list[np.ndarray]:
+        """C on the even and on the odd half.
+
+        C's rows are ordered as :func:`_constraint_matrix` orders them: per
+        condition, the boundary points of sheet 0, then those of sheet 1.
+        R must map each row onto its partner on the other sheet, bitwise; a
+        half then sees every row twice (negated on the odd half), and the
+        rank cut of :func:`interp.kernel_frame` drops the copies.
+        """
+        rows = np.arange(len(C)).reshape(-1, 2, self.sheet_points)[:, ::-1].reshape(-1)
+        if not np.array_equal(C[np.ix_(rows, self.mirror)], C):
+            raise MirrorAsymmetry("the constraint rows of the two boundary sheets are not "
+                                  "mirror images of each other")
+        return [half.T for half in self.coords(C.T)]
+
+    def grams(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """The even and odd halves of the block-diagonal Gram with diagonal ``blocks``.
+
+        The blocks follow the data layout, each over a run of it that R maps
+        onto itself.  With a the even points of a block and b = R a, each
+        block must satisfy G[R i, R j] = G[i, j] bitwise, which
+        G[b, b] = G[a, a] and G[b, a] = G[a, b] cover; its halves are then
+        s_r s_s (G[a, a] + G[a, b]) (s from ``scale``) and G[a, a] - G[a, b]
+        on the pairs.  The whole dim x dim Gram is never formed.
+        """
+        even, odd, offset = [], [], 0
+        for G in blocks:
+            n = len(G)
+            sel = (self.even >= offset) & (self.even < offset + n)
+            a, s = self.even[sel] - offset, self.scale[sel]
+            b = self.mirror[self.even[sel]] - offset
+            g_aa, g_ab = G[np.ix_(a, a)], G[np.ix_(a, b)]
+            if not (np.array_equal(G[np.ix_(b, b)], g_aa)
+                    and np.array_equal(G[np.ix_(b, a)], g_ab)):
+                raise MirrorAsymmetry("a data Gram is not invariant under the mirror x -> 1 - x")
+            pairs = np.flatnonzero(a != b)
+            even.append(np.outer(s, s) * (g_aa + g_ab))
+            odd.append((g_aa - g_ab)[np.ix_(pairs, pairs)])
+            offset += n
+        return [sla.block_diag(*even), sla.block_diag(*odd)]
 
 
 def _constraint_matrix(
@@ -501,8 +581,16 @@ def jump_study(
     norm) is realized densely and the interpolation norm with parameter 1/2
     is evaluated on Lambda-synthesized trials.  Reported: the trialwise
     envelope of the eps_1-vs-eps_2 norm ratios (eps-independence up to
-    equivalence), its stability across resolutions, and the growth of the
-    norm for data violating the condition that appears at s_star.
+    equivalence), its stability across resolutions, the growth of the norm
+    for data violating the condition that appears at s_star, and
+    ``defect_max``, the largest G0-orthogonal defect delta^2 / ||u||_0^2 of a
+    trial (before the noise floor of :func:`interp.half_interp_norm`).
+
+    The problem is symmetric under x -> 1 - x, so every pencil is evaluated
+    as the orthogonal sum of its mirror-even and mirror-odd halves
+    (:class:`_MirrorSplit`), two generalized eigenproblems of about half the
+    size; a Gram or constraint set that breaks the symmetry raises
+    :class:`MirrorAsymmetry`.
     """
     if not pb.in_E(s_star, 0):
         raise ValueError(f"s_star = {s_star} is not a Dirichlet jump point")
@@ -514,8 +602,9 @@ def jump_study(
         geom = pb.IntervalGeometry(nx=nx)
         p = pb.heat_problem(geom, tau=tau)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4  # small grids degrade gracefully
+        split = _MirrorSplit(geom, nt)
         C_above = _constraint_matrix(p, nt, list(range(r_above)), acc_x=acc_x)
-        frame = interp.kernel_frame(C_above, C_above.shape[1])
+        frames = [interp.kernel_frame(C, C.shape[1]) for C in split.constraints(C_above)]
 
         # the trials, then the violating datum, fixed across resolutions: zero
         # interior/initial data with the t-linear boundary value, which
@@ -532,15 +621,15 @@ def jump_study(
         columns.append(_flatten_data(
             np.zeros(f_shape, dtype=complex), g_viol, np.zeros(h_shape, dtype=complex)
         ))
-        data = np.column_stack(columns)
+        halves = split.coords(np.column_stack(columns))
 
-        norms = []
-        for eps in eps_pair:
-            grams = interp.GramPair(
-                gram0=_data_gram(p, nt, s_star - eps),
-                gram1=_data_gram(p, nt, s_star + eps),
-            )
-            norms.append(interp.half_interp_norm(grams, frame, data))
+        norms, defects = [], np.zeros((len(eps_pair), trials + 1))
+        for eps, defect in zip(eps_pair, defects):
+            grams0 = _data_gram(p, nt, s_star - eps, split)
+            grams1 = _data_gram(p, nt, s_star + eps, split)
+            summands = [(interp.GramPair(gram0=g0, gram1=g1), frame, x)
+                        for g0, g1, frame, x in zip(grams0, grams1, frames, halves)]
+            norms.append(interp.half_interp_norm(summands, defect_out=defect))
 
         ratios = norms[0][:trials] / norms[1][:trials]
         envelope = float(max(np.max(ratios), 1.0 / np.min(ratios)))
@@ -550,6 +639,7 @@ def jump_study(
                 "envelope": envelope,
                 "ratio_min": float(np.min(ratios)),
                 "ratio_max": float(np.max(ratios)),
+                "defect_max": float(np.max(defects[:, :trials])),
                 "trials": trials,
             }
         )

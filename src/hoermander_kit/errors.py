@@ -59,3 +59,7 @@ class ProjectorMismatch(HoermanderKitError):
 
 class UnknownConfigKey(HoermanderKitError):
     """A configuration file holds keys the command does not read."""
+
+
+class MirrorAsymmetry(HoermanderKitError):
+    """A split by mirror parity met a Gram or constraint set the mirror does not preserve."""

@@ -14,7 +14,10 @@ Subspace interpolation (pairs restricted by linear constraints) is realized
 densely through the generalized eigenproblem of the two Gram matrices on a
 Householder frame of the constraint kernel; a closed-form K-functional
 variant with a spectral floor, evaluated on whole batches, supports the jump
-studies where the two legs carry different constraint sets.
+studies where the two legs carry different constraint sets.  It takes an
+orthogonal sum of pencils, one spectrum per summand, so a pencil that splits
+(the jump study's, by mirror parity) is never assembled whole: interpolation
+commutes with orthogonal sums, the identity ``verify_orthogonal_sum`` checks.
 """
 
 from __future__ import annotations
@@ -366,42 +369,57 @@ def spectral_interp_norm(
 # resolutions 32 and 64 carry defects of 1e-12 to 2.5e-11 of ||u||_0^2
 # (seeds 0, 5 and 301), so a floor of 1e-12 would count that noise as a
 # violation.  (At resolution 16 their defects are about 2e-5: the coarse
-# stencils of the constraint rows, not rounding.)
+# stencils of the constraint rows, not rounding; the jump study reports them
+# as ``defect_max``.)
 _DEFECT_FLOOR = 1e-10
 
 
 def half_interp_norm(
-    grams: GramPair,
-    frame: KernelFrame,
-    u: np.ndarray,
+    summands,
     t_floor: float | None = None,
+    defect_out: np.ndarray | None = None,
 ):
-    """K-functional norm with parameter 1/2, closed form with a spectral floor.
+    """K-functional norm with parameter 1/2 over an orthogonal sum, with a spectral floor.
 
-    ``u`` is one (dim,) vector, which gives a float, or a (dim, batch) block,
-    which gives a (batch,) array from one spectrum set-up.  For u in ker C
-    and ``t_floor = 0`` this equals the J-method norm with psi(r) = sqrt(r)
-    exactly (the quadratic K-functional integrates in closed form).  The
-    default floor ``t_floor = 1/lam_max`` keeps the value finite for data
-    outside the subspace: the orthogonal defect delta contributes
-    (2/pi) delta^2 / t_floor, which grows with the stiffest constraint
-    direction under lattice refinement.
+    ``summands`` is a sequence of (grams, frame, u) triples, the summands of
+    an orthogonal sum of pencils; a single pencil is the sum of one.  Each u
+    is a (dim,) vector of its summand, which gives a float, or a (dim, batch)
+    block with the same batch in every summand, which gives a (batch,) array
+    from one spectrum set-up per summand.  For u in ker C and ``t_floor = 0``
+    this equals the J-method norm with psi(r) = sqrt(r) exactly (the
+    quadratic K-functional integrates in closed form).  The default floor
+    ``t_floor = 1/lam_max`` keeps the value finite for data outside the
+    subspace: the orthogonal defect delta contributes (2/pi) delta^2 / t_floor,
+    which grows with the stiffest constraint direction under lattice
+    refinement.  The K-functional of an orthogonal sum is the sum of the
+    summands' K-functionals, so each summand brings its own spectrum, while
+    lam_max is taken over all of them and the defect floor compares the
+    summed delta^2 with the summed ||u||_0^2: the value is that of the
+    block-diagonal pencil under the block-diagonal constraints.
+    ``defect_out``, when given, receives delta^2 / ||u||_0^2 of each column
+    before the noise floor.
     """
-    lam, to_coords = subspace_spectrum(grams, frame)
-    x = u.reshape(frame.dim, -1)
-    a = np.abs(to_coords(x)) ** 2
-    norm0_sq = np.real(np.sum(np.conj(x) * _gram_apply(grams.gram0, x), axis=0))
-    delta_sq = np.maximum(0.0, norm0_sq - np.sum(a, axis=0))
+    parts = []
+    for grams, frame, u in summands:
+        lam, to_coords = subspace_spectrum(grams, frame)
+        x = u.reshape(frame.dim, -1)
+        norm0_sq = np.real(np.sum(np.conj(x) * _gram_apply(grams.gram0, x), axis=0))
+        parts.append((lam, np.abs(to_coords(x)) ** 2, norm0_sq))
+    norm0_sq = sum(n for _, _, n in parts)
+    delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(a, axis=0) for _, a, _ in parts))
+    if defect_out is not None:
+        defect_out[...] = 0.0
+        np.divide(delta_sq, norm0_sq, out=defect_out, where=norm0_sq > 0)
     delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
-    lam_max = float(np.max(lam)) if lam.size else 1.0
+    lam_max = max((float(np.max(lam)) for lam, _, _ in parts if lam.size), default=1.0)
     t0 = (1.0 / lam_max) if t_floor is None else t_floor
-    core = (lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ a
+    core = sum((lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ a for lam, a, _ in parts)
     if t0 > 0:
         tail = delta_sq / t0
     else:
         tail = np.where(delta_sq > 0, np.inf, 0.0)
     out = np.sqrt((2.0 / np.pi) * (core + tail))
-    return out if u.ndim == 2 else float(out[0])
+    return out if summands[0][2].ndim == 2 else float(out[0])
 
 
 def interpolate_subspace_norm(

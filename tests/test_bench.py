@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hoermander_kit import bench, parabolic as pb, params, spectra
+from hoermander_kit import bench, interp, parabolic as pb, params, spectra
 from hoermander_kit._fd import one_sided_weights
+from hoermander_kit.errors import MirrorAsymmetry
 
 
 def test_apply_lambda_constant_trial():
@@ -382,9 +383,118 @@ def test_jump_study_matches_complex_svd_reference():
 def test_quotient_gram_is_real_symmetric():
     geom = pb.IntervalGeometry(nx=8)
     p = pb.heat_problem(geom)
-    G = bench._data_gram(p, 8, 3.4)
-    assert G.dtype == np.float64
-    assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+    for G in bench._data_gram(p, 8, 3.4, bench._MirrorSplit(geom, 8)):
+        assert G.dtype == np.float64
+        assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+
+
+def _unsplit_data_gram(p, nt, s):
+    """Reference: the block data Gram over the whole data space, G_g once per sheet."""
+    geom = p.geometry
+    idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, params.constant())
+    G_f, G_g, G_h = (
+        spectra.quotient_gram(idx, mask) * pb._measure_factor(mask.lattice) ** 2
+        for idx, mask in ((idx_f, pb.omega_domain(geom, p.tau, nt)),
+                          (idx_g, pb.lateral_domain(geom, p.tau, nt)),
+                          (idx_h, pb.spatial_domain(geom)))
+    )
+    return sla.block_diag(G_f, G_g, G_g, G_h)
+
+
+def _jump_study_unsplit(s_star, eps_pair, resolutions, trials, seed, tau=1.0, band=2):
+    """Reference: the jump study on one pencil over the whole data space, no
+    mirror split: the full Gram, one frame of C, one summand."""
+    rows, violations = [], []
+    for resolution in resolutions:
+        nx = nt = resolution // 2
+        geom = pb.IntervalGeometry(nx=nx)
+        p = pb.heat_problem(geom, tau=tau)
+        acc_x = 8 if nx + 1 >= 2 + 8 else 4
+        C = bench._constraint_matrix(p, nt, list(range(pb.compat_count(s_star, 0) + 1)),
+                                     acc_x=acc_x)
+        frame = interp.kernel_frame(C, C.shape[1])
+        columns = [
+            bench._flatten_data(*bench.apply_lambda(
+                p, bench.synthesize_trial(geom, tau, nt, seed=seed + 31 * t, band=band), nt))
+            for t in range(trials)
+        ]
+        f_shape, g_shape, h_shape = bench._data_shapes(geom, nt)
+        g_viol = np.broadcast_to(np.arange(nt + 1) * (tau / nt), g_shape).astype(complex)
+        columns.append(bench._flatten_data(
+            np.zeros(f_shape, dtype=complex), g_viol, np.zeros(h_shape, dtype=complex)))
+        data = np.column_stack(columns)
+        norms = []
+        for eps in eps_pair:
+            grams = interp.GramPair(gram0=_unsplit_data_gram(p, nt, s_star - eps),
+                                    gram1=_unsplit_data_gram(p, nt, s_star + eps))
+            norms.append(interp.half_interp_norm([(grams, frame, data)]))
+        ratios = norms[0][:trials] / norms[1][:trials]
+        rows.append({"envelope": max(np.max(ratios), 1.0 / np.min(ratios)),
+                     "ratio_min": np.min(ratios), "ratio_max": np.max(ratios)})
+        violations.append(norms[0][trials])
+    return rows, violations
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_jump_study_split_matches_the_unsplit_pencil(seed):
+    rep = bench.jump_study(s_star=3.5, eps_pair=(0.1, 0.2), resolutions=(16, 32),
+                           trials=30, seed=seed)
+    rows, violations = _jump_study_unsplit(3.5, (0.1, 0.2), (16, 32), trials=30, seed=seed)
+    for row, ref in zip(rep.rows, rows, strict=True):
+        for key in ("envelope", "ratio_min", "ratio_max"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-10, abs=0.0)
+    for row, ref in zip(rep.violation_rows, violations, strict=True):
+        assert row["norm"] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_mirror_split_coordinates_are_orthonormal():
+    geom = pb.IntervalGeometry(nx=8)
+    split = bench._MirrorSplit(geom, 8)
+    dim = len(split.mirror)
+    T = np.vstack(split.coords(np.eye(dim)))
+    assert T.shape == (dim, dim)
+    assert np.max(np.abs(T @ T.T - np.eye(dim))) <= 1e-15
+    assert np.array_equal(split.mirror[split.mirror], np.arange(dim))
+    # one fixed point each on f's and h's x midpoint per time level, none on g
+    assert len(split.even) - len(split.odd) == (8 + 1) + 1
+
+
+def test_jump_study_rejects_constraints_that_break_the_mirror(monkeypatch):
+    real = bench._constraint_matrix
+
+    def skewed(*args, **kwargs):
+        C = real(*args, **kwargs)
+        C[1] *= 1.0 + 1e-12  # the k = 0 row of the sheet at x = 1
+        return C
+
+    monkeypatch.setattr(bench, "_constraint_matrix", skewed)
+    with pytest.raises(MirrorAsymmetry, match="sheets"):
+        bench.jump_study(resolutions=(16,), trials=30, seed=0)
+
+
+def test_jump_study_rejects_a_gram_that_breaks_the_mirror(monkeypatch):
+    real = spectra.quotient_gram
+
+    def skewed(idx, mask):
+        G = real(idx, mask)
+        G[0, 1] = np.nextafter(G[0, 1], np.inf)  # one ulp, away from its mirror image
+        return G
+
+    monkeypatch.setattr(spectra, "quotient_gram", skewed)
+    with pytest.raises(MirrorAsymmetry, match="Gram"):
+        bench.jump_study(resolutions=(16,), trials=30, seed=0)
+
+
+def test_jump_study_reports_the_resolution_16_membership_defect(monkeypatch):
+    calls = []
+    real_eigh = sla.eigh
+    monkeypatch.setattr(sla, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
+    rep = bench.jump_study(s_star=3.5, eps_pair=(0.1, 0.2), resolutions=(16, 32, 64),
+                           trials=30, seed=5)
+    defect = {row["resolution"]: row["defect_max"] for row in rep.rows}
+    assert defect[16] >= 1e-6  # the coarse constraint stencils: trials miss ker C
+    assert defect[32] <= 1e-10 and defect[64] <= 1e-10
+    assert len(calls) == 3 * 2 * 2  # resolutions x eps x parity halves: no second pass
 
 
 def test_quotient_gram_rejects_a_weight_that_is_not_even(monkeypatch):

@@ -229,10 +229,10 @@ def test_half_interp_matches_spectral_on_members():
     frame = interp.kernel_frame(C, 16)
     sqrt_psi = params.InterpParam(evaluator=np.sqrt)
     j_norm = interp.spectral_interp_norm(grams, frame, sqrt_psi, u)
-    k_norm = interp.half_interp_norm(grams, frame, u, t_floor=0.0)
+    k_norm = interp.half_interp_norm([(grams, frame, u)], t_floor=0.0)
     assert k_norm == pytest.approx(j_norm, rel=1e-10)
     # the default spectral floor only dampens the stiffest modes
-    k_floor = interp.half_interp_norm(grams, frame, u)
+    k_floor = interp.half_interp_norm([(grams, frame, u)])
     assert k_floor <= j_norm * (1 + 1e-12)
     assert k_floor >= j_norm * np.sqrt(1 - 2 / np.pi) * (1 - 1e-12)
 
@@ -248,8 +248,8 @@ def test_half_interp_detects_violation():
     inside[1] = 1.0
     outside = np.zeros(8, dtype=complex)
     outside[0] = 1.0
-    v_in = interp.half_interp_norm(grams, frame, inside)
-    v_out = interp.half_interp_norm(grams, frame, outside)
+    v_in = interp.half_interp_norm([(grams, frame, inside)])
+    v_out = interp.half_interp_norm([(grams, frame, outside)])
     assert np.isfinite(v_in)
     assert v_out > v_in  # defect term dominates
 
@@ -299,10 +299,54 @@ def test_half_interp_norm_batch_matches_columns():
     frame = interp.kernel_frame(C, 16)
     members = sla.null_space(C) @ (rng.standard_normal((14, 3)) + 1j * rng.standard_normal((14, 3)))
     x = np.column_stack([members, rng.standard_normal(16)])  # the last one violates C
-    batch = interp.half_interp_norm(grams, frame, x)
-    single = [interp.half_interp_norm(grams, frame, x[:, j]) for j in range(4)]
+    batch = interp.half_interp_norm([(grams, frame, x)])
+    single = [interp.half_interp_norm([(grams, frame, x[:, j])]) for j in range(4)]
     assert batch.shape == (4,)
     assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
+
+
+def _dense_pencil(n, seed):
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return interp.GramPair(gram0=A @ A.T + n * np.eye(n), gram1=B @ B.T + 4 * n * np.eye(n))
+
+
+@pytest.mark.parametrize("t_floor", [None, 0.0], ids=["default-floor", "no-floor"])
+def test_half_interp_norm_of_an_orthogonal_sum_is_the_block_pencil(t_floor):
+    # summand 1: diagonal Grams on 16 points, one complex constraint; summand 2:
+    # dense Grams on 10 points, two real constraints.  Columns 0-2 are members of
+    # both kernels, column 3 violates only the first, column 4 only the second.
+    rng = np.random.default_rng(23)
+    lat = spectra.Lattice(sizes=(16,), periods=(TWO_PI,))
+    grams1, grams2 = interp.GramPair.diagonal(pair_power(0.0, 2.0, lat)), _dense_pencil(10, 4)
+    C1 = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
+    C2 = rng.standard_normal((2, 10))
+    x1 = sla.null_space(C1) @ (rng.standard_normal((15, 5)) + 1j * rng.standard_normal((15, 5)))
+    x2 = sla.null_space(C2) @ rng.standard_normal((8, 5))
+    x1[:, 3] += rng.standard_normal(16)
+    x2[:, 4] += rng.standard_normal(10)
+    summands = [(grams1, interp.kernel_frame(C1, 16), x1),
+                (grams2, interp.kernel_frame(C2, 10), x2)]
+    block = interp.GramPair(gram0=sla.block_diag(np.diag(grams1.gram0), grams2.gram0),
+                            gram1=sla.block_diag(np.diag(grams1.gram1), grams2.gram1))
+    whole = [(block, interp.kernel_frame(sla.block_diag(C1, C2), 26), np.vstack([x1, x2]))]
+
+    defects, whole_defects = np.empty(5), np.empty(5)
+    split = interp.half_interp_norm(summands, t_floor=t_floor, defect_out=defects)
+    ref = interp.half_interp_norm(whole, t_floor=t_floor, defect_out=whole_defects)
+    assert split.shape == (5,)
+    assert np.allclose(split[:3], ref[:3], rtol=1e-10, atol=0.0)
+    assert np.all(np.isfinite(split[:3]))
+    if t_floor is None:
+        assert np.allclose(split[3:], ref[3:], rtol=1e-10, atol=0.0)
+        assert np.all(split[3:] > 0) and np.all(np.isfinite(split[3:]))
+    else:
+        assert np.all(np.isinf(split[3:])) and np.all(np.isinf(ref[3:]))
+    assert np.max(defects[:3]) <= 1e-12 and np.min(defects[3:]) > 1e-3
+    assert np.allclose(defects[3:], whole_defects[3:], rtol=1e-10, atol=0.0)
+    # one vector per summand gives a float
+    single = interp.half_interp_norm([(g, f, x[:, 0]) for g, f, x in summands], t_floor=t_floor)
+    assert isinstance(single, float) and single == pytest.approx(split[0], rel=1e-13)
 
 
 def test_power_case_geometric_mean():
