@@ -335,8 +335,10 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
     (sqrt of the Gram ratio), and ``to_coords`` maps a (dim,) vector or a
     (dim, batch) block X to the eigencoordinates V^H [Q^H G0 X]_{r:} of its
     G0-orthogonal projection onto ker C, with V the eigenvectors of the
-    projected pencil, orthonormal in its G0 form.  Real Grams and a real
-    frame keep the projection and the eigenproblem in real arithmetic.
+    projected pencil, orthonormal in its G0 form.  ``to_coords(x, g0x)``
+    takes G0 X as well, when the caller has it already, and does not apply
+    G0 again.  Real Grams and a real frame keep the projection and the
+    eigenproblem in real arithmetic.
     """
     A0 = frame.project(grams.gram0)
     A1 = frame.project(grams.gram1)
@@ -346,9 +348,10 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
     lam = np.sqrt(np.maximum(w, 0.0))
     Vh = V.conj().T
 
-    def to_coords(x: np.ndarray) -> np.ndarray:
-        block = x.reshape(frame.dim, -1)
-        y = frame.adjoint_apply(_gram_apply(grams.gram0, block))[frame.rank:]
+    def to_coords(x: np.ndarray, g0x: np.ndarray | None = None) -> np.ndarray:
+        if g0x is None:
+            g0x = _gram_apply(grams.gram0, x.reshape(frame.dim, -1))
+        y = frame.adjoint_apply(g0x)[frame.rank:]
         return (Vh @ y).reshape((-1,) + x.shape[1:])
 
     return lam, to_coords
@@ -403,8 +406,9 @@ def half_interp_norm(
     for grams, frame, u in summands:
         lam, to_coords = subspace_spectrum(grams, frame)
         x = u.reshape(frame.dim, -1)
-        norm0_sq = np.real(np.sum(np.conj(x) * _gram_apply(grams.gram0, x), axis=0))
-        parts.append((lam, np.abs(to_coords(x)) ** 2, norm0_sq))
+        g0x = _gram_apply(grams.gram0, x)
+        norm0_sq = np.real(np.sum(np.conj(x) * g0x, axis=0))
+        parts.append((lam, np.abs(to_coords(x, g0x)) ** 2, norm0_sq))
     norm0_sq = sum(n for _, _, n in parts)
     delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(a, axis=0) for _, a, _ in parts))
     if defect_out is not None:

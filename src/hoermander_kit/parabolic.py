@@ -831,13 +831,27 @@ def _component_indices(
     return idx_f, idx_g, idx_h
 
 
+def _cells(s, phi) -> tuple[list[tuple[float, FunctionParam]], bool]:
+    """The (s, phi) cells of a batched norm call, and whether it named just one.
+
+    A scalar ``s`` with one ``phi`` (None: the constant parameter) is one
+    cell; otherwise ``s`` and ``phi`` are equally long sequences, one cell
+    per position.
+    """
+    if np.ndim(s) == 0:
+        return [(s, phi if phi is not None else constant())], True
+    if phi is None or len(phi) != len(s):
+        raise ValueError("s and phi must be equally long sequences")
+    return list(zip(s, phi)), False
+
+
 def target_norm_batch(
     p: ParabolicProblem,
     datas: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    s: float,
-    phi: FunctionParam | None = None,
+    s: float | Sequence[float],
+    phi: FunctionParam | Sequence[FunctionParam] | None = None,
     nt: int | None = None,
-) -> list[TargetNormBreakdown]:
+) -> list[TargetNormBreakdown] | list[list[TargetNormBreakdown]]:
     """Three-component target norms for a batch of (f, g, h) data triples.
 
     The interior component measures f in the anisotropic quotient norm of
@@ -845,15 +859,20 @@ def target_norm_batch(
     s-1/2 (Dirichlet) or s-3/2 (first order) summed over the two boundary
     sheets; the initial component measures h isotropically at order s-1.
     All quotient solves share factorizations across the batch.
+
+    ``s`` and ``phi`` may also be equally long sequences (the cells of a
+    sweep); then each component is one quotient call over every cell's
+    index, so the data are prepared once, and the result holds one list of
+    breakdowns per cell, each equal to the single-cell call.
     """
-    phi = phi if phi is not None else constant()
     geom = p.geometry
-    if s <= 2:
+    cells, single = _cells(s, phi)
+    if any(sc <= 2 for sc, _ in cells):
         raise ValueError("target norms are defined for s > 2")
     f0, g0, h0 = datas[0]
     nt = f0.shape[-1] - 1 if nt is None else nt
     l = p.order_l
-    idx_f, idx_g, idx_h = _component_indices(geom, s, l, phi)
+    idx_f, idx_g, idx_h = zip(*(_component_indices(geom, sc, l, ph) for sc, ph in cells))
 
     om = omega_domain(geom, p.tau, nt)
     lateral = lateral_domain(geom, p.tau, nt)
@@ -867,15 +886,18 @@ def target_norm_batch(
         idx_g,
         [np.asarray(g)[sheet].reshape(-1) for sheet in range(2) for _, g, _ in datas],
         lateral,
-    ).reshape(2, len(datas))
-    g_vals = np.sqrt(g_sheets[0] ** 2 + g_sheets[1] ** 2) * _measure_factor(lateral.lattice)
+    ).reshape(len(cells), 2, len(datas))
+    g_vals = (np.sqrt(g_sheets[:, 0] ** 2 + g_sheets[:, 1] ** 2)
+              * _measure_factor(lateral.lattice))
     h_vals = spectra.quotient_norm_batch(
         idx_h, [np.asarray(h).reshape(-1) for _, _, h in datas], spat
     ) * _measure_factor(spat.lattice)
-    return [
-        TargetNormBreakdown(interior=float(fv), lateral=float(gv), initial=float(hv))
-        for fv, gv, hv in zip(f_vals, g_vals, h_vals)
+    out = [
+        [TargetNormBreakdown(interior=float(fv), lateral=float(gv), initial=float(hv))
+         for fv, gv, hv in zip(*cell)]
+        for cell in zip(f_vals, g_vals, h_vals)
     ]
+    return out[0] if single else out
 
 
 def target_norm(

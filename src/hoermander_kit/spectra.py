@@ -13,7 +13,9 @@ image K splits into an even and an odd block, so a box gives 2^k blocks; a
 memoized parity plan per mask holds their points and Toeplitz gather
 indices.  Each block is factored by Cholesky, or, past a weight spread of
 1e16, by an R-only QR of a real-folded square-root factor.  Fibers with equal
-weights share one factor.
+weights share one factor.  Given a sequence of indices, the engine prepares
+the data (fiber gather, FFT, parity basis) once and solves each index
+against them.
 :func:`quotient_gram` returns K^-1 from the same blocks.
 :func:`quotient_norm_dense` is a dense oracle for small lattices, and
 :func:`quotient_norm` (preconditioned conjugate gradient, two DFTs per
@@ -29,6 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -480,7 +483,7 @@ def _kernel_blocks(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
         kern = 0.5 * (kern + kern[neg])
     summed = np.tensordot(plan.walsh, kern[plan.gather], axes=1)
     summed *= np.outer(plan.dscale, plan.dscale / len(plan.walsh))
-    return [K[np.ix_(loc, loc)] for K, loc in zip(summed, plan.locs)]
+    return [K[loc[:, None], loc] for K, loc in zip(summed, plan.locs)]
 
 
 class _FiberSolver:
@@ -567,20 +570,41 @@ class _FiberSolver:
             factors.append(R[: len(cols)].copy())  # mode "r" returns every row
         return factors
 
-    def solve_values(self, data: np.ndarray) -> np.ndarray:
-        """Squared quotient norms ||U^-T d||^2 for each column d of ``data`` (n x batch)."""
-        # the real and imaginary parts of each column solve as two real columns
-        v = np.ascontiguousarray(data, dtype=complex).view(np.float64)
-        # the data in the parity basis: block b at representative r takes
-        # 2^-k D_r sum_U chi_b(U) v[m_U r], the transpose of the K_b assembly
-        plan = self._plan
-        parts = np.tensordot(plan.walsh, v[plan.images], axes=1)
-        parts *= (plan.dscale / len(plan.walsh))[:, None]
+    def solve_parts(self, parts: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
+        """Squared quotient norms ||U^-T d||^2 of data already in the parity basis.
+
+        ``parts`` comes from :func:`_parity_parts`; ``cols`` picks the real
+        columns to solve, the real and imaginary part of each data column
+        side by side.
+        """
         sq = 0.0
-        for U, loc, part in zip(self._factors, plan.locs, parts):
-            z = sla.solve_triangular(U, part[loc], trans="T", check_finite=False)
+        for U, part in zip(self._factors, parts):
+            # part[cols].T is in Fortran order, as LAPACK takes it
+            z = sla.solve_triangular(U, part[cols].T, trans="T", check_finite=False)
             sq = sq + np.sum(z**2, axis=0)
         return sq[0::2] + sq[1::2]
+
+    def solve_values(self, data: np.ndarray) -> np.ndarray:
+        """Squared quotient norms ||U^-T d||^2 for each column d of ``data`` (n x batch)."""
+        parts = _parity_parts(self._plan, _real_columns(data)[self._plan.images])
+        return self.solve_parts(parts, np.arange(2 * data.shape[1]))
+
+
+def _real_columns(data: np.ndarray) -> np.ndarray:
+    """Complex (n x batch) data as (n x 2 batch) reals: re and im of each column side by side."""
+    return np.ascontiguousarray(data, dtype=complex).view(np.float64)
+
+
+def _parity_parts(plan: _ParityPlan, gathered: np.ndarray) -> list[np.ndarray]:
+    """Real data columns v in the parity basis of ``plan``, from ``v[plan.images]``.
+
+    Block b at representative r takes 2^-k D_r sum_U chi_b(U) v[m_U r], the
+    transpose of the K_b assembly.  One (column x block point) array per
+    block, so that a column selection is a row gather.
+    """
+    parts = np.tensordot(plan.walsh, gathered, axes=1)
+    parts *= (plan.dscale / len(plan.walsh))[:, None]
+    return [np.ascontiguousarray(part[loc].T) for part, loc in zip(parts, plan.locs)]
 
 
 def _full_axes(mask: np.ndarray) -> list[int]:
@@ -594,53 +618,73 @@ def _full_axes(mask: np.ndarray) -> list[int]:
 
 
 def quotient_norm_batch(
-    idx: RegularityIndex,
+    idx: RegularityIndex | Sequence[RegularityIndex],
     samples_list: list[np.ndarray],
     mask: SubdomainMask,
 ) -> np.ndarray:
-    """Quotient norms of many data vectors sharing one (index, mask) pair.
+    """Quotient norms of many data vectors on one mask, for one index or many.
 
-    The direct engine: one factorization per distinct fiber weight, one
-    triangular solve for the whole batch.  Fibers decouple along periodic axes
-    on which the mask is full (a mask with none is one fiber); all share one
-    sub-mask and hence one parity plan.  An empty batch gives an empty array;
+    The direct engine.  The data side runs once per call: fibers decouple
+    along periodic axes on which the mask is full (a mask with none is one
+    fiber), all share one sub-mask and hence one parity plan, and every
+    fiber is taken to the parity basis at once.  Then per index: one
+    factorization per distinct fiber weight, one triangular solve per block
+    for the whole batch.  A single index gives a (batch,) array; a sequence
+    of indices gives a (len(indices), batch) array whose rows equal the
+    single-index calls bit for bit.  An empty batch gives an empty array;
     data that are not finite raise :class:`NonFiniteData`.
     """
     lattice = mask.lattice
-    if idx.dimension != lattice.k:
+    single = isinstance(idx, RegularityIndex)
+    indices = [idx] if single else list(idx)
+    if any(ix.dimension != lattice.k for ix in indices):
         raise DimensionMismatch("index dimension does not match the mask lattice")
     batch = len(samples_list)
+    out = np.zeros((len(indices), batch))
     if batch == 0:
-        return np.zeros(0)
+        return out[0] if single else out
     # stacked as rows and transposed: a column stack would copy column by column
     data = np.stack([np.asarray(s, dtype=complex).reshape(-1) for s in samples_list]).T
     if data.shape[0] != mask.npoints:
         raise DimensionMismatch("sample count does not match mask size")
     if not np.isfinite(data).all():
         raise NonFiniteData("quotient norm data hold NaN or infinite values")
-    mu = lattice.weight(idx)
     full = _full_axes(mask.mask)
     lead = tuple(range(len(full)))
-    # the mask-order position of every lattice point, full axes first: taken at
-    # the sub-mask (every fiber's mask) it gathers the data fiber by fiber
-    order = np.zeros(lattice.sizes, dtype=np.intp)
-    order[mask.mask] = np.arange(mask.npoints)
-    order = np.moveaxis(order, full, lead)
     sub_mask = np.moveaxis(mask.mask, full, lead)[(0,) * len(full)]
-    # partial unitary FFT along the full axes, then one row per fiber
-    fibers = np.fft.fftn(data[order[..., sub_mask]], axes=lead, norm="ortho")
-    fibers = fibers.reshape((-1,) + fibers.shape[-2:])
-    mu_fibers = np.moveaxis(mu, full, lead).reshape((len(fibers),) + sub_mask.shape)
-    # fibers with bitwise equal weights (xi and -xi, as weights are even) share
-    # one factorization and one triangular solve
-    groups: dict[bytes, tuple[np.ndarray, list]] = {}
-    for mu_sub, fiber in zip(mu_fibers, fibers):
-        groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(fiber)
-    values_sq = np.zeros(batch)
-    for mu_sub, fiber_data in groups.values():
-        sq = _FiberSolver(mu_sub, sub_mask).solve_values(np.hstack(fiber_data))
-        values_sq += sq.reshape(len(fiber_data), batch).sum(axis=0)
-    return np.sqrt(values_sq)
+    nfib = lattice.npoints // sub_mask.size
+    if full:
+        # the mask-order position of every lattice point, full axes first: taken
+        # at the sub-mask (every fiber's mask) it gathers the data point by point
+        # of the sub-mask, each point's fibers side by side; then a partial
+        # unitary FFT along the full axes makes the fibers the columns, fiber-major
+        order = np.zeros(lattice.sizes, dtype=np.intp)
+        order[mask.mask] = np.arange(mask.npoints)
+        order = np.moveaxis(np.moveaxis(order, full, lead)[..., sub_mask], -1, 0)
+        data = np.fft.fftn(data[order], axes=tuple(ax + 1 for ax in lead), norm="ortho")
+        data = data.reshape(len(order), nfib * batch)
+    plan = _parity_plan(sub_mask)
+    # the data are released before the transform allocates its output: a lower
+    # peak of large temporaries keeps glibc's dynamic mmap threshold, and with it
+    # the resident set, lower
+    gathered = _real_columns(data)[plan.images]
+    del data
+    parts = _parity_parts(plan, gathered)
+    del gathered
+    # the real columns of fiber i: its batch, re and im side by side
+    fiber_cols = np.arange(nfib * 2 * batch).reshape(nfib, 2 * batch)
+    for row, ix in zip(out, indices):
+        mu_fibers = np.moveaxis(lattice.weight(ix), full, lead).reshape((nfib,) + sub_mask.shape)
+        # fibers with bitwise equal weights (xi and -xi, as weights are even)
+        # share one factorization and one triangular solve
+        groups: dict[bytes, tuple[np.ndarray, list]] = {}
+        for i, mu_sub in enumerate(mu_fibers):
+            groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(i)
+        for mu_sub, members in groups.values():
+            sq = _FiberSolver(mu_sub, sub_mask).solve_parts(parts, fiber_cols[members].reshape(-1))
+            row += sq.reshape(len(members), batch).sum(axis=0)
+    np.sqrt(out, out=out)
+    return out[0] if single else out
 
 
 def quotient_gram(idx: RegularityIndex, mask: SubdomainMask) -> np.ndarray:

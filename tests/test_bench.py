@@ -135,6 +135,64 @@ def test_estimate_isomorphism_interval_smoke():
     assert "condition" in rep.to_csv().splitlines()[0]
 
 
+@pytest.mark.parametrize(
+    "kind, resolutions, case_kw",
+    [("interval", (16, 32), {}), ("strip", (16,), {"ny": 8, "band": 3})],
+    ids=["interval-16-32", "strip-16"],
+)
+def test_estimate_isomorphism_matches_the_per_cell_route_bitwise(kind, resolutions, case_kw,
+                                                                 monkeypatch):
+    # the sweep prepares each resolution's data once and solves every (s, phi)
+    # cell against them in four quotient calls (u, f, g, h); its rows keep the
+    # bits of one solution_norms and one target_norm_batch call per cell
+    case = bench.BenchCase(
+        geometry_kind=kind, s_grid=(3.0, 4.6), phi_list=(params.constant(), params.log_power(1.0)),
+        resolutions=resolutions, seed=9, **case_kw,
+    )
+    calls = []
+    real_quotient_norm_batch = spectra.quotient_norm_batch
+
+    def counting(idx, samples_list, mask):
+        calls.append(len(idx))
+        return real_quotient_norm_batch(idx, samples_list, mask)
+
+    monkeypatch.setattr(spectra, "quotient_norm_batch", counting)
+    rows = bench.estimate_isomorphism(case).rows
+    assert calls == [4] * (4 * len(resolutions))
+    monkeypatch.undo()
+    expected = []
+    for resolution in resolutions:
+        p = case.problem(resolution)
+        nt = resolution // 2
+        trials = [
+            bench.synthesize_trial(p.geometry, case.tau, nt,
+                                   seed=case.seed + 7919 * resolution + t, band=case.band)
+            for t in range(case.trial_count)
+        ]
+        datas = [bench.apply_lambda(p, tr, nt) for tr in trials]
+        for s in case.s_grid:
+            for phi in case.phis():
+                sol = bench.solution_norms(p, trials, nt, s, phi)
+                tgt = pb.target_norm_batch(p, datas, s, phi, nt=nt)
+                ratios = np.array([b.total for b in tgt]) / sol
+                lo, hi = float(np.min(ratios)), float(np.max(ratios))
+                expected.append((s, phi.describe(), resolution, lo, hi, hi / lo))
+    got = [(r["s"], r["phi"], r["resolution"], r["lower_ratio"], r["upper_ratio"], r["condition"])
+           for r in rows]
+    assert got == expected
+
+
+def test_norms_over_cells_reject_unequal_sequences():
+    geom = pb.IntervalGeometry(nx=8)
+    p = pb.heat_problem(geom)
+    trial = bench.synthesize_trial(geom, 1.0, 8, seed=1, band=2)
+    phis = (params.constant(),)
+    with pytest.raises(ValueError, match="phi"):
+        bench.solution_norms(p, [trial], 8, (3.0, 4.0), phis)
+    with pytest.raises(ValueError, match="phi"):
+        pb.target_norm_batch(p, [bench.apply_lambda(p, trial, 8)], (3.0, 4.0), phis, nt=8)
+
+
 def test_bench_case_rejects_jump_points():
     with pytest.raises(ValueError):
         bench.BenchCase(geometry_kind="interval", s_grid=(3.5,))

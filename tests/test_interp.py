@@ -349,6 +349,35 @@ def test_half_interp_norm_of_an_orthogonal_sum_is_the_block_pencil(t_floor):
     assert isinstance(single, float) and single == pytest.approx(split[0], rel=1e-13)
 
 
+def test_half_interp_norm_applies_g0_once_per_summand(monkeypatch):
+    # ||u||_0^2 and the eigencoordinates share one G0 x per summand (diagonal
+    # and dense), and coordinates from a given G0 x keep the bits of those that
+    # apply G0 themselves
+    rng = np.random.default_rng(31)
+    lat = spectra.Lattice(sizes=(16,), periods=(TWO_PI,))
+    summands = [
+        (interp.GramPair.diagonal(pair_power(0.0, 2.0, lat)),
+         interp.kernel_frame(rng.standard_normal((1, 16)), 16),
+         rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))),
+        (_dense_pencil(10, 5), interp.kernel_frame(rng.standard_normal((2, 10)), 10),
+         rng.standard_normal((10, 3))),
+    ]
+    for grams, frame, x in summands:
+        _, to_coords = interp.subspace_spectrum(grams, frame)
+        given = to_coords(x, interp._gram_apply(grams.gram0, x))
+        assert given.tobytes() == to_coords(x).tobytes()
+    applied = []
+    real_gram_apply = interp._gram_apply
+
+    def counting(g, x):
+        applied.append(g.shape)
+        return real_gram_apply(g, x)
+
+    monkeypatch.setattr(interp, "_gram_apply", counting)
+    interp.half_interp_norm(summands)
+    assert applied == [(16,), (10, 10)]
+
+
 def test_power_case_geometric_mean():
     # theta in {0, 1/2, 1} reproduces X0, the geometric-mean space, X1
     lat = lattice(8)

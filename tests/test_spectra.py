@@ -214,6 +214,15 @@ def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
     # fiber's spread past the Cholesky cap; every fiber lattice has self-paired
     # (zero and Nyquist) modes
     solved = []
+    prepared = []  # the fiber data of the call, one column per fiber and trial
+    real_parity_parts = spectra._parity_parts
+
+    def recording_parity_parts(plan, gathered):
+        v = np.empty((len(plan.pts), gathered.shape[-1]))
+        for img, g in zip(plan.images, gathered):
+            v[img] = g
+        prepared.append(v[:, 0::2] + 1j * v[:, 1::2])
+        return real_parity_parts(plan, gathered)
 
     class Recording(spectra._FiberSolver):
         def __init__(self, mu, mask):
@@ -221,11 +230,12 @@ def test_folded_qr_matches_complex_economic_qr(geom, monkeypatch):
             self.mu = mu
             self.mask = mask
 
-        def solve_values(self, data):
-            values = super().solve_values(data)
-            solved.append((self, data, values))
+        def solve_parts(self, parts, cols):
+            values = super().solve_parts(parts, cols)
+            solved.append((self, prepared[-1][:, cols[0::2] // 2], values))
             return values
 
+    monkeypatch.setattr(spectra, "_parity_parts", recording_parity_parts)
     monkeypatch.setattr(spectra, "_FiberSolver", Recording)
     mask = pb.omega_domain(geom, 1.0, 16)
     idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=mask.lattice.k)
@@ -317,21 +327,29 @@ def test_parity_cholesky_matches_dense(mask, blocks):
     _split_matches_dense(mask, blocks, 1.0, "chol")
 
 
-def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
-    calls = []
-    real_cho_factor = sla.cho_factor
+class _FailingOnSecondBlock:
+    """``sla.cho_factor`` that fails on its ``at``-th call since ``calls`` was cleared."""
 
-    def failing_on_second_block(a, *args, **kwargs):
-        calls.append(a.shape)
-        if len(calls) == 2:
+    def __init__(self, at=2):
+        self.at = at
+        self.calls = []
+        self.real_cho_factor = sla.cho_factor
+
+    def __call__(self, a, *args, **kwargs):
+        self.calls.append(a.shape)
+        if len(self.calls) == self.at:
             raise np.linalg.LinAlgError("not positive definite")
-        return real_cho_factor(a, *args, **kwargs)
+        return self.real_cho_factor(a, *args, **kwargs)
 
+
+def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
+    failing_on_second_block = _FailingOnSecondBlock()
     monkeypatch.setattr(sla, "cho_factor", failing_on_second_block)
     mask = _box((32, 32), (2, 5), (9, 10))
     lat = spectra.Lattice(sizes=mask.shape, periods=(2.0, 2.0))
     idx = weights.parabolic_split(1.0, params.log_power(1.0), dimension=2)
     solver = spectra._FiberSolver(lat.weight(idx), mask)
+    calls = failing_on_second_block.calls
     assert len(calls) == 2 and solver._mode == "qr" and len(solver._factors) == 4
     sub = spectra.SubdomainMask(lat, mask)
     d = np.random.default_rng(14).standard_normal(sub.npoints) + 0j
@@ -603,6 +621,95 @@ def test_fiber_split_matches_padded_box_bitwise(make_mask, n_full, batch, s, mod
     got = spectra.quotient_norm_batch(idx, datas, mask)
     assert mode in modes and (mode == "qr" or set(modes) == {"chol"})
     assert got.tobytes() == _padded_box_norms(idx, datas, mask).tobytes()
+
+
+def _random_mask_2d():
+    m = np.random.default_rng(4).random((16, 16)) < 0.4
+    return spectra.SubdomainMask(spectra.Lattice(sizes=m.shape, periods=(2.0, 2.0)), m)
+
+
+def _fiber_weights(idx, mask):
+    """The bytes of each fiber's weight on ``mask``, as the engine groups fibers."""
+    full = spectra._full_axes(mask.mask)
+    mu = np.moveaxis(mask.lattice.weight(idx), full, range(len(full)))
+    return {m.tobytes() for m in mu.reshape((-1,) + mu.shape[len(full):])}
+
+
+_INTERVAL_64 = pb.IntervalGeometry(nx=32)
+
+
+@pytest.mark.parametrize(
+    "make_mask, groups",
+    [
+        (lambda: pb.omega_domain(_INTERVAL_64, 1.0, 32), 1),
+        (lambda: pb.lateral_domain(_INTERVAL_64, 1.0, 32), 1),
+        (lambda: pb.spatial_domain(_INTERVAL_64), 1),
+        (lambda: pb.omega_domain(pb.PeriodicStripGeometry(nx=16, ny=8), 1.0, 16), 5),
+        (_two_full_axes_box, 15),
+        (_random_mask_2d, 1),
+    ],
+    ids=["interval-omega", "interval-lateral", "interval-spatial", "strip-omega", "3d-two-full",
+         "random"],
+)
+def test_quotient_norm_batch_over_indices_matches_one_call_per_index(make_mask, groups,
+                                                                   monkeypatch):
+    # the data are prepared once for all indices, and each row keeps the bits of
+    # its own single-index call: on the Cholesky branch (s = 1), the QR branch
+    # (s = 4.6 and, stiff on every mask, s = 10), and for an index whose
+    # Cholesky fails on a block and falls back to QR (s = 1.5); fibers xi and
+    # -xi share a weight group, so the strip's eight fibers make five groups
+    mask = make_mask()
+    k = mask.lattice.k
+    cells = [(1.0, params.log_power(1.0)), (4.6, params.log_power(1.0)),
+             (10.0, params.log_power(1.0)), (1.5, params.constant()),
+             (1.0, params.log_power(1.0))]
+    idx = [weights.parabolic_split(s, phi, dimension=k) for s, phi in cells]
+    failing = _FailingOnSecondBlock()
+    fails = _fiber_weights(idx[3], mask)
+    modes = []
+
+    class Arming(spectra._FiberSolver):
+        def __init__(self, mu, mask):
+            failing.calls.clear()
+            blocks = len(spectra._parity_plan(mask).locs)
+            failing.at = min(2, blocks) if mu.tobytes() in fails else 0
+            super().__init__(mu, mask)
+            modes.append((mu.tobytes() in fails, self._mode))
+
+    monkeypatch.setattr(sla, "cho_factor", failing)
+    monkeypatch.setattr(spectra, "_FiberSolver", Arming)
+    rng = np.random.default_rng(31)
+    datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
+             for _ in range(7)]
+    got = spectra.quotient_norm_batch(idx, datas, mask)
+    assert got.shape == (len(idx), len(datas))
+    assert {mode for failed, mode in modes if not failed} == {"chol", "qr"}
+    assert {mode for failed, mode in modes if failed} == {"qr"}
+    assert len(modes) == groups * len(idx)  # one solver per weight group and index
+    for row, ix in zip(got, idx):
+        assert row.tobytes() == spectra.quotient_norm_batch(ix, datas, mask).tobytes()
+
+
+def test_quotient_norm_batch_over_indices_checks_every_index_first(monkeypatch):
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8)
+    good = weights.parabolic_split(2.0, params.constant(), dimension=2)
+    wrong = weights.parabolic_split(2.0, params.constant(), dimension=3)
+    d = np.ones(mask.npoints, dtype=complex)
+    bad = d.copy()
+    bad[3] = np.nan
+    with monkeypatch.context() as m:
+        # a wrong dimension anywhere in the list is caught before the data are read
+        m.setattr(spectra, "_full_axes", lambda mask: pytest.fail("work began"))
+        for indices in ([wrong, good], [good, good, wrong]):
+            with pytest.raises(DimensionMismatch):
+                spectra.quotient_norm_batch(indices, [d, bad], mask)
+    with pytest.raises(NonFiniteData):
+        spectra.quotient_norm_batch([good, good], [d, bad], mask)
+    empty = spectra.quotient_norm_batch([good] * 3, [], mask)
+    assert empty.shape == (3, 0) and empty.dtype == np.float64
+    one = spectra.quotient_norm_batch([good], [d, 2 * d], mask)
+    assert one.shape == (1, 2)
+    assert one[0].tobytes() == spectra.quotient_norm_batch(good, [d, 2 * d], mask).tobytes()
 
 
 def test_quotient_no_convergence_raises():
