@@ -72,27 +72,37 @@ def trig_sum(coeffs: np.ndarray, freqs, points) -> np.ndarray:
 class TrialField:
     """Band-limited field on the padded periodic box over the cylinder.
 
-    ``coeffs`` (unitary DFT, whole box) is kept as a read-only copy; its block
-    of nonzero modes, over sqrt(#box points), is ``modes``, with angular
-    frequencies ``freqs`` per axis, found once and read-only too.
+    ``block`` holds its unitary DFT coefficients at the box modes ``index``
+    (FFT-order indices per axis); every other mode is zero.  ``modes``, the
+    block over sqrt(#box points), and ``freqs``, the angular frequencies of
+    ``index``, are found once; all are read-only copies.
     """
 
     box: Lattice
-    coeffs: np.ndarray
+    index: tuple[np.ndarray, ...]
+    block: np.ndarray
     modes: np.ndarray = field(init=False, repr=False, compare=False)
     freqs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
-        nonzero, axes = coeffs != 0, range(coeffs.ndim)
-        keep = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != ax))) for ax in axes]
-        modes = coeffs[np.ix_(*keep)] / math.sqrt(self.box.npoints)
-        freqs = tuple(self.box.freq_axis(ax)[k] for ax, k in enumerate(keep))
-        for arr in (coeffs, modes, *freqs):
+        index = tuple(np.array(i, dtype=np.intp) for i in self.index)
+        block = np.array(self.block, dtype=complex)
+        modes = block / math.sqrt(self.box.npoints)
+        freqs = tuple(self.box.freq_axis(ax)[i] for ax, i in enumerate(index))
+        for arr in (*index, block, modes, *freqs):
             arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "block", block)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "freqs", freqs)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Whole-box coefficients: the block at ``index``, zeros elsewhere; read-only."""
+        coeffs = np.zeros(self.box.sizes, dtype=complex)
+        coeffs[np.ix_(*self.index)] = self.block
+        coeffs.flags.writeable = False
+        return coeffs
 
     def on_cylinder(
         self, geom: pb.Geometry, nt: int, alpha: tuple[int, ...] = ()
@@ -113,13 +123,13 @@ class TrialField:
 def synthesize_trial(
     geom: pb.Geometry, tau: float, nt: int, seed: int, band: int = 4
 ) -> TrialField:
-    """Random complex-Gaussian coefficients, band-limited per axis.
+    """The band block (|m| <= band per axis) of :func:`spectra.random_field`.
 
     The band counts integer modes of the padded box, so one band value
     describes the same function class at every lattice resolution.
     """
     box = pb.omega_domain(geom, tau, nt).lattice
-    return TrialField(box, spectra.random_field(box, seed, band=band).coeffs)
+    return TrialField(box, *spectra._band_draw(box, seed, band))
 
 
 def apply_lambda(
@@ -128,7 +138,7 @@ def apply_lambda(
     """Data triple (A u, boundary data, initial state) of a box trial.
 
     Differentiation is exact (trials are trigonometric polynomials, summed
-    on the cylinder grid from their nonzero modes); coefficients multiply the
+    on the cylinder grid from their band modes); coefficients multiply the
     derivative grids, so no truncation warnings arise on this path.
     """
     geom = p.geometry
@@ -203,6 +213,8 @@ class BenchCase:
     def __post_init__(self):
         if self.trial_count < 30:
             raise ValueError("need at least 30 trials")
+        if self.band < 0:
+            raise ValueError(f"band must be >= 0, got {self.band}")
         l = 0 if self.boundary == "dirichlet" else 1
         for s in self.s_grid:
             if pb.in_E(s, l):
@@ -345,7 +357,7 @@ def round_trip_interval(
     solver consumes the trial's analytic callables (its quadrature evaluates
     data between grid times): f, the boundary values and their time
     derivatives and the initial state are all :func:`trig_sum` of the trial's
-    nonzero modes times the symbol of dt - dxx, of 1 or of dt.  The
+    band modes times the symbol of dt - dxx, of 1 or of dt.  The
     comparison happens on the bench grid.
     """
     nx = nt = resolution // 2

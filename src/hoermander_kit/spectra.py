@@ -196,17 +196,36 @@ def embedding_constant(
     return float(np.max(lattice.weight(idx_to) / lattice.weight(idx_from)))
 
 
+def _band_draw(lattice: Lattice, seed: int, band: int | None):
+    """The modes |m| <= band per axis (all of them for None) of one seeded draw.
+
+    The draw covers the whole box, real part first, so a mode keeps its bits
+    whatever the band.  Returns the FFT-order indices of the kept modes per
+    axis and the complex block of coefficients there.
+    """
+    if band is not None and band < 0:
+        raise ValueError(f"band must be >= 0, got {band}")
+    limit = np.inf if band is None else band
+    index = tuple(np.flatnonzero(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= limit)
+                  for n in lattice.sizes)
+    rng, draw = np.random.default_rng(seed), np.empty(lattice.sizes)
+    block = np.empty(tuple(len(i) for i in index), dtype=complex)
+    take = ... if band is None else np.ix_(*index)  # all modes: a plain copy
+    for part in (block.real, block.imag):
+        part[...] = rng.standard_normal(out=draw)[take]
+    return index, block
+
+
 def random_field(lattice: Lattice, seed: int, band: int | None = None) -> SpectralField:
-    """Complex-Gaussian coefficients, optionally band-limited to |m| <= band per axis."""
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(lattice.sizes) + 1j * rng.standard_normal(lattice.sizes)
-    if band is not None:
-        for ax, n in enumerate(lattice.sizes):
-            m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-            keep = np.abs(m) <= band
-            shape = [1] * lattice.k
-            shape[ax] = n
-            coeffs = coeffs * keep.reshape(shape)
+    """Complex-Gaussian coefficients, optionally band-limited to |m| <= band per axis.
+
+    The band is cut from the draw of :func:`_band_draw`; modes outside it are +0.
+    """
+    index, block = _band_draw(lattice, seed, band)
+    if band is None:
+        return SpectralField(lattice=lattice, coeffs=block)
+    coeffs = np.zeros(lattice.sizes, dtype=complex)
+    coeffs[np.ix_(*index)] = block
     return SpectralField(lattice=lattice, coeffs=coeffs)
 
 

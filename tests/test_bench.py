@@ -13,9 +13,8 @@ def test_apply_lambda_constant_trial():
     geom = pb.IntervalGeometry(nx=16)
     p = pb.heat_problem(geom)
     box = pb.omega_domain(geom, 1.0, 16).lattice
-    coeffs = np.zeros(box.sizes, dtype=complex)
-    coeffs[0, 0] = np.sqrt(box.npoints)  # the constant-one field
-    trial = bench.TrialField(box=box, coeffs=coeffs)
+    # the constant-one field
+    trial = bench.TrialField(box=box, index=([0], [0]), block=[[np.sqrt(box.npoints)]])
     f, g, h = bench.apply_lambda(p, trial, 16)
     assert np.max(np.abs(f)) < 1e-12
     assert np.allclose(g, 1.0) and np.allclose(h, 1.0)
@@ -25,7 +24,7 @@ def test_apply_lambda_zero_trial():
     geom = pb.IntervalGeometry(nx=16)
     p = pb.heat_problem(geom)
     box = pb.omega_domain(geom, 1.0, 16).lattice
-    trial = bench.TrialField(box=box, coeffs=np.zeros(box.sizes, dtype=complex))
+    trial = bench.TrialField(box=box, index=([], []), block=np.zeros((0, 0)))
     f, g, h = bench.apply_lambda(p, trial, 16)
     assert np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0 and np.max(np.abs(h)) == 0
 
@@ -39,9 +38,8 @@ def test_apply_lambda_matches_symbolic_oracle_strip():
     # u = cos(pi x) sin(2 pi y) exp(i pi t) as an exact box mode product:
     # pick integer box modes mx, my, mt and verify A u against sympy
     mx, my, mt = 2, 1, 3
-    coeffs = np.zeros(box.sizes, dtype=complex)
-    coeffs[mx % box.sizes[0], my % box.sizes[1], mt % box.sizes[2]] = 1.0
-    trial = bench.TrialField(box=box, coeffs=coeffs)
+    index = ([mx % box.sizes[0]], [my % box.sizes[1]], [mt % box.sizes[2]])
+    trial = bench.TrialField(box=box, index=index, block=np.ones((1, 1, 1)))
     f, g, h = bench.apply_lambda(p, trial, nt)
 
     x_s, y_s, t_s = sympy.symbols("x y t", real=True)
@@ -64,9 +62,7 @@ def test_apply_lambda_first_order_boundary():
     nt = 16
     box = pb.omega_domain(geom, 1.0, nt).lattice
     mx, mt = 1, 0
-    coeffs = np.zeros(box.sizes, dtype=complex)
-    coeffs[mx, mt] = 1.0
-    trial = bench.TrialField(box=box, coeffs=coeffs)
+    trial = bench.TrialField(box=box, index=([mx], [mt]), block=[[1.0]])
     _, g, _ = bench.apply_lambda(p, trial, nt)
     # B = (1-2x) D_1 = (1-2x) i d/dx on u = e^(i pi x): value i*(i pi) e^(i pi x)
     xi = np.pi
@@ -83,7 +79,7 @@ def test_apply_lambda_linearity():
     t1 = bench.synthesize_trial(geom, 1.0, 16, seed=0, band=3)
     t2 = bench.synthesize_trial(geom, 1.0, 16, seed=1, band=3)
     a, b = 2.0 - 1.0j, 0.5 + 0.25j
-    comb = bench.TrialField(box=t1.box, coeffs=a * t1.coeffs + b * t2.coeffs)
+    comb = bench.TrialField(box=t1.box, index=t1.index, block=a * t1.block + b * t2.block)
     f1, g1, h1 = bench.apply_lambda(p, t1, 16)
     f2, g2, h2 = bench.apply_lambda(p, t2, 16)
     fc, gc, hc = bench.apply_lambda(p, comb, 16)
@@ -97,7 +93,7 @@ def test_ratio_homogeneity():
     p = pb.heat_problem(geom)
     nt = 16
     trial = bench.synthesize_trial(geom, 1.0, nt, seed=3, band=3)
-    scaled = bench.TrialField(box=trial.box, coeffs=5.0 * trial.coeffs)
+    scaled = bench.TrialField(box=trial.box, index=trial.index, block=5.0 * trial.block)
     phi = params.constant()
     sol = bench.solution_norms(p, [trial, scaled], nt, 3.0, phi)
     datas = [bench.apply_lambda(p, t, nt) for t in (trial, scaled)]
@@ -286,34 +282,84 @@ def test_apply_lambda_matches_box_ifftn(geom, boundary):
     "geom", [pb.IntervalGeometry(nx=16), pb.PeriodicStripGeometry(nx=8, ny=8)],
     ids=["interval", "strip"],
 )
-def test_synthesize_trial_matches_mask_loop_bitwise(geom):
-    nt, band, seed = 16, 3, 11
-    box = pb.omega_domain(geom, 1.0, nt).lattice
+def _trial_by_mask_loop(box, seed, band):
+    """A trial built the long way: the whole-box draw times a band mask per
+    axis, then a scan for the block of nonzero modes."""
     rng = np.random.default_rng(seed)
-    ref = rng.standard_normal(box.sizes) + 1j * rng.standard_normal(box.sizes)
+    coeffs = rng.standard_normal(box.sizes) + 1j * rng.standard_normal(box.sizes)
     for ax, n in enumerate(box.sizes):
         keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= band
         shape = [1] * box.k
         shape[ax] = n
-        ref = ref * keep.reshape(shape)
+        coeffs = coeffs * keep.reshape(shape)
+    nonzero, axes = coeffs != 0, range(box.k)
+    index = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != ax))) for ax in axes]
+    return coeffs, bench.TrialField(box, index, coeffs[np.ix_(*index)])
+
+
+@pytest.mark.parametrize(
+    "geom", [pb.IntervalGeometry(nx=16), pb.PeriodicStripGeometry(nx=8, ny=8)],
+    ids=["interval", "strip"],
+)
+def test_synthesize_trial_matches_mask_loop_bitwise(geom):
+    nt, band, seed = 16, 3, 11
+    box = pb.omega_domain(geom, 1.0, nt).lattice
+    ref, ref_trial = _trial_by_mask_loop(box, seed, band)
     trial = bench.synthesize_trial(geom, 1.0, nt, seed=seed, band=band)
-    assert trial.coeffs.dtype == ref.dtype and trial.coeffs.shape == ref.shape
-    assert trial.coeffs.tobytes() == ref.tobytes()
+    assert trial.modes.shape == (2 * band + 1,) * box.k
+    assert trial.modes.tobytes() == ref_trial.modes.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(trial.freqs, ref_trial.freqs, strict=True))
+    # the whole box equals the masked draw in value; outside the band its
+    # zeros are unsigned, where the mask product left -0 for negative draws
+    assert trial.coeffs.dtype == ref.dtype and np.array_equal(trial.coeffs, ref)
+    outside = ref == 0
+    assert not np.signbit(trial.coeffs.real[outside]).any()
+    assert not np.signbit(trial.coeffs.imag[outside]).any()
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+@pytest.mark.parametrize(
+    "geom, nt, band",
+    [(pb.IntervalGeometry(nx=128), 128, 2), (pb.PeriodicStripGeometry(nx=64, ny=16), 64, 1)],
+    ids=["interval", "strip"],
+)
+def test_apply_lambda_of_band_draw_matches_mask_loop_bitwise(geom, nt, band, boundary):
+    # the boxes and bands of the compatibility sweep
+    p = pb.heat_problem(geom, boundary=boundary)
+    box = pb.omega_domain(geom, 1.0, nt).lattice
+    for seed in (3, 14):
+        _, ref_trial = _trial_by_mask_loop(box, seed, band)
+        got = bench.apply_lambda(p, bench.synthesize_trial(geom, 1.0, nt, seed=seed, band=band), nt)
+        ref = bench.apply_lambda(p, ref_trial, nt)
+        for a, b in zip(got, ref, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def test_trial_field_state_cannot_go_stale():
     geom = pb.IntervalGeometry(nx=8)
     box = pb.omega_domain(geom, 1.0, 8).lattice
-    coeffs = np.zeros(box.sizes, dtype=complex)
-    coeffs[1, 2] = 1.0
-    trial = bench.TrialField(box, coeffs)
-    before = trial.on_cylinder(geom, 8)
-    coeffs[3, 3] = 1.0  # the caller's array is not the trial's
+    index, block = (np.array([1]), np.array([2])), np.ones((1, 1), dtype=complex)
+    trial = bench.TrialField(box, index, block)
+    before, coeffs = trial.on_cylinder(geom, 8), trial.coeffs
+    index[0][0], block[0, 0] = 3, 2.0  # the caller's arrays are not the trial's
     assert np.array_equal(trial.on_cylinder(geom, 8), before)
+    assert np.array_equal(trial.coeffs, coeffs) and np.count_nonzero(coeffs) == 1
     assert trial.modes.shape == (1, 1)
-    for arr in (trial.coeffs, trial.modes, *trial.freqs):
+    for arr in (trial.coeffs, trial.modes, *trial.freqs, trial.block, *trial.index):
         with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 0.0
+            arr[...] = 0
+
+
+def test_negative_band_is_rejected():
+    geom = pb.IntervalGeometry(nx=8)
+    with pytest.raises(ValueError, match="band"):
+        bench.synthesize_trial(geom, 1.0, 8, seed=0, band=-1)
+    with pytest.raises(ValueError, match="band"):
+        spectra.random_field(pb.omega_domain(geom, 1.0, 8).lattice, 0, band=-1)
+    with pytest.raises(ValueError, match="band"):
+        bench.BenchCase(geometry_kind="interval", band=-1)
+    bench.BenchCase(geometry_kind="interval", band=0)
 
 
 def test_jump_study_smoke():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hoermander_kit
 from hoermander_kit import bench, spectra
 from hoermander_kit.cli import main
 from hoermander_kit.errors import HoermanderKitError, UnknownConfigKey
@@ -172,3 +177,23 @@ def test_iso_bench_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(UnknownConfigKey, match=r"\['resolution', 'tau', 'trails'\]") as err:
         main(["iso-bench", "--config", str(cfg_path)])
     assert isinstance(err.value, HoermanderKitError)
+
+
+def test_iso_bench_rejects_a_negative_band(tmp_path, monkeypatch):
+    # from the flag or from a config, the case fails before any work
+    cases = []
+    monkeypatch.setattr(bench, "estimate_isomorphism", lambda case, **kw: cases.append(case))
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps({"geometry": "interval", "band": -1}))
+    for argv in (["--band", "-1"], ["--config", str(cfg_path)]):
+        with pytest.raises(ValueError, match="band"):
+            main(["iso-bench", *argv])
+    assert cases == []
+    src = str(Path(hoermander_kit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoermander_kit.cli", "iso-bench", "--band", "-1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "band must be >= 0" in proc.stderr
