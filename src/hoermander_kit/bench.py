@@ -68,21 +68,22 @@ def trig_sum(coeffs: np.ndarray, freqs, points) -> np.ndarray:
     return out.reshape(np.broadcast(*points).shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialField:
     """Band-limited field on the padded periodic box over the cylinder.
 
     ``block`` holds its unitary DFT coefficients at the box modes ``index``
     (FFT-order indices per axis); every other mode is zero.  ``modes``, the
     block over sqrt(#box points), and ``freqs``, the angular frequencies of
-    ``index``, are found once; all are read-only copies.
+    ``index``, are found once; all are read-only copies.  A trial has no
+    value equality: it compares and hashes by identity.
     """
 
     box: Lattice
     index: tuple[np.ndarray, ...]
     block: np.ndarray
-    modes: np.ndarray = field(init=False, repr=False, compare=False)
-    freqs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    modes: np.ndarray = field(init=False, repr=False)
+    freqs: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         index = tuple(np.array(i, dtype=np.intp) for i in self.index)
@@ -402,17 +403,19 @@ def round_trip_interval(
 
 # -- jump study --------------------------------------------------------------------------
 
-def _data_gram(p: pb.ParabolicProblem, nt: int, s: float, split: _MirrorSplit) -> list[np.ndarray]:
-    """Block Gram of the three-component data space at smoothness s, on each half of ``split``."""
+def _data_gram(p: pb.ParabolicProblem, nt: int, s: float) -> list[np.ndarray]:
+    """Block Gram of the three-component data space at smoothness s: its even and odd halves
+    (:class:`_MirrorSplit`).  R swaps the g sheets, so both halves of their block are G_g."""
     geom = p.geometry
     idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, constant())
-    G_f, G_g, G_h = (
-        spectra.quotient_gram(idx, mask) * pb._measure_factor(mask.lattice) ** 2
+    lateral = pb.lateral_domain(geom, p.tau, nt)
+    G_g = spectra.quotient_gram(idx_g, lateral) * pb._measure_factor(lateral.lattice) ** 2
+    f_halves, h_halves = (
+        [G * pb._measure_factor(mask.lattice) ** 2 for G in spectra.quotient_gram(idx, mask, 0)]
         for idx, mask in ((idx_f, pb.omega_domain(geom, p.tau, nt)),
-                          (idx_g, pb.lateral_domain(geom, p.tau, nt)),
                           (idx_h, pb.spatial_domain(geom)))
     )
-    return split.grams([G_f, sla.block_diag(G_g, G_g), G_h])
+    return [sla.block_diag(G_f, G_g, G_h) for G_f, G_h in zip(f_halves, h_halves)]
 
 
 def _flatten_data(f, g, h) -> np.ndarray:
@@ -434,15 +437,14 @@ class _MirrorSplit:
 
     R reverses the x axis of f and h and swaps the two g sheets; on every
     layout of :func:`_data_shapes` that reverses the leading axis, so
-    ``mirror[i]``, the index of R i, is built once per grid.  The even
-    coordinates are (x_i + x_Ri)/sqrt 2 on one point i of each mirror pair
-    and x_i on the fixed points (the x midpoint), the odd ones
-    (x_i - x_Ri)/sqrt 2 on the pairs: together an orthonormal basis.  A Gram
-    and a constraint kernel that R preserves therefore split into an
-    orthogonal sum of an even and an odd pencil of about half the size each
-    (Cantoni & Butler, 1976, symmetric centrosymmetric matrices).  Both
-    invariances are checked bitwise where the halves are built, and a
-    failure raises :class:`MirrorAsymmetry`.
+    ``mirror[i]``, the index of R i, is built once per grid.  The even and
+    odd coordinates, an orthonormal basis together, are those of
+    :func:`spectra.quotient_gram` with a mirror axis, so a Gram and a
+    constraint kernel that R preserves split into an orthogonal sum of an
+    even and an odd pencil of about half the size each (Cantoni & Butler,
+    1976, symmetric centrosymmetric matrices).  The constraint rows are
+    checked bitwise in :meth:`constraints`; a failure raises
+    :class:`MirrorAsymmetry`.
     """
 
     def __init__(self, geom: pb.Geometry, nt: int):
@@ -480,32 +482,6 @@ class _MirrorSplit:
             raise MirrorAsymmetry("the constraint rows of the two boundary sheets are not "
                                   "mirror images of each other")
         return [half.T for half in self.coords(C.T)]
-
-    def grams(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """The even and odd halves of the block-diagonal Gram with diagonal ``blocks``.
-
-        The blocks follow the data layout, each over a run of it that R maps
-        onto itself.  With a the even points of a block and b = R a, each
-        block must satisfy G[R i, R j] = G[i, j] bitwise, which
-        G[b, b] = G[a, a] and G[b, a] = G[a, b] cover; its halves are then
-        s_r s_s (G[a, a] + G[a, b]) (s from ``scale``) and G[a, a] - G[a, b]
-        on the pairs.  The whole dim x dim Gram is never formed.
-        """
-        even, odd, offset = [], [], 0
-        for G in blocks:
-            n = len(G)
-            sel = (self.even >= offset) & (self.even < offset + n)
-            a, s = self.even[sel] - offset, self.scale[sel]
-            b = self.mirror[self.even[sel]] - offset
-            g_aa, g_ab = G[np.ix_(a, a)], G[np.ix_(a, b)]
-            if not (np.array_equal(G[np.ix_(b, b)], g_aa)
-                    and np.array_equal(G[np.ix_(b, a)], g_ab)):
-                raise MirrorAsymmetry("a data Gram is not invariant under the mirror x -> 1 - x")
-            pairs = np.flatnonzero(a != b)
-            even.append(np.outer(s, s) * (g_aa + g_ab))
-            odd.append((g_aa - g_ab)[np.ix_(pairs, pairs)])
-            offset += n
-        return [sla.block_diag(*even), sla.block_diag(*odd)]
 
 
 def _constraint_matrix(
@@ -618,8 +594,8 @@ def jump_study(
     The problem is symmetric under x -> 1 - x, so every pencil is evaluated
     as the orthogonal sum of its mirror-even and mirror-odd halves
     (:class:`_MirrorSplit`), two generalized eigenproblems of about half the
-    size; a Gram or constraint set that breaks the symmetry raises
-    :class:`MirrorAsymmetry`.
+    size, the data Gram's straight from :func:`spectra.quotient_gram`; a
+    constraint set that breaks the symmetry raises :class:`MirrorAsymmetry`.
     """
     if not pb.in_E(s_star, 0):
         raise ValueError(f"s_star = {s_star} is not a Dirichlet jump point")
@@ -654,8 +630,8 @@ def jump_study(
 
         norms, defects = [], np.zeros((len(eps_pair), trials + 1))
         for eps, defect in zip(eps_pair, defects):
-            grams0 = _data_gram(p, nt, s_star - eps, split)
-            grams1 = _data_gram(p, nt, s_star + eps, split)
+            grams0 = _data_gram(p, nt, s_star - eps)
+            grams1 = _data_gram(p, nt, s_star + eps)
             summands = [(interp.GramPair(gram0=g0, gram1=g1), frame, x)
                         for g0, g1, frame, x in zip(grams0, grams1, frames, halves)]
             norms.append(interp.half_interp_norm(summands, defect_out=defect))

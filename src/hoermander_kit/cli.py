@@ -87,7 +87,8 @@ def _cmd_interp_check(args) -> int:
 def _cmd_compat_check(args) -> int:
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
-        problem = pb.problem_from_config(cfg)
+        # s is this command's own key beside the problem's
+        problem = pb.problem_from_config({k: v for k, v in cfg.items() if k != "s"})
         s = float(cfg.get("s", args.s))
     else:
         geom = pb.IntervalGeometry(nx=args.nx)

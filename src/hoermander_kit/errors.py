@@ -61,5 +61,9 @@ class UnknownConfigKey(HoermanderKitError):
     """A configuration file holds keys the command does not read."""
 
 
+class InvalidConfig(HoermanderKitError, ValueError):
+    """A configuration file lacks a key the command needs or names an unknown kind."""
+
+
 class MirrorAsymmetry(HoermanderKitError):
-    """A split by mirror parity met a Gram or constraint set the mirror does not preserve."""
+    """A split by mirror parity met a mask or constraint set the mirror does not preserve."""

@@ -34,7 +34,9 @@ from ._fd import apply_deriv_axis, trace_deriv_at_zero
 from .errors import (
     DimensionMismatch,
     InsufficientSmoothness,
+    InvalidConfig,
     NotFirstOrder,
+    UnknownConfigKey,
 )
 from .params import FunctionParam, constant
 from .spectra import Lattice, SubdomainMask
@@ -285,20 +287,55 @@ def heat_problem(
     return ParabolicProblem(geometry=geometry, tau=tau, a_coeffs=a, boundary=bnd)
 
 
+# per kind: the keys beside "kind" that a section must hold, and those it may hold
+_GEOMETRY_KINDS = {"interval": (("nx",), ()), "strip": (("nx", "ny"), ("period_y",))}
+_BOUNDARY_KINDS = {"dirichlet": ((), ()), "first_order": (("b",), ())}
+
+
+def _check_keys(cfg: dict, where: str, required: tuple, optional: tuple = ()) -> None:
+    """UnknownConfigKey for a key outside ``required`` and ``optional``, InvalidConfig for a
+    missing required one."""
+    unknown = sorted(set(cfg) - set(required) - set(optional))
+    if unknown:
+        raise UnknownConfigKey(f"{where}: unknown keys {unknown}; it reads "
+                               f"{list(required + optional)}")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise InvalidConfig(f"{where}: missing keys {missing}")
+
+
+def _config_kind(cfg, where: str, kinds: dict) -> str:
+    """The kind of a config section, once its keys match that kind's in ``kinds``."""
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidConfig(f"{where} kind {kind!r} is not one of {list(kinds)}")
+    required, optional = kinds[kind]
+    _check_keys(cfg, f"{kind} {where}", ("kind",) + required, optional)
+    return kind
+
+
 def problem_from_config(cfg: dict) -> ParabolicProblem:
-    """Build a problem from a JSON-style dict with expression-language coefficients."""
+    """Build a problem from a JSON-style dict with expression-language coefficients.
+
+    The dict holds ``geometry`` and ``a``, and may hold ``tau`` (default 1)
+    and ``boundary`` (default Dirichlet).  A geometry is ``{"kind":
+    "interval", "nx"}`` or ``{"kind": "strip", "nx", "ny"}`` with an optional
+    ``period_y``; a boundary is ``{"kind": "dirichlet"}`` or ``{"kind":
+    "first_order", "b"}``.  A key outside this schema raises
+    :class:`UnknownConfigKey`; a missing key or an unknown kind raises
+    :class:`InvalidConfig`.
+    """
+    _check_keys(cfg, "config", ("geometry", "a"), ("tau", "boundary"))
     gcfg = cfg["geometry"]
-    if gcfg["kind"] == "interval":
+    if _config_kind(gcfg, "geometry", _GEOMETRY_KINDS) == "interval":
         geom: Geometry = IntervalGeometry(nx=int(gcfg["nx"]))
         variables: tuple[str, ...] = ("x", "t")
-    elif gcfg["kind"] == "strip":
+    else:
         geom = PeriodicStripGeometry(
             nx=int(gcfg["nx"]), ny=int(gcfg["ny"]),
             period_y=float(gcfg.get("period_y", 1.0)),
         )
         variables = ("x", "y", "t")
-    else:
-        raise ValueError(f"unknown geometry kind {gcfg['kind']!r}")
 
     def parse_coeff(spec) -> Coefficient:
         if isinstance(spec, (int, float)):
@@ -310,7 +347,7 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
         alpha = tuple(int(s) for s in str(key).split(","))
         a[alpha] = parse_coeff(spec)
     bcfg = cfg.get("boundary", {"kind": "dirichlet"})
-    if bcfg["kind"] == "dirichlet":
+    if _config_kind(bcfg, "boundary", _BOUNDARY_KINDS) == "dirichlet":
         boundary: Dirichlet | FirstOrder = Dirichlet()
     else:
         boundary = FirstOrder(

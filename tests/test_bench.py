@@ -351,6 +351,14 @@ def test_trial_field_state_cannot_go_stale():
             arr[...] = 0
 
 
+def test_trial_field_compares_and_hashes_by_identity():
+    geom = pb.IntervalGeometry(nx=8)
+    a = bench.synthesize_trial(geom, 1.0, 8, seed=0, band=2)
+    b = bench.synthesize_trial(geom, 1.0, 8, seed=0, band=2)
+    assert a == a and a != b  # equal draws, two trials
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_negative_band_is_rejected():
     geom = pb.IntervalGeometry(nx=8)
     with pytest.raises(ValueError, match="band"):
@@ -487,7 +495,7 @@ def test_jump_study_matches_complex_svd_reference():
 def test_quotient_gram_is_real_symmetric():
     geom = pb.IntervalGeometry(nx=8)
     p = pb.heat_problem(geom)
-    for G in bench._data_gram(p, 8, 3.4, bench._MirrorSplit(geom, 8)):
+    for G in bench._data_gram(p, 8, 3.4):
         assert G.dtype == np.float64
         assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
 
@@ -576,19 +584,6 @@ def test_jump_study_rejects_constraints_that_break_the_mirror(monkeypatch):
         bench.jump_study(resolutions=(16,), trials=30, seed=0)
 
 
-def test_jump_study_rejects_a_gram_that_breaks_the_mirror(monkeypatch):
-    real = spectra.quotient_gram
-
-    def skewed(idx, mask):
-        G = real(idx, mask)
-        G[0, 1] = np.nextafter(G[0, 1], np.inf)  # one ulp, away from its mirror image
-        return G
-
-    monkeypatch.setattr(spectra, "quotient_gram", skewed)
-    with pytest.raises(MirrorAsymmetry, match="Gram"):
-        bench.jump_study(resolutions=(16,), trials=30, seed=0)
-
-
 def test_jump_study_reports_the_resolution_16_membership_defect(monkeypatch):
     calls = []
     real_eigh = sla.eigh
@@ -635,6 +630,10 @@ def test_quotient_gram_inverts_parity_blocks_only(resolution, monkeypatch):
         assert len(received) == 2 ** mask.lattice.k
         assert sum(n for n, _ in received) == mask.npoints
         assert max(n for n, _ in received) < mask.npoints
+        # the mirror halves invert the same blocks, each once
+        received.clear()
+        spectra.quotient_gram(idx, mask, mirror_axis=0)
+        assert received == [(len(c), len(c)) for c in plan.columns]
 
 
 @pytest.mark.parametrize("resolution", [16, 32])
@@ -654,3 +653,58 @@ def test_quotient_gram_matches_quotient_norms(resolution):
             norms = spectra.quotient_norm_batch(idx, datas, mask)
             for d, val in zip(datas, norms):
                 assert np.real(np.conj(d) @ G @ d) == pytest.approx(val**2, rel=1e-10)
+
+
+def _gathered_halves(G, mask, axis):
+    """Reference: the even and odd halves of a point-coordinate Gram G under the
+    mask's mirror on ``axis``, gathered from G (rows: the low-side points)."""
+    pts = np.argwhere(mask.mask)
+    order = np.full(mask.mask.shape, -1)
+    order[mask.mask] = np.arange(len(pts))
+    image = pts.copy()
+    image[:, axis] = pts[:, axis].min() + pts[:, axis].max() - pts[:, axis]
+    mirror = order[tuple(image.T)]
+    a = np.flatnonzero(np.arange(len(pts)) <= mirror)
+    b = mirror[a]
+    scale = np.where(a == b, math.sqrt(0.5), 1.0)
+    g_aa, g_ab = G[np.ix_(a, a)], G[np.ix_(a, b)]
+    pairs = np.flatnonzero(a != b)
+    return np.outer(scale, scale) * (g_aa + g_ab), (g_aa - g_ab)[np.ix_(pairs, pairs)]
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_quotient_gram_halves_match_the_gathered_halves(resolution):
+    geom = pb.IntervalGeometry(nx=resolution // 2)
+    nt = resolution // 2
+    masks = (pb.omega_domain(geom, 1.0, nt), pb.spatial_domain(geom))
+    for s in (3.5 - 0.2, 3.5 - 0.1, 3.5 + 0.1, 3.5 + 0.2):  # s* +- eps of the study
+        idx_f, _, idx_h = pb._component_indices(geom, s, 0, params.constant())
+        for idx, mask in zip((idx_f, idx_h), masks):
+            halves = spectra.quotient_gram(idx, mask, mirror_axis=0)
+            refs = _gathered_halves(spectra.quotient_gram(idx, mask), mask, 0)
+            for half, ref in zip(halves, refs, strict=True):
+                assert half.shape == ref.shape
+                assert np.max(np.abs(half - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_quotient_gram_halves_reject_an_axis_without_a_mirror():
+    geom = pb.IntervalGeometry(nx=8)
+    idx = pb._component_indices(geom, 3.4, 0, params.constant())[0]
+    omega = pb.omega_domain(geom, 1.0, 8)
+    # the cylinder without its two corners at t = 0: still mirror symmetric in x, not in t
+    pts = np.argwhere(omega.mask)
+    cut = omega.mask.copy()
+    for x in (pts[:, 0].min(), pts[:, 0].max()):
+        cut[x, pts[:, 1].min()] = False
+    cut = spectra.SubdomainMask(omega.lattice, cut)
+    halves = spectra.quotient_gram(idx, cut, mirror_axis=0)
+    refs = _gathered_halves(spectra.quotient_gram(idx, cut), cut, 0)
+    for half, ref in zip(halves, refs, strict=True):
+        assert np.max(np.abs(half - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(MirrorAsymmetry, match="axis 1"):
+        spectra.quotient_gram(idx, cut, mirror_axis=1)
+    rng = np.random.default_rng(3)
+    scattered = spectra.SubdomainMask(omega.lattice, rng.uniform(size=omega.lattice.sizes) < 0.3)
+    for axis in (0, 1):
+        with pytest.raises(MirrorAsymmetry, match=f"axis {axis}"):
+            spectra.quotient_gram(idx, scattered, mirror_axis=axis)

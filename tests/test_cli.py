@@ -57,6 +57,15 @@ def test_compat_check_config(tmp_path):
     assert rc == 0
 
 
+def test_compat_check_config_rejects_a_misspelt_key(tmp_path):
+    # s is the command's own key; a misspelt problem key is an error, not tau = 1
+    cfg = {"geometry": {"kind": "interval", "nx": 32}, "tua": 2.0, "s": 3.0, "a": {"2": "1"}}
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(UnknownConfigKey, match=r"\['tua'\]"):
+        main(["compat-check", "--config", str(cfg_path), "--nt", "32"])
+
+
 def test_trace_check_command(tmp_path):
     rc = main(["trace-check", "--trials", "3", "--out", str(tmp_path)])
     assert rc == 0

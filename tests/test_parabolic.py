@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoermander_kit import parabolic as pb
-from hoermander_kit.errors import DimensionMismatch, NotFirstOrder
+from hoermander_kit.errors import (
+    DimensionMismatch,
+    HoermanderKitError,
+    InvalidConfig,
+    NotFirstOrder,
+    UnknownConfigKey,
+)
 
 
 def interval(nx=256):
@@ -685,6 +691,59 @@ def test_expression_language_problem():
     cfg["a"]["2"] = "-1"
     p_bad = pb.problem_from_config(cfg)
     assert not pb.check_petrovskii(p_bad, 2000, seed=0).passed
+
+
+def _config(**changes):
+    cfg = {
+        "geometry": {"kind": "interval", "nx": 16},
+        "tau": 1.0,
+        "a": {"2": "1"},
+        "boundary": {"kind": "dirichlet"},
+    }
+    cfg.update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, unknown", [
+    ({**_config(), "tua": 2.0}, r"config: unknown keys \['tua'\]"),
+    (_config(geometry={"kind": "interval", "nx": 16, "ny": 4}),
+     r"interval geometry: unknown keys \['ny'\]"),
+    (_config(geometry={"kind": "strip", "nx": 16, "ny": 4, "period": 2.0}),
+     r"strip geometry: unknown keys \['period'\]"),
+    (_config(boundary={"kind": "dirichlet", "b": {"0": 1.0}}),
+     r"dirichlet boundary: unknown keys \['b'\]"),
+    (_config(boundary={"kind": "first_order", "b": {"0": 1.0}, "c": 1}),
+     r"first_order boundary: unknown keys \['c'\]"),
+], ids=["top", "interval", "strip", "dirichlet", "first-order"])
+def test_config_rejects_unknown_keys(cfg, unknown):
+    with pytest.raises(UnknownConfigKey, match=unknown):
+        pb.problem_from_config(cfg)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_config(boundary={"kind": "neumann"}), "boundary kind 'neumann'"),
+    (_config(boundary={"kind": "first_order"}), r"missing keys \['b'\]"),
+    (_config(boundary={"b": {"0": 1.0}}), "boundary kind None"),
+    (_config(geometry={"kind": "disc", "nx": 16}), "geometry kind 'disc'"),
+    (_config(geometry={"kind": "strip", "nx": 16}), r"missing keys \['ny'\]"),
+    ({"geometry": {"kind": "interval", "nx": 16}}, r"missing keys \['a'\]"),
+], ids=["boundary-kind", "first-order-without-b", "no-kind", "geometry-kind", "strip-without-ny",
+        "no-a"])
+def test_config_rejects_unknown_kinds_and_missing_keys(cfg, message):
+    with pytest.raises(InvalidConfig, match=message) as err:
+        pb.problem_from_config(cfg)
+    assert isinstance(err.value, HoermanderKitError)
+
+
+def test_config_reads_every_documented_key():
+    p = pb.problem_from_config(_config(
+        geometry={"kind": "strip", "nx": 16, "ny": 4, "period_y": 2.0},
+        a={"2,0": "1", "0,2": "1"},
+        boundary={"kind": "first_order", "b": {"0": "1 + x", "1": 1.0}},
+        tau=0.5,
+    ))
+    assert p.tau == 0.5 and p.geometry.ny == 4 and p.geometry.period_y == 2.0
+    assert p.order_l == 1 and set(p.boundary.b) == {0, 1}
 
 
 def test_expression_language_rejects_malice():
