@@ -403,26 +403,17 @@ def round_trip_interval(
 
 # -- jump study --------------------------------------------------------------------------
 
-def _data_gram(p: pb.ParabolicProblem, nt: int, s: float) -> list[np.ndarray]:
-    """Block Gram of the three-component data space at smoothness s: its even and odd halves
-    (:class:`_MirrorSplit`).  R swaps the g sheets, so both halves of their block are G_g."""
-    geom = p.geometry
-    idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, constant())
-    lateral = pb.lateral_domain(geom, p.tau, nt)
-    G_g = spectra.quotient_gram(idx_g, lateral) * pb._measure_factor(lateral.lattice) ** 2
-    f_halves, h_halves = (
-        [G * pb._measure_factor(mask.lattice) ** 2 for G in spectra.quotient_gram(idx, mask, 0)]
-        for idx, mask in ((idx_f, pb.omega_domain(geom, p.tau, nt)),
-                          (idx_h, pb.spatial_domain(geom)))
-    )
-    return [sla.block_diag(G_f, G_g, G_h) for G_f, G_h in zip(f_halves, h_halves)]
+def _data_gram(p: pb.ParabolicProblem, split: _MirrorSplit, s: float) -> list[np.ndarray]:
+    """Block Gram of the three-component data space at smoothness s: its even and odd halves,
+    the blocks of :func:`spectra.quotient_gram` grouped by :class:`_MirrorSplit`."""
+    indices = pb._component_indices(p.geometry, s, p.order_l, constant())
+    f, g, h = ([G * pb._measure_factor(mask.lattice) ** 2 for G in spectra.quotient_gram(idx, mask)]
+               for idx, mask in zip(indices, split.masks))
+    return [sla.block_diag(*half) for half in split.group(f, g, g, h)]
 
 
 def _flatten_data(f, g, h) -> np.ndarray:
-    return np.concatenate(
-        [np.asarray(f).reshape(-1), np.asarray(g)[0].reshape(-1),
-         np.asarray(g)[1].reshape(-1), np.asarray(h).reshape(-1)]
-    )
+    return np.concatenate([np.ravel(f), np.ravel(g), np.ravel(h)])  # g: sheet 0, then sheet 1
 
 
 def _data_shapes(geom: pb.Geometry, nt: int):
@@ -433,40 +424,56 @@ def _data_shapes(geom: pb.Geometry, nt: int):
 
 
 class _MirrorSplit:
-    """Even and odd halves of the flattened (f, g, h) data under R: x -> 1 - x.
+    """The flattened (f, g, h) data in the engine's parity basis, halved by R: x -> 1 - x.
 
-    R reverses the x axis of f and h and swaps the two g sheets; on every
-    layout of :func:`_data_shapes` that reverses the leading axis, so
-    ``mirror[i]``, the index of R i, is built once per grid.  The even and
-    odd coordinates, an orthonormal basis together, are those of
-    :func:`spectra.quotient_gram` with a mirror axis, so a Gram and a
-    constraint kernel that R preserves split into an orthogonal sum of an
-    even and an odd pencil of about half the size each (Cantoni & Butler,
-    1976, symmetric centrosymmetric matrices).  The constraint rows are
-    checked bitwise in :meth:`constraints`; a failure raises
-    :class:`MirrorAsymmetry`.
+    f and h live on the Omega and spatial masks, whose parity plans split x
+    (axis 0): R fixes their x-even blocks and negates the x-odd ones.  R
+    swaps the two g sheets, so (g_0 +- g_1) / sqrt 2 takes every block of
+    the lateral mask, + in the even half and - in the odd one.  The
+    coordinates come from :func:`spectra.parity_coords`, an orthonormal basis
+    together, so a Gram and a constraint kernel that R preserves split into
+    an orthogonal sum of an even and an odd pencil of about half the size
+    each (Cantoni & Butler, 1976, symmetric centrosymmetric matrices).  A
+    plan that does not split x raises :class:`MirrorAsymmetry`, as do
+    constraint rows that R does not map onto each other bitwise
+    (:meth:`constraints`); ``mirror[i]``, the index of R i in the flattened
+    data, serves that check.
     """
 
-    def __init__(self, geom: pb.Geometry, nt: int):
+    def __init__(self, p: pb.ParabolicProblem, nt: int):
+        geom = p.geometry
+        self.masks = (pb.omega_domain(geom, p.tau, nt), pb.lateral_domain(geom, p.tau, nt),
+                      pb.spatial_domain(geom))
+        self.x_parity = []  # of each block of the f plan, then of the h plan
+        for mask in self.masks[::2]:
+            plan = spectra._parity_plan(mask.mask)
+            if 0 not in plan.split:
+                raise MirrorAsymmetry("the data mask is not its own mirror image in x")
+            self.x_parity.append(plan.parities[:, plan.split.index(0)])
         offset, parts = 0, []
         for shape in _data_shapes(geom, nt):
             n = int(np.prod(shape))
             parts.append(offset + np.arange(n).reshape(shape)[::-1].reshape(-1))
             offset += n
         self.mirror = np.concatenate(parts)
-        i = np.arange(offset)
-        self.even = np.flatnonzero(i <= self.mirror)
-        self.odd = np.flatnonzero(i < self.mirror)
-        # sqrt 2 times the even coordinate's weight: 1 on a pair, 1/sqrt 2 on a fixed point
-        self.scale = np.where(self.mirror[self.even] == self.even, math.sqrt(0.5), 1.0)
         self.sheet_points = int(np.prod(geom.g_shape()[1:]))
+
+    def group(self, f: list, g_even: list, g_odd: list, h: list) -> list[list]:
+        """The even and the odd half: the x-even (x-odd) blocks of f, then g_even (g_odd),
+        then the x-even (x-odd) blocks of h."""
+        return [[*(b for b, x in zip(f, self.x_parity[0]) if x == beta), *g,
+                 *(b for b, x in zip(h, self.x_parity[1]) if x == beta)]
+                for beta, g in ((0, g_even), (1, g_odd))]
 
     def coords(self, x: np.ndarray) -> list[np.ndarray]:
         """The even and odd coordinates of x, a (dim,) vector or a (dim, batch) block."""
-        c = math.sqrt(0.5) * self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
-        even = c * (x[self.even] + x[self.mirror[self.even]])
-        odd = math.sqrt(0.5) * (x[self.odd] - x[self.mirror[self.odd]])
-        return [even, odd]
+        omega, lateral, spatial = self.masks
+        f, g0, g1, h = np.split(x, np.cumsum([omega.npoints, lateral.npoints, lateral.npoints]))
+        g_even, g_odd = (spectra.parity_coords(lateral, math.sqrt(0.5) * (g0 + sign * g1))
+                         for sign in (1, -1))
+        halves = self.group(spectra.parity_coords(omega, f), g_even, g_odd,
+                            spectra.parity_coords(spatial, h))
+        return [np.concatenate(half) for half in halves]
 
     def constraints(self, C: np.ndarray) -> list[np.ndarray]:
         """C on the even and on the odd half.
@@ -589,13 +596,16 @@ def jump_study(
     equivalence), its stability across resolutions, the growth of the norm
     for data violating the condition that appears at s_star, and
     ``defect_max``, the largest G0-orthogonal defect delta^2 / ||u||_0^2 of a
-    trial (before the noise floor of :func:`interp.half_interp_norm`).
+    trial as the norm used it: 0 where it is rounding, at or below the noise
+    floor of :func:`interp.half_interp_norm`.
 
     The problem is symmetric under x -> 1 - x, so every pencil is evaluated
     as the orthogonal sum of its mirror-even and mirror-odd halves
     (:class:`_MirrorSplit`), two generalized eigenproblems of about half the
-    size, the data Gram's straight from :func:`spectra.quotient_gram`; a
-    constraint set that breaks the symmetry raises :class:`MirrorAsymmetry`.
+    size, in the engine's parity basis: the data by
+    :func:`spectra.parity_coords`, the Grams by the blocks of
+    :func:`spectra.quotient_gram`.  A constraint set that breaks the
+    symmetry raises :class:`MirrorAsymmetry`.
     """
     if not pb.in_E(s_star, 0):
         raise ValueError(f"s_star = {s_star} is not a Dirichlet jump point")
@@ -607,7 +617,7 @@ def jump_study(
         geom = pb.IntervalGeometry(nx=nx)
         p = pb.heat_problem(geom, tau=tau)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4  # small grids degrade gracefully
-        split = _MirrorSplit(geom, nt)
+        split = _MirrorSplit(p, nt)
         C_above = _constraint_matrix(p, nt, list(range(r_above)), acc_x=acc_x)
         frames = [interp.kernel_frame(C, C.shape[1]) for C in split.constraints(C_above)]
 
@@ -621,17 +631,14 @@ def jump_study(
             for t in range(trials)
         ]
         f_shape, g_shape, h_shape = _data_shapes(geom, nt)
-        tgrid = np.arange(nt + 1) * (tau / nt)
-        g_viol = np.broadcast_to(tgrid, g_shape).astype(complex)
-        columns.append(_flatten_data(
-            np.zeros(f_shape, dtype=complex), g_viol, np.zeros(h_shape, dtype=complex)
-        ))
+        g_viol = np.broadcast_to(np.arange(nt + 1) * (tau / nt), g_shape)
+        columns.append(_flatten_data(np.zeros(f_shape), g_viol, np.zeros(h_shape)))
         halves = split.coords(np.column_stack(columns))
 
         norms, defects = [], np.zeros((len(eps_pair), trials + 1))
         for eps, defect in zip(eps_pair, defects):
-            grams0 = _data_gram(p, nt, s_star - eps)
-            grams1 = _data_gram(p, nt, s_star + eps)
+            grams0 = _data_gram(p, split, s_star - eps)
+            grams1 = _data_gram(p, split, s_star + eps)
             summands = [(interp.GramPair(gram0=g0, gram1=g1), frame, x)
                         for g0, g1, frame, x in zip(grams0, grams1, frames, halves)]
             norms.append(interp.half_interp_norm(summands, defect_out=defect))

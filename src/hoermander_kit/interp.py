@@ -367,13 +367,13 @@ def spectral_interp_norm(
     return float(np.sqrt(np.sum((psi(lam_safe) * np.abs(c)) ** 2)))
 
 
-# A G0-orthogonal defect below this share of ||u||_0^2 is rounding, and u a
-# member of the subspace.  The Lambda-synthesized trials of the jump study at
-# resolutions 32 and 64 carry defects of 1e-12 to 2.5e-11 of ||u||_0^2
-# (seeds 0, 5 and 301), so a floor of 1e-12 would count that noise as a
-# violation.  (At resolution 16 their defects are about 2e-5: the coarse
-# stencils of the constraint rows, not rounding; the jump study reports them
-# as ``defect_max``.)
+# A G0-orthogonal defect at or below this share of ||u||_0^2 is rounding, and u
+# a member of the subspace: it counts as 0, in the norm and in ``defect_out``.
+# The Lambda-synthesized trials of the jump study at resolutions 32 and 64
+# carry defects of 1e-12 to 2.5e-11 of ||u||_0^2 (seeds 0, 5 and 301), so a
+# floor of 1e-12 would count that noise as a violation.  (At resolution 16
+# their defects are about 2e-5: the coarse stencils of the constraint rows,
+# not rounding; the jump study reports them as ``defect_max``.)
 _DEFECT_FLOOR = 1e-10
 
 
@@ -400,7 +400,7 @@ def half_interp_norm(
     summed delta^2 with the summed ||u||_0^2: the value is that of the
     block-diagonal pencil under the block-diagonal constraints.
     ``defect_out``, when given, receives delta^2 / ||u||_0^2 of each column
-    before the noise floor.
+    as the norm used it: 0 at or below the noise floor.
     """
     parts = []
     for grams, frame, u in summands:
@@ -411,10 +411,10 @@ def half_interp_norm(
         parts.append((lam, np.abs(to_coords(x, g0x)) ** 2, norm0_sq))
     norm0_sq = sum(n for _, _, n in parts)
     delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(a, axis=0) for _, a, _ in parts))
+    delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
     if defect_out is not None:
         defect_out[...] = 0.0
         np.divide(delta_sq, norm0_sq, out=defect_out, where=norm0_sq > 0)
-    delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
     lam_max = max((float(np.max(lam)) for lam, _, _ in parts if lam.size), default=1.0)
     t0 = (1.0 / lam_max) if t_floor is None else t_floor
     core = sum((lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ a for lam, a, _ in parts)

@@ -314,6 +314,22 @@ def _config_kind(cfg, where: str, kinds: dict) -> str:
     return kind
 
 
+def _config_value(where: str, convert, value):
+    """``convert(value)``, or InvalidConfig naming ``where`` when the value does not convert."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, SyntaxError) as err:
+        raise InvalidConfig(f"{where}: cannot read {value!r} ({err})") from err
+
+
+def _config_table(cfg: dict, key: str, where: str) -> dict:
+    """The coefficient table ``cfg[key]``, or InvalidConfig unless it is an object."""
+    table = cfg[key]
+    if not isinstance(table, dict):
+        raise InvalidConfig(f"{where} must be an object of coefficients, got {type(table).__name__}")
+    return table
+
+
 def problem_from_config(cfg: dict) -> ParabolicProblem:
     """Build a problem from a JSON-style dict with expression-language coefficients.
 
@@ -322,39 +338,46 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
     "interval", "nx"}`` or ``{"kind": "strip", "nx", "ny"}`` with an optional
     ``period_y``; a boundary is ``{"kind": "dirichlet"}`` or ``{"kind":
     "first_order", "b"}``.  A key outside this schema raises
-    :class:`UnknownConfigKey`; a missing key or an unknown kind raises
-    :class:`InvalidConfig`.
+    :class:`UnknownConfigKey`; a missing key, an unknown kind, a value that
+    does not read as its number, multi-index or expression, or a coefficient
+    table that is not an object raises :class:`InvalidConfig` naming the key.
     """
     _check_keys(cfg, "config", ("geometry", "a"), ("tau", "boundary"))
     gcfg = cfg["geometry"]
     if _config_kind(gcfg, "geometry", _GEOMETRY_KINDS) == "interval":
-        geom: Geometry = IntervalGeometry(nx=int(gcfg["nx"]))
+        geom: Geometry = IntervalGeometry(nx=_config_value("geometry nx", int, gcfg["nx"]))
         variables: tuple[str, ...] = ("x", "t")
     else:
         geom = PeriodicStripGeometry(
-            nx=int(gcfg["nx"]), ny=int(gcfg["ny"]),
-            period_y=float(gcfg.get("period_y", 1.0)),
+            nx=_config_value("geometry nx", int, gcfg["nx"]),
+            ny=_config_value("geometry ny", int, gcfg["ny"]),
+            period_y=_config_value("geometry period_y", float, gcfg.get("period_y", 1.0)),
         )
         variables = ("x", "y", "t")
 
-    def parse_coeff(spec) -> Coefficient:
+    def parse_coeff(spec, where: str) -> Coefficient:
         if isinstance(spec, (int, float)):
             return Coefficient.const(spec)
-        return Coefficient(evaluator=compile_expr(str(spec), variables), label=str(spec))
+        return Coefficient(evaluator=_config_value(where, lambda src: compile_expr(src, variables),
+                                                   str(spec)), label=str(spec))
+
+    def multi_index(key) -> tuple[int, ...]:
+        return tuple(int(s) for s in str(key).split(","))
 
     a = {}
-    for key, spec in cfg["a"].items():
-        alpha = tuple(int(s) for s in str(key).split(","))
-        a[alpha] = parse_coeff(spec)
+    for key, spec in _config_table(cfg, "a", "a").items():
+        a[_config_value(f"a key {key!r}", multi_index, key)] = parse_coeff(spec, f"a[{key!r}]")
     bcfg = cfg.get("boundary", {"kind": "dirichlet"})
     if _config_kind(bcfg, "boundary", _BOUNDARY_KINDS) == "dirichlet":
         boundary: Dirichlet | FirstOrder = Dirichlet()
     else:
-        boundary = FirstOrder(
-            b={int(j): parse_coeff(spec) for j, spec in bcfg["b"].items()}
-        )
+        boundary = FirstOrder(b={
+            _config_value(f"boundary b key {j!r}", int, j): parse_coeff(spec, f"boundary b[{j!r}]")
+            for j, spec in _config_table(bcfg, "b", "boundary b").items()
+        })
     return ParabolicProblem(
-        geometry=geom, tau=float(cfg.get("tau", 1.0)), a_coeffs=a, boundary=boundary
+        geometry=geom, tau=_config_value("tau", float, cfg.get("tau", 1.0)), a_coeffs=a,
+        boundary=boundary,
     )
 
 

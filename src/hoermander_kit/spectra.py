@@ -16,8 +16,8 @@ indices.  Each block is factored by Cholesky, or, past a weight spread of
 weights share one factor.  Given a sequence of indices, the engine prepares
 the data (fiber gather, FFT, parity basis) once and solves each index
 against them.
-:func:`quotient_gram` returns K^-1 from the same blocks, in point coordinates
-or as its even and odd halves under the mask's mirror on one axis.
+:func:`quotient_gram` returns K^-1 in that basis, one inverted block each, and
+:func:`parity_coords` takes data there.
 :func:`quotient_norm_dense` is a dense oracle for small lattices, and
 :func:`quotient_norm` (preconditioned conjugate gradient, two DFTs per
 iteration) is the matrix-free cross-check.
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, MirrorAsymmetry, NoConvergence, NonFiniteData
+from .errors import DimensionMismatch, NoConvergence, NonFiniteData
 from .weights import RegularityIndex, _GridCache, weight_on_mesh
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "quotient_norm",
     "quotient_norm_batch",
     "quotient_gram",
+    "parity_coords",
     "quotient_norm_dense",
     "random_field",
     "save_field",
@@ -616,7 +617,7 @@ def _real_columns(data: np.ndarray) -> np.ndarray:
 
 
 def _parity_parts(plan: _ParityPlan, gathered: np.ndarray) -> list[np.ndarray]:
-    """Real data columns v in the parity basis of ``plan``, from ``v[plan.images]``.
+    """Data columns v in the parity basis of ``plan``, from ``v[plan.images]``.
 
     Block b at representative r takes 2^-k D_r sum_U chi_b(U) v[m_U r], the
     transpose of the K_b assembly.  One (column x block point) array per
@@ -707,57 +708,37 @@ def quotient_norm_batch(
     return out[0] if single else out
 
 
-def quotient_gram(
-    idx: RegularityIndex, mask: SubdomainMask, mirror_axis: int | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Dense Gram of the quotient norm, K^-1, real symmetric: whole or as its mirror halves.
+def quotient_gram(idx: RegularityIndex, mask: SubdomainMask) -> list[np.ndarray]:
+    """Dense Gram of the quotient norm in the parity basis: K_b^-1 per block, real symmetric.
 
-    For data d on the masked points, Re d^H G d equals
-    ``quotient_norm_batch(idx, [d], mask)[0] ** 2``.  K is assembled as in
-    the direct engine, over the whole mask (no fiber split), and inverted
-    block by block.  With H_W = sum_b chi_b(W) K_b^-1 (see
-    :class:`_ParityPlan`), G[m_U r, m_V s] = H_(U xor V)[r, s] / (D_r D_s)
-    for representatives r, s: G in point coordinates, mask order.
-    Given the j-th split axis of the plan, the call returns (G_even, G_odd),
-    the halves of G under the mask's mirror R on it, with rows the points p
-    with 2q <= 0 on it, mask order: an even coordinate is (e_p + e_Rp)/sqrt 2
-    off the mirror line and e_p on it, an odd one (e_p - e_Rp)/sqrt 2 off it
-    only.  Each is assembled as G is, over the patterns that reflect the
-    axis, from H^beta_W = 2 sum_(b: b_j = beta) chi_b(W) K_b^-1 and D_r
-    sqrt 2 larger on the line; the odd half then drops the line.  Any other
-    axis raises :class:`MirrorAsymmetry`.
+    K is assembled as in the direct engine, over the whole mask (no fiber
+    split); its blocks K_b (see :class:`_ParityPlan`) come back inverted, in
+    the order of the mask's plan.  For data d on the masked points, with c_b
+    the blocks of :func:`parity_coords`, sum_b Re c_b^H G_b c_b equals
+    ``quotient_norm_batch(idx, [d], mask)[0] ** 2``.
     """
     if idx.dimension != mask.lattice.k:
         raise DimensionMismatch("index dimension does not match the mask lattice")
     plan = _parity_plan(mask.mask)
-    low, patterns, dscale = np.ones(len(plan.pts), bool), range(len(plan.images)), plan.dscale
-    walsh = [plan.walsh]
-    if mirror_axis is not None:
-        if mirror_axis not in plan.split:
-            raise MirrorAsymmetry(f"the mask is not its own mirror image on axis {mirror_axis}")
-        j = plan.split.index(mirror_axis)
-        low, patterns = plan.twice_q[:, j] <= 0, np.flatnonzero(plan.parities[:, j])
-        walsh = [2.0 * plan.walsh * (plan.parities[:, j] == beta) for beta in (0, 1)]
-        # images[0] are the representatives
-        dscale = dscale * np.where(plan.twice_q[plan.images[0], j] == 0, np.sqrt(2.0), 1.0)
-    rows = (np.cumsum(low) - 1)[plan.images]  # each point's row among the low-side points
     mu = mask.lattice.weight(idx)
     plan.check_even(mu)
-    inverses = np.zeros(plan.gather.shape)
-    for inv, loc, K in zip(inverses, plan.locs, _kernel_blocks(mu, plan)):
-        inv[np.ix_(loc, loc)] = sla.inv(K)
-    grams = []
-    for w in walsh:
-        H = np.tensordot(w, inverses, axes=1) / np.outer(dscale, dscale)
-        G = np.empty((np.count_nonzero(low),) * 2)
-        for u in patterns:
-            for v in patterns:
-                G[np.ix_(rows[u], rows[v])] = H[u ^ v]
-        grams.append(G)
-    if mirror_axis is None:
-        return grams[0]
-    off_line = plan.twice_q[low, j] < 0
-    return grams[0], grams[1][np.ix_(off_line, off_line)]
+    return [sla.inv(K) for K in _kernel_blocks(mu, plan)]
+
+
+def parity_coords(mask: SubdomainMask, d: np.ndarray) -> list[np.ndarray]:
+    """Data on the masked points in the parity basis of the mask's plan, block by block.
+
+    ``d`` is a (npoints,) vector or a (npoints, batch) block in mask order,
+    real or complex.  Block b gets T_b d, T_b the rows of block b of the
+    orthonormal basis of reflection-symmetrized points: the transform of
+    :func:`_parity_parts`, which the direct engine applies to its data.
+    """
+    d = np.asarray(d)
+    if d.shape[0] != mask.npoints:
+        raise DimensionMismatch(f"got {d.shape[0]} points for a mask with {mask.npoints}")
+    plan = _parity_plan(mask.mask)
+    parts = _parity_parts(plan, d.reshape(len(d), -1)[plan.images])
+    return [part.T.reshape((-1,) + d.shape[1:]) for part in parts]
 
 
 def quotient_norm_dense(

@@ -495,27 +495,14 @@ def test_jump_study_matches_complex_svd_reference():
 def test_quotient_gram_is_real_symmetric():
     geom = pb.IntervalGeometry(nx=8)
     p = pb.heat_problem(geom)
-    for G in bench._data_gram(p, 8, 3.4):
+    for G in bench._data_gram(p, bench._MirrorSplit(p, 8), 3.4):
         assert G.dtype == np.float64
         assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
 
 
-def _unsplit_data_gram(p, nt, s):
-    """Reference: the block data Gram over the whole data space, G_g once per sheet."""
-    geom = p.geometry
-    idx_f, idx_g, idx_h = pb._component_indices(geom, s, p.order_l, params.constant())
-    G_f, G_g, G_h = (
-        spectra.quotient_gram(idx, mask) * pb._measure_factor(mask.lattice) ** 2
-        for idx, mask in ((idx_f, pb.omega_domain(geom, p.tau, nt)),
-                          (idx_g, pb.lateral_domain(geom, p.tau, nt)),
-                          (idx_h, pb.spatial_domain(geom)))
-    )
-    return sla.block_diag(G_f, G_g, G_g, G_h)
-
-
 def _jump_study_unsplit(s_star, eps_pair, resolutions, trials, seed, tau=1.0, band=2):
-    """Reference: the jump study on one pencil over the whole data space, no
-    mirror split: the full Gram, one frame of C, one summand."""
+    """Reference: the jump study on one pencil over the whole data space in point
+    coordinates, no mirror split: the complex Gram, one frame of C, one summand."""
     rows, violations = [], []
     for resolution in resolutions:
         nx = nt = resolution // 2
@@ -537,8 +524,8 @@ def _jump_study_unsplit(s_star, eps_pair, resolutions, trials, seed, tau=1.0, ba
         data = np.column_stack(columns)
         norms = []
         for eps in eps_pair:
-            grams = interp.GramPair(gram0=_unsplit_data_gram(p, nt, s_star - eps),
-                                    gram1=_unsplit_data_gram(p, nt, s_star + eps))
+            grams = interp.GramPair(gram0=_complex_data_gram(p, nt, s_star - eps),
+                                    gram1=_complex_data_gram(p, nt, s_star + eps))
             norms.append(interp.half_interp_norm([(grams, frame, data)]))
         ratios = norms[0][:trials] / norms[1][:trials]
         rows.append({"envelope": max(np.max(ratios), 1.0 / np.min(ratios)),
@@ -561,14 +548,29 @@ def test_jump_study_split_matches_the_unsplit_pencil(seed):
 
 def test_mirror_split_coordinates_are_orthonormal():
     geom = pb.IntervalGeometry(nx=8)
-    split = bench._MirrorSplit(geom, 8)
+    split = bench._MirrorSplit(pb.heat_problem(geom), 8)
     dim = len(split.mirror)
-    T = np.vstack(split.coords(np.eye(dim)))
+    even, odd = split.coords(np.eye(dim))
+    T = np.vstack([even, odd])
     assert T.shape == (dim, dim)
     assert np.max(np.abs(T @ T.T - np.eye(dim))) <= 1e-15
     assert np.array_equal(split.mirror[split.mirror], np.arange(dim))
     # one fixed point each on f's and h's x midpoint per time level, none on g
-    assert len(split.even) - len(split.odd) == (8 + 1) + 1
+    assert len(even) - len(odd) == (8 + 1) + 1
+    # R fixes the even coordinates and negates the odd ones
+    assert np.array_equal(even[:, split.mirror], even)
+    assert np.array_equal(odd[:, split.mirror], -odd)
+
+
+def test_mirror_split_rejects_a_data_mask_without_an_x_mirror(monkeypatch):
+    geom = pb.IntervalGeometry(nx=8)
+    spatial = pb.spatial_domain(geom)
+    cut = spatial.mask.copy()
+    cut[np.flatnonzero(cut)[1]] = False  # drop the point x = 1/8, keep x = 7/8
+    monkeypatch.setattr(pb, "spatial_domain",
+                        lambda geom: spectra.SubdomainMask(spatial.lattice, cut))
+    with pytest.raises(MirrorAsymmetry, match="in x"):
+        bench._MirrorSplit(pb.heat_problem(geom), 8)
 
 
 def test_jump_study_rejects_constraints_that_break_the_mirror(monkeypatch):
@@ -592,7 +594,7 @@ def test_jump_study_reports_the_resolution_16_membership_defect(monkeypatch):
                            trials=30, seed=5)
     defect = {row["resolution"]: row["defect_max"] for row in rep.rows}
     assert defect[16] >= 1e-6  # the coarse constraint stencils: trials miss ker C
-    assert defect[32] <= 1e-10 and defect[64] <= 1e-10
+    assert defect[32] == 0.0 and defect[64] == 0.0  # rounding: at or below the noise floor
     assert len(calls) == 3 * 2 * 2  # resolutions x eps x parity halves: no second pass
 
 
@@ -630,16 +632,13 @@ def test_quotient_gram_inverts_parity_blocks_only(resolution, monkeypatch):
         assert len(received) == 2 ** mask.lattice.k
         assert sum(n for n, _ in received) == mask.npoints
         assert max(n for n, _ in received) < mask.npoints
-        # the mirror halves invert the same blocks, each once
-        received.clear()
-        spectra.quotient_gram(idx, mask, mirror_axis=0)
-        assert received == [(len(c), len(c)) for c in plan.columns]
 
 
 @pytest.mark.parametrize("resolution", [16, 32])
 def test_quotient_gram_matches_quotient_norms(resolution):
-    # the jump study's Gram and the norm engine share one assembly of K:
-    # Re d^H K^-1 d is the squared quotient norm on each jump-study mask
+    # the jump study's Gram and the norm engine share one assembly of K: in the
+    # parity basis, sum_b Re c_b^H K_b^-1 c_b is the squared quotient norm on
+    # each jump-study mask
     geom = pb.IntervalGeometry(nx=resolution // 2)
     nt = resolution // 2
     masks = (pb.omega_domain(geom, 1.0, nt), pb.lateral_domain(geom, 1.0, nt),
@@ -649,62 +648,9 @@ def test_quotient_gram_matches_quotient_norms(resolution):
         for idx, mask in zip(pb._component_indices(geom, s, 0, params.constant()), masks):
             datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
                      for _ in range(3)]
-            G = spectra.quotient_gram(idx, mask)
+            grams = spectra.quotient_gram(idx, mask)
             norms = spectra.quotient_norm_batch(idx, datas, mask)
             for d, val in zip(datas, norms):
-                assert np.real(np.conj(d) @ G @ d) == pytest.approx(val**2, rel=1e-10)
-
-
-def _gathered_halves(G, mask, axis):
-    """Reference: the even and odd halves of a point-coordinate Gram G under the
-    mask's mirror on ``axis``, gathered from G (rows: the low-side points)."""
-    pts = np.argwhere(mask.mask)
-    order = np.full(mask.mask.shape, -1)
-    order[mask.mask] = np.arange(len(pts))
-    image = pts.copy()
-    image[:, axis] = pts[:, axis].min() + pts[:, axis].max() - pts[:, axis]
-    mirror = order[tuple(image.T)]
-    a = np.flatnonzero(np.arange(len(pts)) <= mirror)
-    b = mirror[a]
-    scale = np.where(a == b, math.sqrt(0.5), 1.0)
-    g_aa, g_ab = G[np.ix_(a, a)], G[np.ix_(a, b)]
-    pairs = np.flatnonzero(a != b)
-    return np.outer(scale, scale) * (g_aa + g_ab), (g_aa - g_ab)[np.ix_(pairs, pairs)]
-
-
-@pytest.mark.parametrize("resolution", [16, 32, 64])
-def test_quotient_gram_halves_match_the_gathered_halves(resolution):
-    geom = pb.IntervalGeometry(nx=resolution // 2)
-    nt = resolution // 2
-    masks = (pb.omega_domain(geom, 1.0, nt), pb.spatial_domain(geom))
-    for s in (3.5 - 0.2, 3.5 - 0.1, 3.5 + 0.1, 3.5 + 0.2):  # s* +- eps of the study
-        idx_f, _, idx_h = pb._component_indices(geom, s, 0, params.constant())
-        for idx, mask in zip((idx_f, idx_h), masks):
-            halves = spectra.quotient_gram(idx, mask, mirror_axis=0)
-            refs = _gathered_halves(spectra.quotient_gram(idx, mask), mask, 0)
-            for half, ref in zip(halves, refs, strict=True):
-                assert half.shape == ref.shape
-                assert np.max(np.abs(half - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_quotient_gram_halves_reject_an_axis_without_a_mirror():
-    geom = pb.IntervalGeometry(nx=8)
-    idx = pb._component_indices(geom, 3.4, 0, params.constant())[0]
-    omega = pb.omega_domain(geom, 1.0, 8)
-    # the cylinder without its two corners at t = 0: still mirror symmetric in x, not in t
-    pts = np.argwhere(omega.mask)
-    cut = omega.mask.copy()
-    for x in (pts[:, 0].min(), pts[:, 0].max()):
-        cut[x, pts[:, 1].min()] = False
-    cut = spectra.SubdomainMask(omega.lattice, cut)
-    halves = spectra.quotient_gram(idx, cut, mirror_axis=0)
-    refs = _gathered_halves(spectra.quotient_gram(idx, cut), cut, 0)
-    for half, ref in zip(halves, refs, strict=True):
-        assert np.max(np.abs(half - ref)) <= 1e-14 * np.max(np.abs(ref))
-    with pytest.raises(MirrorAsymmetry, match="axis 1"):
-        spectra.quotient_gram(idx, cut, mirror_axis=1)
-    rng = np.random.default_rng(3)
-    scattered = spectra.SubdomainMask(omega.lattice, rng.uniform(size=omega.lattice.sizes) < 0.3)
-    for axis in (0, 1):
-        with pytest.raises(MirrorAsymmetry, match=f"axis {axis}"):
-            spectra.quotient_gram(idx, scattered, mirror_axis=axis)
+                coords = spectra.parity_coords(mask, d)
+                value = sum(np.real(np.conj(c) @ G @ c) for c, G in zip(coords, grams, strict=True))
+                assert value == pytest.approx(val**2, rel=1e-10)

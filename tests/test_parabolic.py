@@ -727,8 +727,19 @@ def test_config_rejects_unknown_keys(cfg, unknown):
     (_config(geometry={"kind": "disc", "nx": 16}), "geometry kind 'disc'"),
     (_config(geometry={"kind": "strip", "nx": 16}), r"missing keys \['ny'\]"),
     ({"geometry": {"kind": "interval", "nx": 16}}, r"missing keys \['a'\]"),
+    (_config(a={"x": "1"}), "a key 'x'"),
+    (_config(boundary={"kind": "first_order", "b": {"z": 1.0}}), "boundary b key 'z'"),
+    (_config(a=["1"]), "a must be an object"),
+    (_config(boundary={"kind": "first_order", "b": [1.0]}), "boundary b must be an object"),
+    (_config(a={"2": "foo("}), r"a\['2'\]"),
+    (_config(a={"2": "x +* 1"}), r"a\['2'\]"),
+    (_config(boundary={"kind": "first_order", "b": {"0": "x +* 1"}}), r"boundary b\['0'\]"),
+    (_config(geometry={"kind": "interval", "nx": "abc"}), "geometry nx"),
+    (_config(geometry={"kind": "strip", "nx": 16, "ny": "four"}), "geometry ny"),
+    (_config(tau="one"), "tau"),
 ], ids=["boundary-kind", "first-order-without-b", "no-kind", "geometry-kind", "strip-without-ny",
-        "no-a"])
+        "no-a", "a-key", "b-key", "a-list", "b-list", "a-unclosed-call", "a-bad-operator",
+        "b-bad-operator", "nx-not-a-number", "ny-not-a-number", "tau-not-a-number"])
 def test_config_rejects_unknown_kinds_and_missing_keys(cfg, message):
     with pytest.raises(InvalidConfig, match=message) as err:
         pb.problem_from_config(cfg)

@@ -473,6 +473,64 @@ def test_quotient_norm_batch_of_no_data_is_empty():
     assert out.shape == (0,) and out.dtype == np.float64
 
 
+def _strip_sub_mask():
+    """The strip's Omega mask without its full y axis: the mask of each of its fibers."""
+    mask = pb.omega_domain(pb.PeriodicStripGeometry(nx=8, ny=4), 1.0, 8)
+    assert spectra._full_axes(mask.mask) == [1]
+    lat = mask.lattice
+    return spectra.SubdomainMask(spectra.Lattice(sizes=(lat.sizes[0], lat.sizes[2]),
+                                                 periods=(lat.periods[0], lat.periods[2])),
+                                 np.ascontiguousarray(mask.mask[:, 0]))
+
+
+def _random_mask():
+    lat = spectra.Lattice(sizes=(16, 16), periods=(2.0, 2.0))
+    return spectra.SubdomainMask(lat, np.random.default_rng(5).random((16, 16)) < 0.3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8),
+     lambda: pb.lateral_domain(pb.IntervalGeometry(nx=8), 1.0, 8),
+     lambda: pb.spatial_domain(pb.IntervalGeometry(nx=8)),
+     _strip_sub_mask, _random_mask],
+    ids=["interval-omega", "interval-lateral", "interval-spatial", "strip-sub-mask", "random"],
+)
+def test_parity_coords_are_orthonormal(make):
+    mask = make()
+    n = mask.npoints
+    T = np.vstack(spectra.parity_coords(mask, np.eye(n)))
+    assert T.shape == (n, n)
+    assert np.max(np.abs(T.T @ T - np.eye(n))) <= 1e-15
+    # a vector takes the coordinates of a one-column block, shaped as a vector
+    d = np.random.default_rng(4).standard_normal(n) + 1j
+    for c, block in zip(spectra.parity_coords(mask, d), spectra.parity_coords(mask, d[:, None])):
+        assert c.shape == block.shape[:1] and np.array_equal(c, block[:, 0])
+    with pytest.raises(DimensionMismatch):
+        spectra.parity_coords(mask, d[1:])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_random_mask,
+     lambda: spectra.SubdomainMask(spectra.Lattice(sizes=(32, 32), periods=(2.0, 2.0)),
+                                   _mirrored_in_x_only())],
+    ids=["random", "mirrored-in-x-only"],
+)
+def test_parity_coords_and_quotient_gram_give_the_dense_quotient_norm(make):
+    # mild weights; sum_b Re c_b^H K_b^-1 c_b is the squared quotient norm
+    mask = make()
+    idx = weights.parabolic_split(1.0, params.log_power(1.0), dimension=2)
+    grams = spectra.quotient_gram(idx, mask)
+    assert len(grams) == len(spectra._parity_plan(mask.mask).columns)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
+        coords = spectra.parity_coords(mask, d)
+        value = sum(np.real(np.conj(c) @ G @ c) for c, G in zip(coords, grams, strict=True))
+        assert np.sqrt(value) == pytest.approx(spectra.quotient_norm_dense(idx, d, mask), rel=1e-9)
+
+
 def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):
     # sla.qr(overwrite_a=True) factors in place only what LAPACK can take as
     # it is; a C-ordered matrix would be copied first.  The 17 x 17 box splits
