@@ -28,7 +28,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import interp, parabolic as pb, spectra
-from ._fd import one_sided_weights
 from .errors import MirrorAsymmetry
 from .params import FunctionParam, constant
 from .solver import HeatData, SolveResult, solve_heat_interval
@@ -156,12 +155,9 @@ def apply_lambda(
     if p.order_l == 0:
         g = pb.boundary_values(geom, u_grid)
     else:
-        bu = np.zeros_like(u_grid)
-        for j in range(1, n + 1):
-            alpha = tuple(1 if i == j - 1 else 0 for i in range(n))
-            dj = trial.on_cylinder(geom, nt, alpha + (0,))
-            bu = bu + np.asarray(p.boundary.coeff(j).evaluator(*mesh), dtype=complex) * dj
-        bu = bu + np.asarray(p.boundary.coeff(0).evaluator(*mesh), dtype=complex) * u_grid
+        bu = sum(np.asarray(b.evaluator(*mesh), dtype=complex)
+                 * (trial.on_cylinder(geom, nt, alpha + (0,)) if any(alpha) else u_grid)
+                 for alpha, b in p.boundary.terms(n).items())
         g = pb.boundary_values(geom, bu)
     return f, g, h
 
@@ -492,52 +488,34 @@ class _MirrorSplit:
 
 
 def _constraint_matrix(
-    p: pb.ParabolicProblem, nt: int, k_list: list[int], acc_t: int = 8,
-    acc_x: int = 8,
+    p: pb.ParabolicProblem, nt: int, count: int, acc_t: int = 8, acc_x: int = 8,
 ) -> np.ndarray:
-    """Rows of the compatibility functionals (per condition k, per sheet).
+    """Rows of the first ``count`` compatibility functionals (per condition k, per sheet).
 
-    Column j is the Dirichlet residual dt^k g(., 0) - v_k on the boundary of
-    the j-th coordinate impulse of the flattened (f, g, h) data.  An f or h
-    impulse has zero g, so its column is -v_k on the boundary; all of them
-    come from one batched :func:`parabolic.compute_v` call.  A g impulse has
-    zero f and h, so compute_v contributes nothing and its column holds the
-    one-sided trace weight of its time level.  Columns that are exactly zero,
-    and therefore never computed: f impulses at time level
-    (max(k_list) - 1) + acc_t or later, which no trace stencil of compute_v
-    reads, and g impulses at time levels beyond the trace stencil of k.
+    Column j is lhs - rhs, dt^k g(., 0) minus the boundary target, of the
+    j-th coordinate impulse of the flattened (f, g, h) data: 0 minus its
+    :func:`parabolic.compatibility_mismatch`, from one batched call, so zeros
+    are unsigned.  Columns that are exactly zero are never computed: f and g
+    impulses at time level (count - 2) + acc_t, resp. (count - 1) + acc_t,
+    or later, which no trace stencil reads.
     """
-    geom = p.geometry
-    f_shape, g_shape, h_shape = _data_shapes(geom, nt)
-    nf, ng, nh = (int(np.prod(shape)) for shape in (f_shape, g_shape, h_shape))
-    dim = nf + ng + nh
-    if not k_list:
-        return np.zeros((0, dim), dtype=complex)
-    k_max = max(k_list)
-    n_sheet = ng // (nt + 1)  # boundary points over both sheets
-    C = np.zeros((len(k_list) * n_sheet, dim), dtype=complex)
-
-    # f impulses at the time levels the traces read, then every h impulse
-    levels = min((k_max - 1) + acc_t, nt + 1)
-    f_cols = np.arange(nf).reshape(f_shape)[..., :levels].reshape(-1)
-    batch = len(f_cols) + nh
-    F = np.zeros((batch, nf), dtype=complex)
-    F[np.arange(len(f_cols)), f_cols] = 1.0
-    H = np.zeros((batch, nh), dtype=complex)
-    H[len(f_cols) + np.arange(nh), np.arange(nh)] = 1.0
-    v = pb.compute_v(
-        p, F.reshape((batch,) + f_shape), H.reshape((batch,) + h_shape), k_max,
-        acc_t=acc_t, acc_x=acc_x,
-    )
-    fh_cols = np.concatenate([f_cols, nf + ng + np.arange(nh)])
-    sheets = np.arange(n_sheet)
-    for i, k in enumerate(k_list):
-        rows = slice(i * n_sheet, (i + 1) * n_sheet)
-        rhs = np.stack([v[k][:, 0], v[k][:, -1]], axis=1).reshape(batch, n_sheet)
-        C[rows, fh_cols] = 0.0 - rhs.T  # lhs - rhs with lhs = 0; zeros stay unsigned
-        w = one_sided_weights(k, acc_t, p.tau / nt, nt + 1)
-        g_cols = nf + sheets[:, None] * (nt + 1) + np.arange(len(w))[None, :]
-        C[i * n_sheet + sheets[:, None], g_cols] = w + 0.0  # unsigned zeros, as in lhs - rhs
+    shapes = _data_shapes(p.geometry, nt)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    C = np.zeros((count * sizes[1] // (nt + 1), sum(sizes)), dtype=complex)
+    if count == 0:
+        return C
+    levels = (count - 2 + acc_t, count - 1 + acc_t, None)
+    cols = [np.arange(size).reshape(shape)[..., :level].reshape(-1)
+            for size, shape, level in zip(sizes, shapes, levels)]
+    batch, first = sum(map(len, cols)), np.cumsum([0] + [len(c) for c in cols])
+    impulses = []
+    for c, i, size, shape in zip(cols, first, sizes, shapes):
+        part = np.zeros((batch, size), dtype=complex)
+        part[i + np.arange(len(c)), c] = 1.0
+        impulses.append(part.reshape((batch,) + shape))
+    _, mismatches = pb.compatibility_mismatch(p, *impulses, count, acc_t, acc_x)
+    columns = np.concatenate([c + offset for c, offset in zip(cols, np.cumsum([0] + sizes[:2]))])
+    C[:, columns] = 0.0 - np.stack(mismatches, axis=1).reshape(batch, -1).T
     return C
 
 
@@ -618,7 +596,7 @@ def jump_study(
         p = pb.heat_problem(geom, tau=tau)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4  # small grids degrade gracefully
         split = _MirrorSplit(p, nt)
-        C_above = _constraint_matrix(p, nt, list(range(r_above)), acc_x=acc_x)
+        C_above = _constraint_matrix(p, nt, r_above, acc_x=acc_x)
         frames = [interp.kernel_frame(C, C.shape[1]) for C in split.constraints(C_above)]
 
         # the trials, then the violating datum, fixed across resolutions: zero

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def _cmd_interp_check(args) -> int:
             rep = interp.verify_prop_interpolation(
                 0.0, 1.0, 2.0, 0.0, phi, lat, trials=args.trials, seed=args.seed
             )
-            rows.append(json.loads(rep.to_json()))
+            rows.append(asdict(rep))
             ok = ok and rep.max_deviation <= 1e-10
         pair = interp.AdmissiblePair(
             idx0=parabolic_split(0.0, dimension=2),
@@ -78,7 +79,7 @@ def _cmd_interp_check(args) -> int:
         psi = params.InterpParam(evaluator=np.sqrt)
         rep = interp.verify_reiteration(alpha, beta, psi, pair,
                                         trials=args.trials, seed=args.seed)
-        rows.append(json.loads(rep.to_json()))
+        rows.append(asdict(rep))
         ok = ok and rep.max_deviation <= 1e-12
     _emit(args, {"reports": rows, "passed": ok}, "interp-check")
     return 0 if ok else 1

@@ -22,7 +22,6 @@ commutes with orthogonal sums, the identity ``verify_orthogonal_sum`` checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,18 +91,6 @@ class VerificationReport:
     max_deviation: float
     seed: int
     notes: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "proposition": self.proposition,
-                "parameters": self.parameters,
-                "trials": self.trials,
-                "max_deviation": self.max_deviation,
-                "seed": self.seed,
-                "notes": self.notes,
-            }
-        )
 
 
 def verify_prop_interpolation(

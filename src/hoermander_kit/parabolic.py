@@ -74,9 +74,10 @@ __all__ = [
 
 # -- geometries -----------------------------------------------------------------
 
-def _require_pow2(n: int, name: str) -> None:
+def _require_pow2(n: int, name: str) -> int:
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"{name} must be a power of two >= 2, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,19 @@ class FirstOrder:
     def coeff(self, j: int) -> Coefficient:
         return _as_coefficient(self.b.get(j, 0.0))
 
+    def terms(self, n: int) -> dict:
+        """B as {alpha: coefficient}: b_j on D_j, the multi-index e_j, then b_0 on the identity."""
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        return {**{units[j - 1]: self.coeff(j) for j in range(1, n + 1)}, (0,) * n: self.coeff(0)}
+
+
+def _multi_index(alpha, n: int) -> tuple[int, ...]:
+    """``alpha`` as a tuple, or ValueError unless it is a multi-index of order <= 2 in n dimensions."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != n or any(a < 0 for a in alpha) or sum(alpha) > 2:
+        raise ValueError(f"bad multi-index {alpha} for spatial dimension {n}")
+    return alpha
+
 
 @dataclass(frozen=True)
 class ParabolicProblem:
@@ -238,13 +252,7 @@ class ParabolicProblem:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        n = self.geometry.spatial_dim
-        norm_a = {}
-        for alpha, c in self.a_coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha) or sum(alpha) > 2:
-                raise ValueError(f"bad multi-index {alpha} for spatial dimension {n}")
-            norm_a[alpha] = _as_coefficient(c)
+        norm_a = {_multi_index(alpha, self.n): _as_coefficient(c) for alpha, c in self.a_coeffs.items()}
         object.__setattr__(self, "a_coeffs", norm_a)
 
     @property
@@ -319,7 +327,21 @@ def _config_value(where: str, convert, value):
     try:
         return convert(value)
     except (TypeError, ValueError, SyntaxError) as err:
-        raise InvalidConfig(f"{where}: cannot read {value!r} ({err})") from err
+        raise InvalidConfig(f"{where}: bad value {value!r} ({err})") from err
+
+
+def _pow2(value) -> int:
+    """``value`` as an integer power of two >= 2; 16.5 does not read as 16."""
+    if int(value) != float(value):
+        raise ValueError("not an integer")
+    return _require_pow2(int(value), "the value")
+
+
+def _positive(value) -> float:
+    """``value`` as a positive finite float; nan and inf are not."""
+    if not 0.0 < float(value) < math.inf:
+        raise ValueError("not a positive finite number")
+    return float(value)
 
 
 def _config_table(cfg: dict, key: str, where: str) -> dict:
@@ -338,22 +360,23 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
     "interval", "nx"}`` or ``{"kind": "strip", "nx", "ny"}`` with an optional
     ``period_y``; a boundary is ``{"kind": "dirichlet"}`` or ``{"kind":
     "first_order", "b"}``.  A key outside this schema raises
-    :class:`UnknownConfigKey`; a missing key, an unknown kind, a value that
-    does not read as its number, multi-index or expression, or a coefficient
-    table that is not an object raises :class:`InvalidConfig` naming the key.
+    :class:`UnknownConfigKey`; a missing key, an unknown kind, a value its key
+    does not admit, or a coefficient table that is not an object raises
+    :class:`InvalidConfig` naming the key.
     """
     _check_keys(cfg, "config", ("geometry", "a"), ("tau", "boundary"))
     gcfg = cfg["geometry"]
     if _config_kind(gcfg, "geometry", _GEOMETRY_KINDS) == "interval":
-        geom: Geometry = IntervalGeometry(nx=_config_value("geometry nx", int, gcfg["nx"]))
+        geom: Geometry = IntervalGeometry(nx=_config_value("geometry nx", _pow2, gcfg["nx"]))
         variables: tuple[str, ...] = ("x", "t")
     else:
         geom = PeriodicStripGeometry(
-            nx=_config_value("geometry nx", int, gcfg["nx"]),
-            ny=_config_value("geometry ny", int, gcfg["ny"]),
-            period_y=_config_value("geometry period_y", float, gcfg.get("period_y", 1.0)),
+            nx=_config_value("geometry nx", _pow2, gcfg["nx"]),
+            ny=_config_value("geometry ny", _pow2, gcfg["ny"]),
+            period_y=_config_value("geometry period_y", _positive, gcfg.get("period_y", 1.0)),
         )
         variables = ("x", "y", "t")
+    n = geom.spatial_dim
 
     def parse_coeff(spec, where: str) -> Coefficient:
         if isinstance(spec, (int, float)):
@@ -361,22 +384,22 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
         return Coefficient(evaluator=_config_value(where, lambda src: compile_expr(src, variables),
                                                    str(spec)), label=str(spec))
 
-    def multi_index(key) -> tuple[int, ...]:
-        return tuple(int(s) for s in str(key).split(","))
-
     a = {}
     for key, spec in _config_table(cfg, "a", "a").items():
-        a[_config_value(f"a key {key!r}", multi_index, key)] = parse_coeff(spec, f"a[{key!r}]")
+        alpha = _config_value(f"a key {key!r}", lambda k: _multi_index(str(k).split(","), n), key)
+        a[alpha] = parse_coeff(spec, f"a[{key!r}]")
     bcfg = cfg.get("boundary", {"kind": "dirichlet"})
     if _config_kind(bcfg, "boundary", _BOUNDARY_KINDS) == "dirichlet":
         boundary: Dirichlet | FirstOrder = Dirichlet()
     else:
         boundary = FirstOrder(b={
-            _config_value(f"boundary b key {j!r}", int, j): parse_coeff(spec, f"boundary b[{j!r}]")
+            # b_1..b_n act on D_1..D_n and b_0 on the identity
+            _config_value(f"boundary b key {j!r}", lambda j: range(n + 1).index(int(j)), j):
+            parse_coeff(spec, f"boundary b[{j!r}]")
             for j, spec in _config_table(bcfg, "b", "boundary b").items()
         })
     return ParabolicProblem(
-        geometry=geom, tau=_config_value("tau", float, cfg.get("tau", 1.0)), a_coeffs=a,
+        geometry=geom, tau=_config_value("tau", _positive, cfg.get("tau", 1.0)), a_coeffs=a,
         boundary=boundary,
     )
 
@@ -408,9 +431,9 @@ def apply_D_alpha(
     return (np.clongdouble(1j) ** sum(alpha)) * out if out.dtype == np.clongdouble else (1j ** sum(alpha)) * out
 
 
-def boundary_values(geom: Geometry, f: np.ndarray) -> np.ndarray:
-    """Restrict a closed-grid spatial field to the boundary sheets (x=0, x=1)."""
-    return np.stack([f[0], f[-1]])
+def boundary_values(geom: Geometry, f: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Restrict a closed-grid field to the boundary sheets (x=0, x=1) along its x axis ``axis``."""
+    return np.stack([np.take(f, 0, axis), np.take(f, -1, axis)], axis=axis)
 
 
 # -- parabolicity and covering checks ----------------------------------------------
@@ -630,9 +653,7 @@ def compute_v(
     geom = p.geometry
     f = np.asarray(f)
     h = np.asarray(h)
-    extended = f.dtype in (np.longdouble, np.clongdouble) or h.dtype in (
-        np.longdouble, np.clongdouble
-    )
+    extended = any(x.dtype in (np.longdouble, np.clongdouble) for x in (f, h))
     work = np.clongdouble if extended else complex
     f = f.astype(work)
     h = h.astype(work)
@@ -648,25 +669,23 @@ def compute_v(
         raise InsufficientSmoothness(
             f"time grid with {nt + 1} levels cannot produce {k_max - 1} trace derivatives"
         )
-    f_traces = [
-        trace_deriv_at_zero(f, f.ndim - 1, dt, q, acc_t) for q in range(max(k_max, 1))
-    ]
-    a_derivs: dict = {}
-    for alpha, coeff in p.a_coeffs.items():
-        a_derivs[alpha] = [
-            coeff.dt_on_G(geom, q, p.tau) for q in range(max(k_max, 1))
-        ]
+    f_traces = [trace_deriv_at_zero(f, f.ndim - 1, dt, q, acc_t) for q in range(max(k_max, 1))]
+    a_derivs = {alpha: [coeff.dt_on_G(geom, q, p.tau) for q in range(max(k_max, 1))]
+                for alpha, coeff in p.a_coeffs.items()}
     v = [h]
     dv: list[dict] = []  # dv[q][alpha] = D^alpha v_q, built once and reused for every k > q
     for k in range(1, k_max + 1):
         dv.append({alpha: apply_D_alpha(geom, v[k - 1], alpha, acc_x) for alpha in p.a_coeffs})
-        acc = np.zeros(h.shape, dtype=work)
-        for alpha in p.a_coeffs:
-            for q in range(k):
-                w = math.comb(k - 1, q)
-                acc += w * a_derivs[alpha][k - 1 - q] * dv[q][alpha]
-        v.append(-acc + f_traces[k - 1])
+        v.append(-_leibniz_sum(k - 1, a_derivs, dv) + f_traces[k - 1])
     return v
+
+
+def _leibniz_sum(n: int, c_derivs: dict, dv: Sequence[dict]) -> np.ndarray:
+    """dt^n (sum_alpha c_alpha D^alpha u)(., 0) by the Leibniz rule: the sum over alpha, then
+    q <= n, of C(n, q) c_derivs[alpha][n-q] dv[q][alpha], with dt^m c_alpha(., 0) in
+    ``c_derivs[alpha][m]`` and D^alpha v_q = D^alpha dt^q u(., 0) in ``dv[q][alpha]``."""
+    return sum(math.comb(n, q) * derivs[n - q] * dv[q][alpha]
+               for alpha, derivs in c_derivs.items() for q in range(n + 1))
 
 
 def apply_boundary_recurrence(
@@ -676,26 +695,19 @@ def apply_boundary_recurrence(
 
     B_k = sum_{q<=k} C(k,q) [ sum_j (dt^(k-q) b_j)(.,0) D_j v_q
                               + (dt^(k-q) b_0)(.,0) v_q ], restricted to the
-    boundary; the x-normal component flips sign between the two sheets only
-    through nu entering D_1 values, which are taken as one-sided traces.
+    boundary: compute_v's Leibniz sum, b_j on D_j and b_0 on the identity.
+    The x-normal component flips sign between the two sheets only through nu
+    entering D_1 values, which are taken as one-sided traces.  The v_q may
+    share leading batch axes, which the result keeps.
     """
     if not isinstance(p.boundary, FirstOrder):
         raise NotFirstOrder("B_k requires a first-order boundary operator")
-    geom = p.geometry
-    n = p.n
-    out = None
-    for q in range(k + 1):
-        c = math.comb(k, q)
-        term = np.zeros((2,) + geom.g_shape()[1:], dtype=complex)
-        for j in range(1, n + 1):
-            bj = p.boundary.coeff(j).dt_on_G(geom, k - q, p.tau)
-            alpha = tuple(1 if i == j - 1 else 0 for i in range(n))
-            dv = apply_D_alpha(geom, v[q], alpha, acc_x)
-            term += boundary_values(geom, bj) * boundary_values(geom, dv)
-        b0 = p.boundary.coeff(0).dt_on_G(geom, k - q, p.tau)
-        term += boundary_values(geom, b0) * boundary_values(geom, v[q])
-        out = term * c if out is None else out + c * term
-    return out
+    geom, terms = p.geometry, p.boundary.terms(p.n)
+    b_derivs = {alpha: [boundary_values(geom, b.dt_on_G(geom, m, p.tau)) for m in range(k + 1)]
+                for alpha, b in terms.items()}
+    dv = [{alpha: boundary_values(geom, apply_D_alpha(geom, v[q], alpha, acc_x) if any(alpha)
+                                  else v[q], axis=-p.n) for alpha in terms} for q in range(k + 1)]
+    return _leibniz_sum(k, b_derivs, dv)
 
 
 # -- compatibility residuals -----------------------------------------------------------
@@ -766,14 +778,16 @@ def compatibility_mismatch(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """v_0..v_(count-1) (v_0 at least) and the first ``count`` compatibility mismatches.
 
-    Mismatch k, complex on the two boundary sheets, is the boundary target
-    minus the one-sided time trace dt^k g(., 0) of order ``acc_t``: the target
-    is v_k on the boundary for the Dirichlet problem and B_k[v_0..v_k] for a
-    first-order boundary operator.
+    The package's one definition of the compatibility conditions.  Mismatch
+    k, complex on the two boundary sheets, is the boundary target minus the
+    one-sided time trace dt^k g(., 0) of order ``acc_t``: the target is v_k
+    on the boundary for the Dirichlet problem and B_k[v_0..v_k] for a
+    first-order boundary operator.  f, g and h may share leading batch axes,
+    which each mismatch keeps; each item equals the unbatched call's.
     """
     geom = p.geometry
     g = np.asarray(g, dtype=complex)
-    expected_g = (2,) + geom.g_shape()[1:]
+    expected_g = np.shape(h)[: max(np.ndim(h) - p.n, 0)] + (2,) + geom.g_shape()[1:]
     if g.shape[:-1] != expected_g:
         raise DimensionMismatch(f"g must have shape {expected_g} x (nt+1)")
     dt_g = p.tau / (g.shape[-1] - 1)
@@ -781,12 +795,18 @@ def compatibility_mismatch(
     mismatches = []
     for k in range(count):
         if p.order_l == 0:
-            target = boundary_values(geom, v[k])
+            target = boundary_values(geom, v[k], axis=-p.n)
         else:
             target = apply_boundary_recurrence(p, v, k, acc_x)
         trace = trace_deriv_at_zero(g, g.ndim - 1, dt_g, k, acc_t)
         mismatches.append(np.asarray(target - trace, dtype=complex))
     return v, mismatches
+
+
+def _one_datum(p: ParabolicProblem, h) -> None:
+    """DimensionMismatch unless h is one initial state, with no batch axes."""
+    if np.shape(h) != p.geometry.g_shape():
+        raise DimensionMismatch(f"h must be one datum of shape {p.geometry.g_shape()}")
 
 
 def check_compatibility(
@@ -806,8 +826,9 @@ def check_compatibility(
     B_k[v_0..v_k] (see :func:`compatibility_mismatch`).  Residual k is
     measured in the boundary norm of order s - 3/2 - 2k (respectively
     s - 5/2 - 2k) with trivial weight factor.  At a jump point both adjacent
-    counts are evaluated and flagged.
+    counts are evaluated and flagged.  It takes one datum, not a batch.
     """
+    _one_datum(p, h)
     l = p.order_l
     if s <= 2:
         raise ValueError("compatibility checks require s > 2")

@@ -451,9 +451,11 @@ def lemma2_projector(
     conditions; data that already satisfies them is fixed.  Idempotent up to
     the trace-extraction accuracy.  The mismatches are those of
     :func:`parabolic.compatibility_mismatch`, which checks the shape of g.
+    It takes one datum, not a batch.
     """
     beta = beta if beta is not None else default_cutoff()
     f, g, h = data
+    pb._one_datum(p, h)
     g = np.asarray(g, dtype=complex)
     if r < 1:
         return (np.asarray(f, dtype=complex), g.copy(), np.asarray(h, dtype=complex))

@@ -377,9 +377,10 @@ def test_jump_study_smoke():
     assert all(row["envelope"] >= 1.0 for row in rep.rows)
 
 
-def _constraint_matrix_by_impulses(p, nt, k_list, acc_t=8, acc_x=8):
+def _constraint_matrix_by_impulses(p, nt, count, acc_t=8, acc_x=8):
     """Reference: the residual map of one compute_v call per coordinate impulse."""
     geom = p.geometry
+    k_list = list(range(count))
     f_shape, g_shape, h_shape = bench._data_shapes(geom, nt)
     w_tr = {k: one_sided_weights(k, acc_t, p.tau / nt, nt + 1) for k in k_list}
 
@@ -403,15 +404,15 @@ def _constraint_matrix_by_impulses(p, nt, k_list, acc_t=8, acc_x=8):
 
 
 @pytest.mark.parametrize(
-    "geom,nt,acc_x,k_list",
-    [(pb.IntervalGeometry(nx=8), 8, 4, [0, 1]), (pb.IntervalGeometry(nx=16), 16, 8, [0, 1, 2]),
-     (pb.PeriodicStripGeometry(nx=8, ny=4), 16, 4, [0, 1, 2])],
+    "geom,nt,acc_x,count",
+    [(pb.IntervalGeometry(nx=8), 8, 4, 2), (pb.IntervalGeometry(nx=16), 16, 8, 3),
+     (pb.PeriodicStripGeometry(nx=8, ny=4), 16, 4, 3)],
     ids=["interval-16", "interval-32", "strip-8x4"],
 )
-def test_constraint_matrix_matches_impulse_loop_bitwise(geom, nt, acc_x, k_list):
+def test_constraint_matrix_matches_impulse_loop_bitwise(geom, nt, acc_x, count):
     p = pb.heat_problem(geom)
-    C = bench._constraint_matrix(p, nt, k_list, acc_x=acc_x)
-    ref = _constraint_matrix_by_impulses(p, nt, k_list, acc_x=acc_x)
+    C = bench._constraint_matrix(p, nt, count, acc_x=acc_x)
+    ref = _constraint_matrix_by_impulses(p, nt, count, acc_x=acc_x)
     assert C.shape == ref.shape and C.dtype == ref.dtype
     assert C.tobytes() == ref.tobytes()
 
@@ -442,8 +443,7 @@ def _jump_study_complex(s_star, eps_pair, resolutions, trials, seed, tau=1.0, ba
         geom = pb.IntervalGeometry(nx=nx)
         p = pb.heat_problem(geom, tau=tau)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4
-        C = bench._constraint_matrix(p, nt, list(range(pb.compat_count(s_star, 0) + 1)),
-                                     acc_x=acc_x)
+        C = bench._constraint_matrix(p, nt, pb.compat_count(s_star, 0) + 1, acc_x=acc_x)
         _, sv, vh = np.linalg.svd(C, full_matrices=True)
         B = vh[int(np.sum(sv > max(C.shape) * np.finfo(float).eps * sv[0])):].conj().T
         vals, closures = [], []
@@ -509,8 +509,7 @@ def _jump_study_unsplit(s_star, eps_pair, resolutions, trials, seed, tau=1.0, ba
         geom = pb.IntervalGeometry(nx=nx)
         p = pb.heat_problem(geom, tau=tau)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4
-        C = bench._constraint_matrix(p, nt, list(range(pb.compat_count(s_star, 0) + 1)),
-                                     acc_x=acc_x)
+        C = bench._constraint_matrix(p, nt, pb.compat_count(s_star, 0) + 1, acc_x=acc_x)
         frame = interp.kernel_frame(C, C.shape[1])
         columns = [
             bench._flatten_data(*bench.apply_lambda(

@@ -616,6 +616,54 @@ def test_check_compatibility_at_jump_reports_both():
     assert len(rep.residuals) == 2
 
 
+def _first_order_batch_problem(geom):
+    # time-dependent b_1 and b_0 without dt_evaluators: B_k for k >= 1 reads their
+    # one-sided time derivatives
+    b = {1: pb.Coefficient(evaluator=lambda *a: (1.0 - 2.0 * a[0]) * (1.0 + 0.5 * np.sin(a[-1]))),
+         0: pb.Coefficient(evaluator=lambda *a: 0.3 + a[-1] ** 2 + 0.0 * a[0])}
+    if geom.spatial_dim == 2:
+        b[2] = 0.5j
+    return pb.ParabolicProblem(geometry=geom, tau=1.0, a_coeffs=_batch_problem(geom).a_coeffs,
+                               boundary=pb.FirstOrder(b=b))
+
+
+@pytest.mark.parametrize("geom", [interval(16), strip(nx=16, ny=4)], ids=["interval", "strip"])
+@pytest.mark.parametrize("make", [_batch_problem, _first_order_batch_problem],
+                         ids=["dirichlet", "first-order"])
+def test_compatibility_mismatch_batch_matches_items_bitwise(geom, make):
+    p = make(geom)
+    nt, batch, count = 16, (2, 3), 3
+    rng = np.random.default_rng(7)
+    g_shape = (2,) + geom.g_shape()[1:] + (nt + 1,)
+    f = rng.standard_normal(batch + geom.g_shape() + (nt + 1,)) + 0j
+    g = rng.standard_normal(batch + g_shape) + 1j * rng.standard_normal(batch + g_shape)
+    h = rng.standard_normal(batch + geom.g_shape()) + 1j * rng.standard_normal(batch + geom.g_shape())
+    v_batch, m_batch = pb.compatibility_mismatch(p, f, g, h, count)
+    assert len(m_batch) == count
+    for i in np.ndindex(*batch):
+        v_item, m_item = pb.compatibility_mismatch(p, f[i], g[i], h[i], count)
+        for mb, mi in zip(m_batch, m_item, strict=True):
+            assert mb[i].shape == g_shape[:-1]
+            assert mb[i].tobytes() == mi.tobytes()
+        for vb, vi in zip(v_batch, v_item, strict=True):
+            assert vb[i].tobytes() == vi.tobytes()
+
+
+def test_compatibility_mismatch_rejects_g_without_the_batch_of_h():
+    p = pb.heat_problem(interval(16))
+    f, h = np.zeros((3, 17, 17)), np.zeros((3, 17))
+    for g in (np.zeros((2, 17)), np.zeros((2, 2, 17)), np.zeros((3, 1, 2, 17))):
+        with pytest.raises(DimensionMismatch):
+            pb.compatibility_mismatch(p, f, g, h, 2)
+
+
+def test_check_compatibility_takes_one_datum():
+    p = pb.heat_problem(interval(16))
+    f, g, h = np.zeros((3, 17, 17)), np.ones((3, 2, 17)), np.ones((3, 17))
+    with pytest.raises(DimensionMismatch, match="one datum"):
+        pb.check_compatibility(p, f, g, h, 3.0)
+
+
 def test_compatibility_shape_guards():
     geom = interval(64)
     p = pb.heat_problem(geom)
@@ -737,9 +785,24 @@ def test_config_rejects_unknown_keys(cfg, unknown):
     (_config(geometry={"kind": "interval", "nx": "abc"}), "geometry nx"),
     (_config(geometry={"kind": "strip", "nx": 16, "ny": "four"}), "geometry ny"),
     (_config(tau="one"), "tau"),
+    (_config(geometry={"kind": "interval", "nx": 12}), "geometry nx"),
+    (_config(geometry={"kind": "interval", "nx": 1}), "geometry nx"),
+    (_config(geometry={"kind": "interval", "nx": 16.5}), "geometry nx"),
+    (_config(geometry={"kind": "strip", "nx": 16, "ny": 3}), "geometry ny"),
+    (_config(geometry={"kind": "strip", "nx": 16, "ny": 4, "period_y": -1}), "geometry period_y"),
+    (_config(tau=-1), "tau"),
+    (_config(tau=0), "tau"),
+    (_config(tau="nan"), "tau"),
+    (_config(a={"2,0": "1"}), "a key '2,0'"),
+    (_config(a={"3": "1"}), "a key '3'"),
+    (_config(a={"-1": "1"}), "a key '-1'"),
+    (_config(boundary={"kind": "first_order", "b": {"5": 1.0}}), "boundary b key '5'"),
 ], ids=["boundary-kind", "first-order-without-b", "no-kind", "geometry-kind", "strip-without-ny",
         "no-a", "a-key", "b-key", "a-list", "b-list", "a-unclosed-call", "a-bad-operator",
-        "b-bad-operator", "nx-not-a-number", "ny-not-a-number", "tau-not-a-number"])
+        "b-bad-operator", "nx-not-a-number", "ny-not-a-number", "tau-not-a-number",
+        "nx-not-a-power-of-two", "nx-one", "nx-fraction", "ny-not-a-power-of-two",
+        "period-y-negative", "tau-negative", "tau-zero", "tau-nan", "a-key-too-long",
+        "a-key-order-three", "a-key-negative", "b-key-out-of-range"])
 def test_config_rejects_unknown_kinds_and_missing_keys(cfg, message):
     with pytest.raises(InvalidConfig, match=message) as err:
         pb.problem_from_config(cfg)

@@ -348,6 +348,14 @@ def test_projector_rejects_g_of_the_wrong_shape():
         traces.lemma2_projector((f, np.ones((2, 4, 65)), h), p, r=1)
 
 
+def test_projector_takes_one_datum():
+    geom = pb.IntervalGeometry(nx=16)
+    p = pb.heat_problem(geom)
+    f, g, h = np.zeros((3, 17, 65)), np.ones((3, 2, 65)), np.ones((3, 17))
+    with pytest.raises(DimensionMismatch, match="one datum"):
+        traces.lemma2_projector((f, g, h), p, r=1)
+
+
 def test_cauchy_io_round_trip(tmp_path):
     slat = spatial_lattice(16)
     v = traces.CauchyData.random(slat, 3, seed=2)
