@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import interp, parabolic as pb, spectra
-from .errors import MirrorAsymmetry
+from .errors import InvalidConfig, MirrorAsymmetry
 from .params import FunctionParam, constant
 from .solver import HeatData, SolveResult, solve_heat_interval
 from .spectra import Lattice
@@ -144,8 +144,7 @@ def apply_lambda(
     geom = p.geometry
     n = geom.spatial_dim
     f = trial.on_cylinder(geom, nt, (0,) * n + (1,))
-    spatial = (geom.x_axis(),) if n == 1 else (geom.x_axis(), geom.y_axis())
-    mesh = np.ix_(*spatial, np.arange(nt + 1) * (p.tau / nt))
+    mesh = np.ix_(*geom.spatial_axes(), np.arange(nt + 1) * (p.tau / nt))
     for alpha, coeff in p.a_coeffs.items():
         dv = trial.on_cylinder(geom, nt, alpha + (0,))
         f = f + np.asarray(coeff.evaluator(*mesh), dtype=complex) * dv
@@ -191,9 +190,10 @@ def solution_norms(
 class BenchCase:
     """Sweep specification for the isomorphism surrogate.
 
-    ``resolutions`` are box points per axis (the closed cylinder grid then
-    has resolution/2 + 1 points per axis); the jump set is excluded from
-    ``s_grid`` unless the study explicitly asks for it.
+    ``resolutions`` are box points per axis, powers of two >= 4 (the closed
+    cylinder grid then has resolution/2 + 1 points per axis); the jump set is
+    excluded from ``s_grid`` unless the study explicitly asks for it.  A case
+    that cannot run raises :class:`InvalidConfig` when it is made.
     """
 
     geometry_kind: str  # "interval" | "strip"
@@ -208,14 +208,25 @@ class BenchCase:
     ny: int = 16
 
     def __post_init__(self):
+        for name, kind, kinds in (("geometry", self.geometry_kind, ("interval", "strip")),
+                                  ("boundary", self.boundary, ("dirichlet", "neumann"))):
+            if kind not in kinds:
+                raise InvalidConfig(f"{name} {kind!r} is not one of {list(kinds)}")
         if self.trial_count < 30:
-            raise ValueError("need at least 30 trials")
+            raise InvalidConfig("need at least 30 trials")
         if self.band < 0:
-            raise ValueError(f"band must be >= 0, got {self.band}")
+            raise InvalidConfig(f"band must be >= 0, got {self.band}")
+        if not self.resolutions or any(n < 4 or n & (n - 1) for n in self.resolutions):
+            raise InvalidConfig(
+                f"resolutions must be powers of two >= 4, got {list(self.resolutions)}")
+        if self.ny < 2 or self.ny & (self.ny - 1):
+            raise InvalidConfig(f"ny must be a power of two >= 2, got {self.ny}")
+        if not self.s_grid or not all(2 < s < math.inf for s in self.s_grid):
+            raise InvalidConfig(f"s_grid must hold finite values s > 2, got {list(self.s_grid)}")
         l = 0 if self.boundary == "dirichlet" else 1
         for s in self.s_grid:
             if pb.in_E(s, l):
-                raise ValueError(f"s = {s} lies in the jump set; use jump_study")
+                raise InvalidConfig(f"s = {s} lies in the jump set; use jump_study")
 
     def problem(self, resolution: int) -> pb.ParabolicProblem:
         nx = resolution // 2

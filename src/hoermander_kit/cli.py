@@ -126,6 +126,15 @@ def _cmd_trace_check(args) -> int:
     return 0 if ok else 1
 
 
+def _list_of(convert):
+    """A converter of a list (not a string) to the tuple of ``convert`` of its items."""
+    def read(values) -> tuple:
+        if not isinstance(values, list):
+            raise ValueError("not a list")
+        return tuple(convert(v) for v in values)
+    return read
+
+
 _ISO_BENCH_KEYS = ("geometry", "boundary", "s_grid", "phi", "trials",
                    "resolutions", "seed", "ny", "band")
 
@@ -143,16 +152,20 @@ def _cmd_iso_bench(args) -> int:
         phis = tuple(param_from_dict(d) for d in cfg["phi"])
     else:
         phis = (constant(), log_power(1.0), log_power(-1.0))
+
+    def read(key: str, convert, default):
+        return pb._config_value(f"iso-bench {key}", convert, cfg.get(key, default))
+
     case = bench.BenchCase(
         geometry_kind=cfg.get("geometry", args.geometry),
         boundary=cfg.get("boundary", "dirichlet"),
-        s_grid=tuple(float(s) for s in cfg.get("s_grid", args.s_grid.split(","))),
+        s_grid=read("s_grid", _list_of(float), args.s_grid.split(",")),
         phi_list=phis,
-        trial_count=int(cfg.get("trials", args.trials)),
-        resolutions=tuple(int(n) for n in cfg.get("resolutions", args.resolutions.split(","))),
-        seed=int(cfg.get("seed", args.seed)),
-        ny=int(cfg.get("ny", args.ny)),
-        band=int(cfg.get("band", args.band)),
+        trial_count=read("trials", pb._integer, args.trials),
+        resolutions=read("resolutions", _list_of(pb._integer), args.resolutions.split(",")),
+        seed=read("seed", pb._integer, args.seed),
+        ny=read("ny", pb._integer, args.ny),
+        band=read("band", pb._integer, args.band),
     )
     rep = bench.estimate_isomorphism(case)
     ok = rep.drift_passed()
@@ -199,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compat-check", parents=[common], help="compatibility conditions on synthesized data")
     p.add_argument("--config", default=None, help="problem config JSON file")
     p.add_argument("--s", type=float, default=4.0)
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--nt", type=int, default=64)
+    p.add_argument("--nx", type=int, default=128)
+    p.add_argument("--nt", type=int, default=128)
     p.set_defaults(fn=_cmd_compat_check)
 
     p = sub.add_parser("trace-check", parents=[common], help="trace/lift identity and cutoff moments")

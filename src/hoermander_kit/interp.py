@@ -29,7 +29,7 @@ import scipy.linalg as sla
 
 from .errors import DimensionMismatch, ProjectorMismatch
 from .params import FunctionParam, InterpParam, build_psi, reiterate
-from .spectra import Lattice, SpectralField, random_field
+from .spectra import Lattice, SpectralField, norm, random_field
 from .weights import RegularityIndex, parabolic_split, isotropic
 
 __all__ = [
@@ -124,7 +124,7 @@ def verify_prop_interpolation(
     for t in range(trials):
         u = random_field(lattice, seed + t)
         a = interpolated_norm(pair, psi, u)
-        b = float(np.sqrt(np.sum((lattice.weight(direct) * np.abs(u.coeffs)) ** 2)))
+        b = norm(direct, u)
         worst = max(worst, abs(a - b) / b)
     notes = []
     if anisotropy == "parabolic" and not (0 <= s0 and lam <= s0):

@@ -100,6 +100,9 @@ class IntervalGeometry:
     def x_axis(self) -> np.ndarray:
         return np.arange(self.nx + 1) * self.dx
 
+    def spatial_axes(self) -> tuple[np.ndarray, ...]:
+        return (self.x_axis(),)
+
     def g_shape(self) -> tuple[int, ...]:
         return (self.nx + 1,)
 
@@ -132,6 +135,14 @@ class PeriodicStripGeometry:
     def y_axis(self) -> np.ndarray:
         return np.arange(self.ny) * (self.period_y / self.ny)
 
+    def spatial_axes(self) -> tuple[np.ndarray, ...]:
+        return (self.x_axis(), self.y_axis())
+
+    @property
+    def circle(self) -> Lattice:
+        """The periodic y axis as a lattice: the frequencies and weights of a boundary circle."""
+        return Lattice(sizes=(self.ny,), periods=(self.period_y,))
+
     def g_shape(self) -> tuple[int, ...]:
         return (self.nx + 1, self.ny)
 
@@ -140,11 +151,8 @@ Geometry = IntervalGeometry | PeriodicStripGeometry
 
 
 def _spatial_meshes(geom: Geometry):
-    if isinstance(geom, IntervalGeometry):
-        return (geom.x_axis(),)
-    x = geom.x_axis()[:, None]
-    y = geom.y_axis()[None, :]
-    return (np.broadcast_to(x, geom.g_shape()), np.broadcast_to(y, geom.g_shape()))
+    """The spatial axes as broadcast views over the closed spatial grid."""
+    return tuple(np.broadcast_to(m, geom.g_shape()) for m in np.ix_(*geom.spatial_axes()))
 
 
 # -- coefficients -----------------------------------------------------------------
@@ -153,7 +161,8 @@ def _spatial_meshes(geom: Geometry):
 class Coefficient:
     """Smooth coefficient on the closed cylinder.
 
-    ``evaluator(*spatial, t)`` must broadcast over arrays.  Optional exact
+    ``evaluator(*spatial, t)`` must broadcast over arrays; it may return a
+    scalar (a constant returns its value), and callers broadcast.  Optional exact
     time-derivative evaluators avoid one-sided differencing of the
     coefficient at t = 0; constants short-circuit to zero derivatives.
     """
@@ -166,11 +175,7 @@ class Coefficient:
     @classmethod
     def const(cls, value: complex) -> "Coefficient":
         v = complex(value)
-
-        def ev(*args):
-            return np.broadcast_arrays(*args)[0] * 0 + v
-
-        return cls(evaluator=ev, time_constant=True, label=f"{value}")
+        return cls(evaluator=lambda *args: v, time_constant=True, label=f"{value}")
 
     def on_G(self, geom: Geometry, t: float) -> np.ndarray:
         meshes = _spatial_meshes(geom)
@@ -326,15 +331,20 @@ def _config_value(where: str, convert, value):
     """``convert(value)``, or InvalidConfig naming ``where`` when the value does not convert."""
     try:
         return convert(value)
-    except (TypeError, ValueError, SyntaxError) as err:
+    except (TypeError, ValueError, SyntaxError, OverflowError) as err:
         raise InvalidConfig(f"{where}: bad value {value!r} ({err})") from err
+
+
+def _integer(value) -> int:
+    """``value`` as an integer; 1.7 does not read as 1, and true does not read as 1."""
+    if isinstance(value, bool) or int(value) != float(value):
+        raise ValueError("not an integer")
+    return int(value)
 
 
 def _pow2(value) -> int:
     """``value`` as an integer power of two >= 2; 16.5 does not read as 16."""
-    if int(value) != float(value):
-        raise ValueError("not an integer")
-    return _require_pow2(int(value), "the value")
+    return _require_pow2(_integer(value), "the value")
 
 
 def _positive(value) -> float:
@@ -344,12 +354,24 @@ def _positive(value) -> float:
     return float(value)
 
 
-def _config_table(cfg: dict, key: str, where: str) -> dict:
-    """The coefficient table ``cfg[key]``, or InvalidConfig unless it is an object."""
+def _config_table(cfg: dict, key: str, where: str, read_key, parse) -> dict:
+    """The coefficient table ``cfg[key]`` as {read_key(k): parse(spec, k)}.
+
+    InvalidConfig naming the key unless the table is an object whose keys
+    all read, no two of them as the same entry ("2" and "02" are one
+    multi-index).
+    """
     table = cfg[key]
     if not isinstance(table, dict):
         raise InvalidConfig(f"{where} must be an object of coefficients, got {type(table).__name__}")
-    return table
+    out, named_by = {}, {}
+    for k, spec in table.items():
+        entry = _config_value(f"{where} key {k!r}", read_key, k)
+        if entry in named_by:
+            raise InvalidConfig(f"{where} keys {named_by[entry]!r} and {k!r} both name {entry}")
+        named_by[entry] = k
+        out[entry] = parse(spec, f"{where}[{k!r}]")
+    return out
 
 
 def problem_from_config(cfg: dict) -> ParabolicProblem:
@@ -384,20 +406,14 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
         return Coefficient(evaluator=_config_value(where, lambda src: compile_expr(src, variables),
                                                    str(spec)), label=str(spec))
 
-    a = {}
-    for key, spec in _config_table(cfg, "a", "a").items():
-        alpha = _config_value(f"a key {key!r}", lambda k: _multi_index(str(k).split(","), n), key)
-        a[alpha] = parse_coeff(spec, f"a[{key!r}]")
+    a = _config_table(cfg, "a", "a", lambda k: _multi_index(str(k).split(","), n), parse_coeff)
     bcfg = cfg.get("boundary", {"kind": "dirichlet"})
     if _config_kind(bcfg, "boundary", _BOUNDARY_KINDS) == "dirichlet":
         boundary: Dirichlet | FirstOrder = Dirichlet()
     else:
-        boundary = FirstOrder(b={
-            # b_1..b_n act on D_1..D_n and b_0 on the identity
-            _config_value(f"boundary b key {j!r}", lambda j: range(n + 1).index(int(j)), j):
-            parse_coeff(spec, f"boundary b[{j!r}]")
-            for j, spec in _config_table(bcfg, "b", "boundary b").items()
-        })
+        # b_1..b_n act on D_1..D_n and b_0 on the identity
+        boundary = FirstOrder(b=_config_table(bcfg, "b", "boundary b",
+                                              lambda j: range(n + 1).index(int(j)), parse_coeff))
     return ParabolicProblem(
         geometry=geom, tau=_config_value("tau", _positive, cfg.get("tau", 1.0)), a_coeffs=a,
         boundary=boundary,
@@ -421,7 +437,7 @@ def apply_D_alpha(
         out = apply_deriv_axis(out, x_axis, geom.dx, alpha[0], acc)
     if isinstance(geom, PeriodicStripGeometry) and len(alpha) > 1 and alpha[1]:
         out = out.astype(complex)  # fft has no extended-precision path
-        xi = 2.0 * np.pi * np.fft.fftfreq(geom.ny, d=geom.period_y / geom.ny)
+        xi = geom.circle.freq_axis(0)
         shape = [1] * out.ndim
         shape[x_axis + 1] = geom.ny
         out = np.fft.ifft(
@@ -757,14 +773,9 @@ def gamma_norm(
     vals = np.asarray(vals, dtype=complex)
     if isinstance(geom, IntervalGeometry):
         return float(phi(1.0) * np.linalg.norm(vals))
-    total = 0.0
-    lat = Lattice(sizes=(geom.ny,), periods=(geom.period_y,))
     idx = isotropic(sigma, phi, dimension=1)
-    mu = lat.weight(idx)
-    for sheet in range(2):
-        coeffs = np.fft.fft(vals[sheet], norm="ortho")
-        total += float(np.sum((mu * np.abs(coeffs)) ** 2))
-    return math.sqrt(total)
+    sheets = (spectra.SpectralField.from_samples(geom.circle, sheet) for sheet in vals)
+    return math.sqrt(sum(spectra.norm(idx, u) ** 2 for u in sheets))
 
 
 def compatibility_mismatch(

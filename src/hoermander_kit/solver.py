@@ -25,9 +25,11 @@ class HeatData:
     """Right-hand sides of the Dirichlet heat problem as callables.
 
     ``f(x, t)`` broadcasts over arrays; ``g0``/``g1`` are the boundary values
-    at x = 0 and x = 1 with optional time derivatives ``dg0``/``dg1`` (used
-    only to report the time derivative of the reconstruction at the
-    boundary); ``h(x)`` is the initial state.
+    at x = 0 and x = 1 and ``h(x)`` is the initial state.  The optional time
+    derivatives ``dg0``/``dg1``, given together or not at all, set dt u at the
+    two boundary nodes, which enters ``SolveResult.f_residual`` there.
+    Without them the PDE is assumed at those nodes, so the residual vanishes
+    there by construction.
     """
 
     f: Callable
@@ -36,6 +38,10 @@ class HeatData:
     h: Callable
     dg0: Callable | None = None
     dg1: Callable | None = None
+
+    def __post_init__(self):
+        if (self.dg0 is None) != (self.dg1 is None):
+            raise ValueError("dg0 and dg1 go together: give both or neither")
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .errors import (
     DimensionMismatch,
     InsufficientTimeResolution,
 )
-from .params import FunctionParam, constant
-from .spectra import Lattice, SpectralField, load_field, random_field, save_field
+from .params import FunctionParam
+from .spectra import Lattice, SpectralField, load_field, norm, random_field, save_field
 from .weights import isotropic
 
 __all__ = [
@@ -179,14 +179,11 @@ def load_cauchy(path) -> CauchyData:
 
 def cauchy_norm(v: CauchyData, s: float, phi: FunctionParam | None = None) -> float:
     """Norm of the Cauchy-data space: l2 sum of H^(s-2k-1; phi) component norms."""
-    phi = phi if phi is not None else constant()
-    total = 0.0
-    for k, comp in enumerate(v.components):
-        idx = isotropic(s - 2 * k - 1, phi, dimension=v.lattice.k)
-        mu = v.lattice.weight(idx)
-        chat = np.fft.fftn(comp, norm="ortho")
-        total += float(np.sum((mu * np.abs(chat)) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(sum(
+        norm(isotropic(s - 2 * k - 1, phi, dimension=v.lattice.k),
+             SpectralField.from_samples(v.lattice, comp)) ** 2
+        for k, comp in enumerate(v.components)
+    ))
 
 
 # -- trace operator -----------------------------------------------------------------
@@ -218,14 +215,19 @@ def trace_R(u: SpectralField, r: int) -> CauchyData:
 
 # -- lifting -------------------------------------------------------------------------
 
-def _bracket_xi_sq(spatial: Lattice) -> np.ndarray:
-    acc = np.ones(spatial.sizes)
-    for ax in range(spatial.k):
-        f = spatial.freq_axis(ax)
-        shape = [1] * spatial.k
-        shape[ax] = len(f)
-        acc = acc + (f**2).reshape(shape)
-    return acc
+def _lift_profile(hats: list[np.ndarray], xi_sq: np.ndarray, t: np.ndarray,
+                  beta: CutoffProfile) -> np.ndarray:
+    """The lift profile beta(xi_sq t) sum_k hats[k] t^k / k!, with the times t on a new last axis.
+
+    Per frequency of the hats; ``xi_sq`` broadcasts against each of them.
+    """
+    profile = np.zeros(hats[0].shape + t.shape, dtype=complex)
+    tpow = np.ones_like(t)
+    for k, hat in enumerate(hats):
+        profile += hat[..., None] * (tpow / math.factorial(k))
+        tpow = tpow * t
+    profile *= beta(xi_sq[..., None] * t)
+    return profile
 
 
 def lift_T(v: CauchyData, beta: CutoffProfile, lattice: Lattice) -> SpectralField:
@@ -255,15 +257,9 @@ def lift_T(v: CauchyData, beta: CutoffProfile, lattice: Lattice) -> SpectralFiel
             f"{T_period / 2.0} at the lowest frequency"
         )
     t = lattice.centered_grid_axis(lattice.k - 1)
-    xi_sq = _bracket_xi_sq(spatial)
+    xi_sq = spatial.weight(isotropic(2.0, dimension=spatial.k))
     v_hats = [np.fft.fftn(c, norm="ortho") for c in v.components]
-    profile = np.zeros(lattice.sizes, dtype=complex)
-    tpow = np.ones_like(t)
-    for k, vh in enumerate(v_hats):
-        profile += vh[..., None] * (tpow / math.factorial(k))
-        tpow = tpow * t
-    profile *= beta(xi_sq[..., None] * t)
-    coeffs = np.fft.fft(profile, axis=-1, norm="ortho")
+    coeffs = np.fft.fft(_lift_profile(v_hats, xi_sq, t, beta), axis=-1, norm="ortho")
     return SpectralField(lattice=lattice, coeffs=coeffs)
 
 
@@ -277,7 +273,7 @@ def lift_trace(v: CauchyData, beta: CutoffProfile, r_out: int) -> CauchyData:
     with c_j = v_hat_j / j!.  The cutoff derivative values come from the
     profile's validated flat region.
     """
-    xi_sq = _bracket_xi_sq(v.lattice)
+    xi_sq = v.lattice.weight(isotropic(2.0, dimension=v.lattice.k))
     v_hats = [np.fft.fftn(c, norm="ortho") for c in v.components]
     c_poly = [vh / math.factorial(j) for j, vh in enumerate(v_hats)]
     comps = []
@@ -393,47 +389,15 @@ def lift_bound_constant(beta: CutoffProfile, m: int, r: int, n_total: int) -> fl
 def equivalent_2m_norm(u: SpectralField, m: int) -> float:
     """The (2m, m) norm in its equivalent monomial form:
     (||u||^2 + sum_j ||d_{x_j}^{2m} u||^2 + ||d_t^m u||^2)^(1/2), all spectral."""
-    lat = u.lattice
-    mult = np.ones(lat.sizes)
-    for ax in range(lat.k - 1):
-        f = lat.freq_axis(ax)
-        shape = [1] * lat.k
-        shape[ax] = len(f)
-        mult = mult + (f ** (4 * m)).reshape(shape)
-    ft = lat.freq_axis(lat.k - 1)
-    shape = [1] * lat.k
-    shape[-1] = len(ft)
-    mult = mult + (ft ** (2 * m)).reshape(shape)
+    *space, time = np.meshgrid(*u.lattice.freq_axes(), indexing="ij", sparse=True)
+    mult = np.ones(u.lattice.sizes)
+    for f in space:
+        mult = mult + f ** (4 * m)
+    mult = mult + time ** (2 * m)
     return float(np.sqrt(np.sum(mult * np.abs(u.coeffs) ** 2)))
 
 
 # -- the compatibility projector --------------------------------------------------------
-
-def _boundary_bracket_sq(geom) -> np.ndarray:
-    """<xi>^2 = 1 + xi^2 per frequency of the periodic boundary axis; [1] on the interval."""
-    if isinstance(geom, pb.IntervalGeometry):
-        return np.ones(1)
-    xi = 2.0 * np.pi * np.fft.fftfreq(geom.ny, d=geom.period_y / geom.ny)
-    return 1.0 + xi**2
-
-
-def _lift_on_window(
-    w_comps: list[np.ndarray], beta: CutoffProfile, xi_sq: np.ndarray, tgrid: np.ndarray
-) -> np.ndarray:
-    """Lateral-boundary lift of the mismatches w_0, w_1, ... on the window times.
-
-    Per sheet and frequency xi of the periodic axis (xi = 0 alone on the
-    interval) the profile is beta(xi_sq t) sum_k w_hat_k t^k / k!.
-    """
-    poly = np.zeros((2, len(xi_sq), len(tgrid)), dtype=complex)
-    tpow = np.ones_like(tgrid)
-    for k, w in enumerate(w_comps):
-        w_hat = np.fft.fft(w.reshape(2, -1), axis=-1, norm="ortho")
-        poly += w_hat[..., None] * tpow / math.factorial(k)
-        tpow = tpow * tgrid
-    poly *= beta(xi_sq[:, None] * tgrid)
-    return np.fft.ifft(poly, axis=1, norm="ortho").reshape(w_comps[0].shape + tgrid.shape)
-
 
 def lemma2_projector(
     data: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -467,6 +431,12 @@ def lemma2_projector(
     # xi_sq is capped so that this covers the stencils at every frequency
     reach = (r - 2 + acc_t) * dt_g
     cap = beta.flat_radius / reach if reach > 0 else np.inf
-    xi_sq = np.minimum(_boundary_bracket_sq(p.geometry), cap)
-    g_star = g + _lift_on_window(w_comps, beta, xi_sq, tgrid)
+    # per sheet and frequency xi of the boundary circle (xi = 0 alone on the interval)
+    geom = p.geometry
+    bracket = (geom.circle.weight(isotropic(2.0)) if isinstance(geom, pb.PeriodicStripGeometry)
+               else np.ones(1))
+    w_hats = [np.fft.fft(w.reshape(2, -1), axis=-1, norm="ortho") for w in w_comps]
+    lift = np.fft.ifft(_lift_profile(w_hats, np.minimum(bracket, cap), tgrid, beta), axis=1,
+                       norm="ortho")
+    g_star = g + lift.reshape(g.shape)
     return (np.asarray(f, dtype=complex), g_star, np.asarray(h, dtype=complex))

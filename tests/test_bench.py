@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hoermander_kit import bench, interp, parabolic as pb, params, spectra
+from hoermander_kit import bench, interp, parabolic as pb, params, solver, spectra
 from hoermander_kit._fd import one_sided_weights
-from hoermander_kit.errors import MirrorAsymmetry
+from hoermander_kit.errors import InvalidConfig, MirrorAsymmetry
 
 
 def test_apply_lambda_constant_trial():
@@ -192,6 +192,34 @@ def test_norms_over_cells_reject_unequal_sequences():
 def test_bench_case_rejects_jump_points():
     with pytest.raises(ValueError):
         bench.BenchCase(geometry_kind="interval", s_grid=(3.5,))
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"geometry_kind": "disk"}, "geometry 'disk'"),
+    ({"boundary": "robin"}, "boundary 'robin'"),
+    ({"resolutions": (48,)}, "resolutions"),
+    ({"resolutions": (2, 4)}, "resolutions"),
+    ({"resolutions": ()}, "resolutions"),
+    ({"ny": 12}, "ny"),
+    ({"s_grid": ()}, "s_grid"),
+    ({"s_grid": (1.5, 3.0)}, "s_grid"),
+    ({"s_grid": (float("nan"),)}, "s_grid"),
+    ({"trial_count": 29}, "30 trials"),
+], ids=["geometry", "boundary", "resolution-48", "resolution-2", "no-resolutions", "ny-12",
+        "no-s", "s-below-2", "s-nan", "trials-29"])
+def test_bench_case_rejects_what_cannot_run(kw, message):
+    with pytest.raises(InvalidConfig, match=message):
+        bench.BenchCase(**{"geometry_kind": "interval", **kw})
+
+
+def test_heat_data_takes_both_boundary_derivatives_or_neither():
+    def one(*args):
+        return 0.0
+
+    for dg in ({"dg0": one}, {"dg1": one}):
+        with pytest.raises(ValueError, match="dg0 and dg1"):
+            solver.HeatData(f=one, g0=one, g1=one, h=one, **dg)
+    solver.HeatData(f=one, g0=one, g1=one, h=one, dg0=one, dg1=one)
 
 
 def test_round_trip_interval():

@@ -10,7 +10,7 @@ import pytest
 import hoermander_kit
 from hoermander_kit import bench, spectra
 from hoermander_kit.cli import main
-from hoermander_kit.errors import HoermanderKitError, UnknownConfigKey
+from hoermander_kit.errors import HoermanderKitError, InvalidConfig, UnknownConfigKey
 
 
 def test_norm_command(tmp_path):
@@ -41,6 +41,15 @@ def test_compat_check_command(tmp_path):
     assert payload["passed"] and payload["count"] == 1
     assert payload["count_above"] >= payload["count"] and payload["tol"] == 1e-8
     assert set(payload) >= {"s", "at_jump", "residuals", "residual_orders", "trace_accuracy"}
+
+
+@pytest.mark.parametrize("argv", [["--nx", "128", "--nt", "128", "--s", "4.0"], []],
+                         ids=["readme", "defaults"])
+def test_compat_check_readme_example_passes(tmp_path, argv):
+    # compatible data by construction: at s = 4 both conditions hold within tol
+    rc = main(["compat-check", *argv, "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "compat-check.json").read_text())
+    assert rc == 0 and payload["passed"] and payload["count"] == 2, payload["residuals"]
 
 
 def test_compat_check_config(tmp_path):
@@ -206,3 +215,26 @@ def test_iso_bench_rejects_a_negative_band(tmp_path, monkeypatch):
     )
     assert proc.returncode != 0
     assert "band must be >= 0" in proc.stderr
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"geometry": "disk"}, "geometry 'disk'"),
+    ({"boundary": "robin"}, "boundary 'robin'"),
+    ({"seed": 1.7}, "iso-bench seed"),
+    ({"band": 2.5}, "iso-bench band"),
+    ({"trials": 30.5}, "iso-bench trials"),
+    ({"ny": True}, "iso-bench ny"),
+    ({"resolutions": [48]}, "resolutions"),
+    ({"resolutions": [32.5]}, "iso-bench resolutions"),
+    ({"s_grid": "3,4"}, "iso-bench s_grid"),
+], ids=["geometry", "boundary", "seed", "band", "trials", "ny", "resolution-48",
+        "resolution-fraction", "s-grid-string"])
+def test_iso_bench_rejects_a_bad_config(tmp_path, monkeypatch, cfg, message):
+    # a case that cannot run, or a number that does not read as one, fails before any work
+    cases = []
+    monkeypatch.setattr(bench, "estimate_isomorphism", lambda case, **kw: cases.append(case))
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(InvalidConfig, match=message):
+        main(["iso-bench", "--config", str(cfg_path)])
+    assert cases == []

@@ -13,6 +13,7 @@ from hoermander_kit.errors import (
     NotFirstOrder,
     UnknownConfigKey,
 )
+from hoermander_kit.params import constant, log_power
 
 
 def interval(nx=256):
@@ -741,6 +742,31 @@ def test_expression_language_problem():
     assert not pb.check_petrovskii(p_bad, 2000, seed=0).passed
 
 
+def _gamma_norm_by_sheets(geom, vals, sigma, phi):
+    """Reference: the boundary norm summed sheet by sheet, from one FFT per circle."""
+    if isinstance(geom, pb.IntervalGeometry):
+        return float(phi(1.0)) * math.sqrt(float(np.sum(np.abs(vals) ** 2)))
+    bracket = 1.0 + (2.0 * np.pi * np.fft.fftfreq(geom.ny, d=geom.period_y / geom.ny)) ** 2
+    mu = bracket ** (sigma / 2.0) * phi(np.sqrt(bracket))
+    total = 0.0
+    for sheet in vals:
+        total += float(np.sum((mu * np.abs(np.fft.fft(sheet, norm="ortho"))) ** 2))
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("phi", [constant(), log_power(-1.0)], ids=["constant", "log-power"])
+@pytest.mark.parametrize("geom", [pb.IntervalGeometry(nx=16),
+                                  pb.PeriodicStripGeometry(nx=16, ny=8, period_y=2.0)],
+                         ids=["interval", "strip"])
+def test_gamma_norm_matches_the_per_sheet_sum(geom, phi):
+    rng = np.random.default_rng(3)
+    shape = (2,) + geom.g_shape()[1:]
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for sigma in (-0.5, 1.5, 2.5):
+        ref = _gamma_norm_by_sheets(geom, vals, sigma, phi)
+        assert pb.gamma_norm(geom, vals, sigma, phi) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def _config(**changes):
     cfg = {
         "geometry": {"kind": "interval", "nx": 16},
@@ -797,12 +823,16 @@ def test_config_rejects_unknown_keys(cfg, unknown):
     (_config(a={"3": "1"}), "a key '3'"),
     (_config(a={"-1": "1"}), "a key '-1'"),
     (_config(boundary={"kind": "first_order", "b": {"5": 1.0}}), "boundary b key '5'"),
+    (_config(a={"2": "1", "02": "-1"}), "a keys '2' and '02'"),
+    (_config(boundary={"kind": "first_order", "b": {"1": 1.0, " 1": 2.0}}),
+     "boundary b keys '1' and ' 1'"),
 ], ids=["boundary-kind", "first-order-without-b", "no-kind", "geometry-kind", "strip-without-ny",
         "no-a", "a-key", "b-key", "a-list", "b-list", "a-unclosed-call", "a-bad-operator",
         "b-bad-operator", "nx-not-a-number", "ny-not-a-number", "tau-not-a-number",
         "nx-not-a-power-of-two", "nx-one", "nx-fraction", "ny-not-a-power-of-two",
         "period-y-negative", "tau-negative", "tau-zero", "tau-nan", "a-key-too-long",
-        "a-key-order-three", "a-key-negative", "b-key-out-of-range"])
+        "a-key-order-three", "a-key-negative", "b-key-out-of-range", "a-key-twice",
+        "b-key-twice"])
 def test_config_rejects_unknown_kinds_and_missing_keys(cfg, message):
     with pytest.raises(InvalidConfig, match=message) as err:
         pb.problem_from_config(cfg)

@@ -5,6 +5,7 @@ import pytest
 
 from hoermander_kit import parabolic as pb
 from hoermander_kit import spectra, traces
+from hoermander_kit.params import constant, log_power
 from hoermander_kit.errors import (
     CutoffWrapsAround,
     DimensionMismatch,
@@ -223,6 +224,30 @@ def test_lift_bounded_by_moment_constant():
         den = traces.cauchy_norm(v, 2 * m)
         worst = max(worst, num / den)
     assert worst <= bound * 1.05, f"ratio {worst} vs bound {bound}"
+
+
+def _cauchy_norm_by_components(v, s, phi):
+    """Reference: the Cauchy-data norm summed component by component from one FFT each."""
+    mesh = np.meshgrid(*(TWO_PI * np.fft.fftfreq(n, d=L / n)
+                         for n, L in zip(v.lattice.sizes, v.lattice.periods)), indexing="ij")
+    bracket = 1.0 + sum(f**2 for f in mesh)
+    total = 0.0
+    for k, comp in enumerate(v.components):
+        mu = bracket ** ((s - 2 * k - 1) / 2.0) * phi(np.sqrt(bracket))
+        total += float(np.sum((mu * np.abs(np.fft.fftn(comp, norm="ortho"))) ** 2))
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("phi", [constant(), log_power(-1.0)], ids=["constant", "log-power"])
+@pytest.mark.parametrize("lattice", [
+    spectra.Lattice(sizes=(64,), periods=(TWO_PI,)),
+    spectra.Lattice(sizes=(16, 8), periods=(TWO_PI, 3.0)),
+], ids=["interval", "strip"])
+def test_cauchy_norm_matches_the_per_component_sum(lattice, phi):
+    v = traces.CauchyData.random(lattice, 3, seed=5)
+    for s in (1.0, 4.2):
+        ref = _cauchy_norm_by_components(v, s, phi)
+        assert traces.cauchy_norm(v, s, phi) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 # -- the compatibility projector ----------------------------------------------------
