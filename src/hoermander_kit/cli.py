@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -57,8 +58,14 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+def _resolutions(args, convert) -> tuple[int, ...]:
+    """The --resolutions flag as a tuple of ``convert`` of its comma-separated items."""
+    return pb._config_value(f"{args.command} --resolutions", _list_of(convert),
+                            args.resolutions.split(","))
+
+
 def _cmd_interp_check(args) -> int:
-    sizes = tuple(int(s) for s in args.resolutions.split(","))
+    sizes = _resolutions(args, pb._pow2)
     rows = []
     ok = True
     for n in sizes:
@@ -86,15 +93,13 @@ def _cmd_interp_check(args) -> int:
 
 
 def _cmd_compat_check(args) -> int:
+    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    # s is this command's own key beside the problem's
+    s = pb._config_value("compat-check s", _above_two, cfg.get("s", args.s))
     if args.config:
-        cfg = json.loads(Path(args.config).read_text())
-        # s is this command's own key beside the problem's
         problem = pb.problem_from_config({k: v for k, v in cfg.items() if k != "s"})
-        s = float(cfg.get("s", args.s))
     else:
-        geom = pb.IntervalGeometry(nx=args.nx)
-        problem = pb.heat_problem(geom)
-        s = args.s
+        problem = pb.heat_problem(pb.IntervalGeometry(nx=args.nx))
     nt = args.nt
     trial = bench.synthesize_trial(problem.geometry, problem.tau, nt,
                                    seed=args.seed, band=3)
@@ -126,6 +131,31 @@ def _cmd_trace_check(args) -> int:
     return 0 if ok else 1
 
 
+def _pow2_at_least_4(value) -> int:
+    """``value`` as an integer power of two >= 4."""
+    n = pb._pow2(value)
+    if n < 4:
+        raise ValueError("below 4")
+    return n
+
+
+def _above_two(value) -> float:
+    """``value`` as a finite float s > 2, the smoothness the compatibility checks need."""
+    if not 2.0 < float(value) < math.inf:
+        raise ValueError("not a finite s > 2")
+    return float(value)
+
+
+def _param(d) -> params.FunctionParam:
+    """A function parameter from its JSON object; a missing key is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("not an object")
+    try:
+        return param_from_dict(d)
+    except KeyError as err:
+        raise ValueError(f"missing key {err}") from err
+
+
 def _list_of(convert):
     """A converter of a list (not a string) to the tuple of ``convert`` of its items."""
     def read(values) -> tuple:
@@ -148,13 +178,14 @@ def _cmd_iso_bench(args) -> int:
             f"{args.config}: unknown keys {unknown}; "
             f"a bench case reads {list(_ISO_BENCH_KEYS)}"
         )
-    if "phi" in cfg:
-        phis = tuple(param_from_dict(d) for d in cfg["phi"])
-    else:
-        phis = (constant(), log_power(1.0), log_power(-1.0))
 
     def read(key: str, convert, default):
         return pb._config_value(f"iso-bench {key}", convert, cfg.get(key, default))
+
+    if "phi" in cfg:
+        phis = read("phi", _list_of(_param), None)
+    else:
+        phis = (constant(), log_power(1.0), log_power(-1.0))
 
     case = bench.BenchCase(
         geometry_kind=cfg.get("geometry", args.geometry),
@@ -175,7 +206,8 @@ def _cmd_iso_bench(args) -> int:
 
 
 def _cmd_jump_study(args) -> int:
-    resolutions = tuple(int(s) for s in args.resolutions.split(","))
+    # box points per axis: nx = nt = resolution / 2 must be a power of two
+    resolutions = _resolutions(args, _pow2_at_least_4)
     rep = bench.jump_study(
         s_star=args.s_star,
         eps_pair=(args.eps1, args.eps2),

@@ -117,12 +117,6 @@ class FunctionParam:
                     out = out * fac**theta
         return out
 
-    def is_slow_family(self) -> bool:
-        """True for shipped families with no power factor (known class-M members)."""
-        return self.kind in (ParamKind.LOG_POWER, ParamKind.CONSTANT) and (
-            self.base_power == 0.0
-        )
-
     def cache_key(self):
         """Hashable key of the parameter's values, or None for custom evaluators.
 

@@ -12,10 +12,11 @@ problem block by block.  Along every axis where the mask is its own mirror
 image K splits into an even and an odd block, so a box gives 2^k blocks; a
 memoized parity plan per mask holds their points and Toeplitz gather
 indices.  Each block is factored by Cholesky, or, past a weight spread of
-1e16, by an R-only QR of a real-folded square-root factor.  Fibers with equal
-weights share one factor.  Given a sequence of indices, the engine prepares
-the data (fiber gather, FFT, parity basis) once and solves each index
-against them.
+1e16, by an R-only QR of a real-folded square-root factor, whose rows a
+batched QR per mode of the first split axis first cuts to about half.
+Fibers with equal weights share one factor.  Given a sequence of indices,
+the engine prepares the data (fiber gather, FFT, parity basis) once and
+solves each index against them.
 :func:`quotient_gram` returns K^-1 in that basis, one inverted block each, and
 :func:`parity_coords` takes data there.
 :func:`quotient_norm_dense` is a dense oracle for small lattices, and
@@ -347,9 +348,10 @@ def quotient_norm(
 # parity plan holds them.  For mild spreads U is the Cholesky factor of the
 # real block, assembled by Toeplitz gathers from the plan.  For stiff ones it
 # is the R of an R-only QR of the block's real-folded square-root factor B*
-# (condition = spread, not spread^2).  A squared norm is then the sum over
-# blocks of ||U^-T d||^2, and one factorization serves a whole batch of data
-# vectors.
+# (condition = spread, not spread^2), in two orthogonal stages: small batched
+# QRs shrink the rows of each mode of the first split axis, then one QR
+# factors what is left.  A squared norm is then the sum over blocks of
+# ||U^-T d||^2, and one factorization serves a whole batch of data vectors.
 
 _CHOL_SPREAD_CAP = 1e16
 # parity plans by (shape, mask bytes); the benchmark's masks need a few MiB
@@ -570,23 +572,36 @@ class _FiberSolver:
             tuple(sizes[ax] for ax in split) + (-1,)
         )[..., keep]
         scale = np.concatenate([mu_s, mu_s[..., paired]], axis=-1) ** -1.0 / np.sqrt(mu.size)
+        # The rows of block b are (modes m0 of the first split axis) x (the other
+        # modes r), with entries T0[p, m0] s[m0, r] G[r, rho(p)], rho(p) the point's
+        # coordinates off that axis.  Two orthogonal stages leave R^T R = K_b: per
+        # m0, a QR of diag(s[m0]) G over the block's distinct rho cuts the group to
+        # at most #rho rows; one R-only QR then factors the stacked groups.  With
+        # no split axis the whole block is one group.
+        rho_axes = [ax for ax in range(len(sizes)) if ax not in split[:1]]
         factors = []
         for parity, cols in zip(plan.parities, plan.columns):
             modes = [np.arange(b, sizes[ax] // 2 + 1) for ax, b in zip(split, parity)]
-            # the block matrix, built transposed (point by mode) so that the QR gets
-            # it in Fortran order and factors it in place
-            block = scale[np.ix_(*modes)][None]
+            tables = []
             for j, (ax, b, m) in enumerate(zip(split, parity, modes)):
                 tq = plan.twice_q[cols, j]
                 table = (np.sin if b else np.cos)(np.outer(tq, m) * (np.pi / sizes[ax]))
                 # sqrt(f_m) by mode, and sqrt(2) off the mirror
                 table *= np.where((m == 0) | (2 * m == sizes[ax]), 1.0, np.sqrt(2.0))
                 table *= np.where(tq > 0, np.sqrt(2.0), 1.0)[:, None]
-                block = block * table.reshape((len(cols),) + (1,) * j + (len(m),)
-                                              + (1,) * (len(split) - j))
-            block = block * unsplit_rows[cols].reshape(
-                (len(cols),) + (1,) * len(split) + (-1,))
-            folded = block.reshape(len(cols), -1).T
+                tables.append(table)
+            _, first, rho = np.unique(pts[cols][:, rho_axes], axis=0,
+                                      return_index=True, return_inverse=True)
+            G = unsplit_rows[cols[first]]  # (rho, r), the modes r in C order
+            for table in reversed(tables[1:]):
+                G = (table[first][:, :, None] * G[:, None, :]).reshape(len(first), -1)
+            lead = tables[0] if tables else np.ones((len(cols), 1))
+            s = scale[np.ix_(*modes)].reshape(lead.shape[1], -1)
+            R0 = np.linalg.qr(s[:, :, None] * G.T, mode="r")  # (m0, <= rho, rho)
+            # the stacked groups, built transposed (point by row) so that the QR
+            # gets them in Fortran order and factors them in place
+            folded = lead[:, :, None] * R0.transpose(2, 0, 1)[rho.reshape(-1)]
+            folded = folded.reshape(len(cols), -1).T
             (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
             factors.append(R[: len(cols)].copy())  # mode "r" returns every row
         return factors

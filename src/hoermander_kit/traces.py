@@ -303,10 +303,6 @@ class StripField:
     tau: float
     samples: np.ndarray  # physical samples on spatial x window grid
 
-    @property
-    def window_steps(self) -> int:
-        return self.samples.shape[-1]
-
 
 def lift_T_strip(
     v: CauchyData, beta: CutoffProfile, lattice: Lattice, tau: float

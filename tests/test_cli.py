@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hoermander_kit
-from hoermander_kit import bench, spectra
+from hoermander_kit import bench, interp, spectra
 from hoermander_kit.cli import main
 from hoermander_kit.errors import HoermanderKitError, InvalidConfig, UnknownConfigKey
 
@@ -73,6 +73,35 @@ def test_compat_check_config_rejects_a_misspelt_key(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     with pytest.raises(UnknownConfigKey, match=r"\['tua'\]"):
         main(["compat-check", "--config", str(cfg_path), "--nt", "32"])
+
+
+@pytest.mark.parametrize("cfg_s, message", [("abc", "'abc'"), (1.5, "1.5")],
+                         ids=["not-a-number", "not-above-two"])
+def test_compat_check_config_rejects_a_bad_s(tmp_path, monkeypatch, cfg_s, message):
+    # s is read before the problem is built or any datum drawn
+    drawn = []
+    monkeypatch.setattr(bench, "synthesize_trial", lambda *a, **kw: drawn.append(a))
+    cfg = {"geometry": {"kind": "interval", "nx": 32}, "s": cfg_s, "a": {"2": "1"}}
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(InvalidConfig, match=f"compat-check s: bad value {message}"):
+        main(["compat-check", "--config", str(cfg_path), "--nt", "32"])
+    assert drawn == []
+
+
+@pytest.mark.parametrize("command, values, module, entry", [
+    ("jump-study", "16,48", bench, "jump_study"),
+    ("jump-study", "2", bench, "jump_study"),
+    ("interp-check", "12", interp, "verify_prop_interpolation"),
+    ("interp-check", "8,x", interp, "verify_prop_interpolation"),
+], ids=["jump-study-48", "jump-study-2", "interp-check-12", "interp-check-not-a-number"])
+def test_resolutions_flag_is_checked_before_any_work(monkeypatch, command, values, module,
+                                                     entry):
+    called = []
+    monkeypatch.setattr(module, entry, lambda *a, **kw: called.append(a))
+    with pytest.raises(InvalidConfig, match=f"{command} --resolutions: bad value"):
+        main([command, "--resolutions", values])
+    assert called == []
 
 
 def test_trace_check_command(tmp_path):
@@ -227,8 +256,12 @@ def test_iso_bench_rejects_a_negative_band(tmp_path, monkeypatch):
     ({"resolutions": [48]}, "resolutions"),
     ({"resolutions": [32.5]}, "iso-bench resolutions"),
     ({"s_grid": "3,4"}, "iso-bench s_grid"),
+    ({"phi": "x"}, "iso-bench phi"),
+    ({"phi": [{"kind": "Nope"}]}, "iso-bench phi"),
+    ({"phi": [{"theta": [1.0]}]}, "iso-bench phi"),
 ], ids=["geometry", "boundary", "seed", "band", "trials", "ny", "resolution-48",
-        "resolution-fraction", "s-grid-string"])
+        "resolution-fraction", "s-grid-string", "phi-string", "phi-unknown-kind",
+        "phi-without-kind"])
 def test_iso_bench_rejects_a_bad_config(tmp_path, monkeypatch, cfg, message):
     # a case that cannot run, or a number that does not read as one, fails before any work
     cases = []

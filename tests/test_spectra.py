@@ -553,6 +553,84 @@ def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):
     assert sum(columns) == mask.npoints
 
 
+def _unreduced_fold(mu, mask, block):
+    """Every mode's real and imaginary row of B* on the points, in the rows of block ``block``.
+
+    B*[xi, p] = mu(xi)^-1 exp(-i xi . p) / sqrt(N); with T_b the block's rows of
+    the parity basis, K_b = F^T F for F = [Re B*; Im B*] T_b^T (2N rows).
+    """
+    sizes = mask.shape
+    pts = np.argwhere(mask)
+    mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes], indexing="ij")
+    phase = sum(np.outer(mesh[d].reshape(-1), pts[:, d] * (TWO_PI / sizes[d]))
+                for d in range(len(sizes)))
+    bstar = np.exp(-1j * phase) * (mu.reshape(-1) ** -1.0 / np.sqrt(mu.size))[:, None]
+    lat = spectra.Lattice(sizes=sizes, periods=(2.0,) * len(sizes))
+    T = spectra.parity_coords(spectra.SubdomainMask(lat, mask), np.eye(len(pts)))[block]
+    return np.vstack([bstar.real, bstar.imag]) @ T.T
+
+
+def _stiff_interval_box():
+    mask = pb.omega_domain(pb.IntervalGeometry(nx=16), 1.0, 16)
+    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
+    return mask.lattice.weight(idx), mask.mask
+
+
+def _stiff_strip_fiber():
+    # the fiber xi_y = 1 of the strip's Omega box; its y axis is full
+    mask = pb.omega_domain(pb.PeriodicStripGeometry(nx=16, ny=4, period_y=32.0), 1.0, 16)
+    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=3)
+    return mask.lattice.weight(idx)[:, 1], np.ascontiguousarray(mask.mask[:, 0])
+
+
+def _stiff_on_32x32(mask):
+    lat = spectra.Lattice(sizes=(32, 32), periods=(2.0, 2.0))
+    return lat.weight(weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)), mask
+
+
+def _lateral_1d():
+    mask = pb.lateral_domain(pb.IntervalGeometry(nx=16), 1.0, 16)
+    idx = weights.parabolic_split(3.1, params.log_power(1.0), dimension=1)
+    return mask.lattice.weight(idx), mask.mask
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_stiff_interval_box, _stiff_strip_fiber,
+     lambda: _stiff_on_32x32(_mirrored_in_x_only()),
+     lambda: _stiff_on_32x32(np.random.default_rng(3).random((32, 32)) < 0.3),
+     _lateral_1d],
+    ids=["interval-box", "strip-fiber", "mirrored-in-x-only", "random", "lateral-1d"],
+)
+def test_two_stage_qr_factor_matches_the_unreduced_fold(make):
+    # only orthogonal transforms reduce the fold, so R^T R = K_b up to rounding
+    mu, mask = make()
+    factors = spectra._FiberSolver._factor_by_parity(mu, spectra._parity_plan(mask))
+    assert len(factors) == len(spectra._parity_plan(mask).columns)
+    for b, R in enumerate(factors):
+        (ref,) = sla.qr(_unreduced_fold(mu, mask, b), mode="r")
+        K = ref.T @ ref
+        assert R.shape == (len(K), len(K)) and np.array_equal(R, np.triu(R))
+        assert np.max(np.abs(R.T @ R - K)) <= 1e-13 * np.max(np.abs(K))
+
+
+def test_stiff_qr_factors_the_reduced_rows(monkeypatch):
+    # per mode of the first split axis (17 or 16 of them) the first stage leaves
+    # one row per distinct coordinate on the other axis (9 or 8), not its 17 or
+    # 16 modes: the final QR gets about half the rows of the unreduced fold
+    received = []
+    real_qr = sla.qr
+
+    def recording_qr(a, *args, **kwargs):
+        received.append(a.shape)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "qr", recording_qr)
+    mu, mask = _stiff_interval_box()
+    assert spectra._FiberSolver(mu, mask)._mode == "qr"
+    assert [rows for rows, _ in received] == [153, 136, 144, 128]
+
+
 def _jointly_even_weight():
     # mu = 1 + (xi_1 + xi_2)^2, the sum wrapped to the lattice: even in xi, but
     # not in xi_1 or xi_2 alone; its spread of about 3e22 is past the Cholesky cap
