@@ -595,9 +595,24 @@ def jump_study(
     :func:`spectra.parity_coords`, the Grams by the blocks of
     :func:`spectra.quotient_gram`.  A constraint set that breaks the
     symmetry raises :class:`MirrorAsymmetry`.
+
+    Raises :class:`InvalidConfig` before any work unless s_star is a Dirichlet
+    jump point, ``trials`` >= 1 and the two eps differ, each with s_star -+ eps
+    in the open continuity intervals on either side of s_star.
     """
     if not pb.in_E(s_star, 0):
-        raise ValueError(f"s_star = {s_star} is not a Dirichlet jump point")
+        raise InvalidConfig(f"s_star = {s_star} is not a Dirichlet jump point")
+    if trials < 1:
+        raise InvalidConfig(f"need at least 1 trial, got {trials}")
+    # the continuity intervals that end and start at s_star
+    (below, _), (_, above) = [iv for iv in pb.continuity_intervals(0, math.ceil(s_star))
+                              if s_star in iv]
+    for eps in eps_pair:
+        if not below < s_star - eps < s_star < s_star + eps < above:
+            raise InvalidConfig(f"eps = {eps}: s_star -+ eps must lie in ({below}, {s_star}) "
+                                f"and ({s_star}, {above})")
+    if eps_pair[0] == eps_pair[1]:
+        raise InvalidConfig(f"eps_pair {eps_pair} compares a norm with itself; the two eps must differ")
     report = JumpStudyReport(s_star=s_star, eps_pair=eps_pair)
     r_below = pb.compat_count(s_star, 0)
     r_above = r_below + 1

@@ -12,25 +12,78 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import bench, interp, parabolic as pb, params, spectra, traces
-from .errors import UnknownConfigKey
+from . import _config, bench, interp, parabolic as pb, params, spectra, traces
+from ._config import integer, one_of, pow2, real
 from .params import constant, log_power, param_from_dict
 from .weights import isotropic, parabolic_split
 
 __all__ = ["main"]
 
+# Every command's inputs: name -> (converter, default[, only]).  An input is the flag
+# --name (dashes for underscores) and, for a command with --config, the key name of that
+# file, which overrides the flag; only = "flag" or "key" keeps one of the two.  A converter
+# in a list reads a list: a comma-separated flag or a JSON array.  A default of ... makes
+# the flag required.  Every input is converted before the command does any work; one that
+# does not convert raises InvalidConfig naming "<command> --<flag>" or "<command> <key>".
+_INPUTS = {
+    "norm": {
+        "seed": (integer, 0),
+        "s": (real, ...),
+        "phi": (lambda text: param_from_dict(json.loads(text)), '{"kind": "Constant"}'),
+        "anisotropy": (one_of("parabolic", "isotropic"), "parabolic"),
+    },
+    "interp-check": {"seed": (integer, 0), "resolutions": ([pow2], "16,32"),
+                     "trials": (partial(integer, least=1), 50)},
+    "compat-check": {
+        "seed": (integer, 0, "flag"),
+        "s": (partial(real, above=2.0), 4.0),  # the smoothness the compatibility checks need
+        "nx": (pow2, 128, "flag"), "nt": (pow2, 128, "flag"),
+    },
+    "trace-check": {"seed": (integer, 0), "trials": (partial(integer, least=1), 20)},
+    # BenchCase checks the kinds and the ranges of these
+    "iso-bench": {
+        "seed": (integer, 0),
+        "geometry": (str, "interval"),
+        "boundary": (str, "dirichlet", "key"),
+        "s_grid": ([float], "2.6,3,4,4.6"),
+        "phi": ([param_from_dict], [{"kind": "Constant"}, {"kind": "LogPower", "theta": [1.0]},
+                                    {"kind": "LogPower", "theta": [-1.0]}], "key"),
+        "trials": (integer, 30),
+        "resolutions": ([integer], "32,64"),
+        "ny": (integer, 16), "band": (integer, 4),
+    },
+    "jump-study": {
+        "seed": (integer, 0),
+        "s_star": (real, 3.5), "eps1": (real, 0.1), "eps2": (real, 0.2),
+        # box points per axis: nx = nt = resolution / 2 must be a power of two
+        "resolutions": ([partial(pow2, least=4)], "16,32"),
+        "trials": (partial(integer, least=1), 30),
+    },
+}
 
-def _parse_phi(spec: str | None):
-    if not spec:
-        return constant()
-    return param_from_dict(json.loads(spec))
+
+def _read(args) -> None:
+    """Convert every input of the command in place, from its --config key where the file
+    holds it, else from its flag or default; ``args.unread`` keeps the keys no input reads."""
+    cfg = json.loads(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    for name, (convert, default, *only) in _INPUTS[args.command].items():
+        if only != ["flag"] and name in cfg:
+            where, value = name, cfg.pop(name)
+        elif only == ["key"]:
+            where, value = name, default
+        else:
+            where, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if isinstance(convert, list):
+            convert = _config.list_of(convert[0])
+        setattr(args, name, _config.read_value(f"{args.command} {where}", convert, value))
+    args.unread = cfg
 
 
 def _emit(args, report: dict | str, name: str, csv: str | None = None) -> None:
@@ -50,25 +103,17 @@ def _emit(args, report: dict | str, name: str, csv: str | None = None) -> None:
 
 def _cmd_norm(args) -> int:
     field = spectra.load_field(args.field)
-    phi = _parse_phi(args.phi)
     make = parabolic_split if args.anisotropy == "parabolic" else isotropic
-    idx = make(args.s, phi, dimension=field.lattice.k)
+    idx = make(args.s, args.phi, dimension=field.lattice.k)
     value = spectra.norm(idx, field)
     _emit(args, {"field": str(args.field), "space": idx.describe(), "norm": value}, "norm")
     return 0
 
 
-def _resolutions(args, convert) -> tuple[int, ...]:
-    """The --resolutions flag as a tuple of ``convert`` of its comma-separated items."""
-    return pb._config_value(f"{args.command} --resolutions", _list_of(convert),
-                            args.resolutions.split(","))
-
-
 def _cmd_interp_check(args) -> int:
-    sizes = _resolutions(args, pb._pow2)
     rows = []
     ok = True
-    for n in sizes:
+    for n in args.resolutions:
         lat = spectra.Lattice(sizes=(n, n), periods=(2 * np.pi, 2 * np.pi))
         for phi in (constant(), log_power(1.0), log_power(-1.0)):
             rep = interp.verify_prop_interpolation(
@@ -93,18 +138,12 @@ def _cmd_interp_check(args) -> int:
 
 
 def _cmd_compat_check(args) -> int:
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    # s is this command's own key beside the problem's
-    s = pb._config_value("compat-check s", _above_two, cfg.get("s", args.s))
-    if args.config:
-        problem = pb.problem_from_config({k: v for k, v in cfg.items() if k != "s"})
-    else:
-        problem = pb.heat_problem(pb.IntervalGeometry(nx=args.nx))
-    nt = args.nt
-    trial = bench.synthesize_trial(problem.geometry, problem.tau, nt,
+    problem = (pb.problem_from_config(args.unread) if args.config
+               else pb.heat_problem(pb.IntervalGeometry(nx=args.nx)))
+    trial = bench.synthesize_trial(problem.geometry, problem.tau, args.nt,
                                    seed=args.seed, band=3)
-    f, g, h = bench.apply_lambda(problem, trial, nt)
-    rep = pb.check_compatibility(problem, f, g, h, s=s)
+    f, g, h = bench.apply_lambda(problem, trial, args.nt)
+    rep = pb.check_compatibility(problem, f, g, h, s=args.s)
     _emit(args, rep.to_dict(), "compat-check")
     return 0 if rep.passed else 1
 
@@ -131,72 +170,12 @@ def _cmd_trace_check(args) -> int:
     return 0 if ok else 1
 
 
-def _pow2_at_least_4(value) -> int:
-    """``value`` as an integer power of two >= 4."""
-    n = pb._pow2(value)
-    if n < 4:
-        raise ValueError("below 4")
-    return n
-
-
-def _above_two(value) -> float:
-    """``value`` as a finite float s > 2, the smoothness the compatibility checks need."""
-    if not 2.0 < float(value) < math.inf:
-        raise ValueError("not a finite s > 2")
-    return float(value)
-
-
-def _param(d) -> params.FunctionParam:
-    """A function parameter from its JSON object; a missing key is a ValueError."""
-    if not isinstance(d, dict):
-        raise ValueError("not an object")
-    try:
-        return param_from_dict(d)
-    except KeyError as err:
-        raise ValueError(f"missing key {err}") from err
-
-
-def _list_of(convert):
-    """A converter of a list (not a string) to the tuple of ``convert`` of its items."""
-    def read(values) -> tuple:
-        if not isinstance(values, list):
-            raise ValueError("not a list")
-        return tuple(convert(v) for v in values)
-    return read
-
-
-_ISO_BENCH_KEYS = ("geometry", "boundary", "s_grid", "phi", "trials",
-                   "resolutions", "seed", "ny", "band")
-
-
 def _cmd_iso_bench(args) -> int:
-    # the flags give every default; the keys of a --config file override them
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    unknown = sorted(set(cfg) - set(_ISO_BENCH_KEYS))
-    if unknown:
-        raise UnknownConfigKey(
-            f"{args.config}: unknown keys {unknown}; "
-            f"a bench case reads {list(_ISO_BENCH_KEYS)}"
-        )
-
-    def read(key: str, convert, default):
-        return pb._config_value(f"iso-bench {key}", convert, cfg.get(key, default))
-
-    if "phi" in cfg:
-        phis = read("phi", _list_of(_param), None)
-    else:
-        phis = (constant(), log_power(1.0), log_power(-1.0))
-
+    _config.check_keys(args.unread, args.config, (), tuple(_INPUTS["iso-bench"]))
     case = bench.BenchCase(
-        geometry_kind=cfg.get("geometry", args.geometry),
-        boundary=cfg.get("boundary", "dirichlet"),
-        s_grid=read("s_grid", _list_of(float), args.s_grid.split(",")),
-        phi_list=phis,
-        trial_count=read("trials", pb._integer, args.trials),
-        resolutions=read("resolutions", _list_of(pb._integer), args.resolutions.split(",")),
-        seed=read("seed", pb._integer, args.seed),
-        ny=read("ny", pb._integer, args.ny),
-        band=read("band", pb._integer, args.band),
+        geometry_kind=args.geometry, boundary=args.boundary, s_grid=args.s_grid,
+        phi_list=args.phi, trial_count=args.trials, resolutions=args.resolutions,
+        seed=args.seed, ny=args.ny, band=args.band,
     )
     rep = bench.estimate_isomorphism(case)
     ok = rep.drift_passed()
@@ -206,12 +185,10 @@ def _cmd_iso_bench(args) -> int:
 
 
 def _cmd_jump_study(args) -> int:
-    # box points per axis: nx = nt = resolution / 2 must be a power of two
-    resolutions = _resolutions(args, _pow2_at_least_4)
     rep = bench.jump_study(
         s_star=args.s_star,
         eps_pair=(args.eps1, args.eps2),
-        resolutions=resolutions,
+        resolutions=args.resolutions,
         trials=args.trials,
         seed=args.seed,
     )
@@ -221,62 +198,40 @@ def _cmd_jump_study(args) -> int:
     return 0 if ok else 1
 
 
+_COMMANDS = {
+    "norm": (_cmd_norm, "multiplier norm of a stored field"),
+    "interp-check": (_cmd_interp_check, "interpolation identity sweeps"),
+    "compat-check": (_cmd_compat_check, "compatibility conditions on synthesized data"),
+    "trace-check": (_cmd_trace_check, "trace/lift identity and cutoff moments"),
+    "iso-bench": (_cmd_iso_bench, "two-sided isomorphism surrogate"),
+    "jump-study": (_cmd_jump_study, "half-interpolation at a jump point"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hoermander-kit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="directory for JSON reports")
-    common.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("norm", parents=[common], help="multiplier norm of a stored field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--phi", default=None, help='function parameter JSON, e.g. {"kind":"LogPower","theta":[1.0]}')
-    p.add_argument("--anisotropy", choices=("parabolic", "isotropic"), default="parabolic")
-    p.set_defaults(fn=_cmd_norm)
-
-    p = sub.add_parser("interp-check", parents=[common], help="interpolation identity sweeps")
-    p.add_argument("--resolutions", default="16,32")
-    p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(fn=_cmd_interp_check)
-
-    p = sub.add_parser("compat-check", parents=[common], help="compatibility conditions on synthesized data")
-    p.add_argument("--config", default=None, help="problem config JSON file")
-    p.add_argument("--s", type=float, default=4.0)
-    p.add_argument("--nx", type=int, default=128)
-    p.add_argument("--nt", type=int, default=128)
-    p.set_defaults(fn=_cmd_compat_check)
-
-    p = sub.add_parser("trace-check", parents=[common], help="trace/lift identity and cutoff moments")
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(fn=_cmd_trace_check)
-
-    p = sub.add_parser("iso-bench", parents=[common], help="two-sided isomorphism surrogate")
-    p.add_argument("--config", default=None, help="bench case JSON file")
-    p.add_argument("--geometry", choices=("interval", "strip"), default="interval")
-    p.add_argument("--s-grid", default="2.6,3,4,4.6")
-    p.add_argument("--resolutions", default="32,64")
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--ny", type=int, default=16)
-    p.add_argument("--band", type=int, default=4)
-    p.add_argument("--json", dest="csv", action="store_false", default=False)
-    p.add_argument("--csv", dest="csv", action="store_true")
-    p.set_defaults(fn=_cmd_iso_bench)
-
-    p = sub.add_parser("jump-study", parents=[common], help="half-interpolation at a jump point")
-    p.add_argument("--s-star", type=float, default=3.5)
-    p.add_argument("--eps1", type=float, default=0.1)
-    p.add_argument("--eps2", type=float, default=0.2)
-    p.add_argument("--resolutions", default="16,32")
-    p.add_argument("--trials", type=int, default=30)
-    p.set_defaults(fn=_cmd_jump_study)
-
+    parsers = {}
+    for command, (fn, text) in _COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=text)
+        p.set_defaults(fn=fn)
+        p.add_argument("--out", default=None, help="directory for JSON reports")
+        for name, (convert, default, *only) in _INPUTS[command].items():
+            if only != ["key"]:
+                p.add_argument("--" + name.replace("_", "-"), default=default, required=default is ...,
+                               help=None if default is ... else f"default {default}",
+                               type=(lambda text: text.split(",")) if isinstance(convert, list) else None)
+    parsers["norm"].add_argument("--field", required=True)
+    parsers["compat-check"].add_argument("--config", default=None, help="problem config JSON file")
+    parsers["iso-bench"].add_argument("--config", default=None, help="bench case JSON file")
+    parsers["iso-bench"].add_argument("--json", dest="csv", action="store_false", default=False)
+    parsers["iso-bench"].add_argument("--csv", dest="csv", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _read(args)
     return args.fn(args)
 
 

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import spectra
+from ._config import check_keys, positive, pow2, read_kind, read_value
 from ._expr import compile_expr
 from ._fd import apply_deriv_axis, trace_deriv_at_zero
 from .errors import (
@@ -36,7 +37,6 @@ from .errors import (
     InsufficientSmoothness,
     InvalidConfig,
     NotFirstOrder,
-    UnknownConfigKey,
 )
 from .params import FunctionParam, constant
 from .spectra import Lattice, SubdomainMask
@@ -305,55 +305,6 @@ _GEOMETRY_KINDS = {"interval": (("nx",), ()), "strip": (("nx", "ny"), ("period_y
 _BOUNDARY_KINDS = {"dirichlet": ((), ()), "first_order": (("b",), ())}
 
 
-def _check_keys(cfg: dict, where: str, required: tuple, optional: tuple = ()) -> None:
-    """UnknownConfigKey for a key outside ``required`` and ``optional``, InvalidConfig for a
-    missing required one."""
-    unknown = sorted(set(cfg) - set(required) - set(optional))
-    if unknown:
-        raise UnknownConfigKey(f"{where}: unknown keys {unknown}; it reads "
-                               f"{list(required + optional)}")
-    missing = [key for key in required if key not in cfg]
-    if missing:
-        raise InvalidConfig(f"{where}: missing keys {missing}")
-
-
-def _config_kind(cfg, where: str, kinds: dict) -> str:
-    """The kind of a config section, once its keys match that kind's in ``kinds``."""
-    kind = cfg.get("kind") if isinstance(cfg, dict) else None
-    if not isinstance(kind, str) or kind not in kinds:
-        raise InvalidConfig(f"{where} kind {kind!r} is not one of {list(kinds)}")
-    required, optional = kinds[kind]
-    _check_keys(cfg, f"{kind} {where}", ("kind",) + required, optional)
-    return kind
-
-
-def _config_value(where: str, convert, value):
-    """``convert(value)``, or InvalidConfig naming ``where`` when the value does not convert."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, SyntaxError, OverflowError) as err:
-        raise InvalidConfig(f"{where}: bad value {value!r} ({err})") from err
-
-
-def _integer(value) -> int:
-    """``value`` as an integer; 1.7 does not read as 1, and true does not read as 1."""
-    if isinstance(value, bool) or int(value) != float(value):
-        raise ValueError("not an integer")
-    return int(value)
-
-
-def _pow2(value) -> int:
-    """``value`` as an integer power of two >= 2; 16.5 does not read as 16."""
-    return _require_pow2(_integer(value), "the value")
-
-
-def _positive(value) -> float:
-    """``value`` as a positive finite float; nan and inf are not."""
-    if not 0.0 < float(value) < math.inf:
-        raise ValueError("not a positive finite number")
-    return float(value)
-
-
 def _config_table(cfg: dict, key: str, where: str, read_key, parse) -> dict:
     """The coefficient table ``cfg[key]`` as {read_key(k): parse(spec, k)}.
 
@@ -366,7 +317,7 @@ def _config_table(cfg: dict, key: str, where: str, read_key, parse) -> dict:
         raise InvalidConfig(f"{where} must be an object of coefficients, got {type(table).__name__}")
     out, named_by = {}, {}
     for k, spec in table.items():
-        entry = _config_value(f"{where} key {k!r}", read_key, k)
+        entry = read_value(f"{where} key {k!r}", read_key, k)
         if entry in named_by:
             raise InvalidConfig(f"{where} keys {named_by[entry]!r} and {k!r} both name {entry}")
         named_by[entry] = k
@@ -386,16 +337,16 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
     does not admit, or a coefficient table that is not an object raises
     :class:`InvalidConfig` naming the key.
     """
-    _check_keys(cfg, "config", ("geometry", "a"), ("tau", "boundary"))
+    check_keys(cfg, "config", ("geometry", "a"), ("tau", "boundary"))
     gcfg = cfg["geometry"]
-    if _config_kind(gcfg, "geometry", _GEOMETRY_KINDS) == "interval":
-        geom: Geometry = IntervalGeometry(nx=_config_value("geometry nx", _pow2, gcfg["nx"]))
+    if read_kind(gcfg, "geometry", _GEOMETRY_KINDS) == "interval":
+        geom: Geometry = IntervalGeometry(nx=read_value("geometry nx", pow2, gcfg["nx"]))
         variables: tuple[str, ...] = ("x", "t")
     else:
         geom = PeriodicStripGeometry(
-            nx=_config_value("geometry nx", _pow2, gcfg["nx"]),
-            ny=_config_value("geometry ny", _pow2, gcfg["ny"]),
-            period_y=_config_value("geometry period_y", _positive, gcfg.get("period_y", 1.0)),
+            nx=read_value("geometry nx", pow2, gcfg["nx"]),
+            ny=read_value("geometry ny", pow2, gcfg["ny"]),
+            period_y=read_value("geometry period_y", positive, gcfg.get("period_y", 1.0)),
         )
         variables = ("x", "y", "t")
     n = geom.spatial_dim
@@ -403,19 +354,19 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
     def parse_coeff(spec, where: str) -> Coefficient:
         if isinstance(spec, (int, float)):
             return Coefficient.const(spec)
-        return Coefficient(evaluator=_config_value(where, lambda src: compile_expr(src, variables),
+        return Coefficient(evaluator=read_value(where, lambda src: compile_expr(src, variables),
                                                    str(spec)), label=str(spec))
 
     a = _config_table(cfg, "a", "a", lambda k: _multi_index(str(k).split(","), n), parse_coeff)
     bcfg = cfg.get("boundary", {"kind": "dirichlet"})
-    if _config_kind(bcfg, "boundary", _BOUNDARY_KINDS) == "dirichlet":
+    if read_kind(bcfg, "boundary", _BOUNDARY_KINDS) == "dirichlet":
         boundary: Dirichlet | FirstOrder = Dirichlet()
     else:
         # b_1..b_n act on D_1..D_n and b_0 on the identity
         boundary = FirstOrder(b=_config_table(bcfg, "b", "boundary b",
                                               lambda j: range(n + 1).index(int(j)), parse_coeff))
     return ParabolicProblem(
-        geometry=geom, tau=_config_value("tau", _positive, cfg.get("tau", 1.0)), a_coeffs=a,
+        geometry=geom, tau=read_value("tau", positive, cfg.get("tau", 1.0)), a_coeffs=a,
         boundary=boundary,
     )
 

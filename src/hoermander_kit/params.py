@@ -20,13 +20,13 @@ is known analytically.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._config import list_of, positive, read_kind, read_value, real
 from .errors import NonPositiveValue, OrderingViolation, UnboundedRatio
 
 __all__ = [
@@ -182,23 +182,21 @@ def param_to_dict(p: FunctionParam) -> dict:
     return d
 
 
+# per kind: the keys beside "kind" that a function parameter must hold, and those it may hold
+_PARAM_KINDS = {"LogPower": ((), ("theta",)), "Constant": ((), ("value",)),
+                "PowerTimesSlow": (("power",), ("theta",))}
+
+
 def param_from_dict(d: dict) -> FunctionParam:
-    kind = d["kind"]
+    """The parameter of a JSON object as :func:`param_to_dict` writes it; a key outside its
+    kind's schema is an UnknownConfigKey, a missing key or a bad value an InvalidConfig."""
+    kind = read_kind(d, "phi", _PARAM_KINDS)
+    theta = read_value("phi theta", list_of(real), d.get("theta", []))
     if kind == "LogPower":
-        return log_power(*d.get("theta", []))
+        return log_power(*theta)
     if kind == "Constant":
-        return constant(d.get("value", 1.0))
-    if kind == "PowerTimesSlow":
-        return power_times_slow(d["power"], *d.get("theta", []))
-    raise ValueError(f"unknown parameter kind {kind!r}")
-
-
-def param_to_json(p: FunctionParam) -> str:
-    return json.dumps(param_to_dict(p))
-
-
-def param_from_json(s: str) -> FunctionParam:
-    return param_from_dict(json.loads(s))
+        return constant(read_value("phi value", positive, d.get("value", 1.0)))
+    return power_times_slow(read_value("phi power", real, d["power"]), *theta)
 
 
 # -- diagnostics ---------------------------------------------------------------

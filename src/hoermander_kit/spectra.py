@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 
+from ._config import check_keys, integer, list_of, one_of, positive, read_value
 from .errors import DimensionMismatch, NoConvergence, NonFiniteData
 from .weights import RegularityIndex, _GridCache, weight_on_mesh
 
@@ -800,16 +801,35 @@ def save_field(field: SpectralField, path: str | Path, fmt: str = "binary") -> N
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _read_header(path: Path, keys: tuple = ()) -> tuple[dict, Lattice, str]:
+    """The JSON header beside ``path``: the object, its lattice and its format.
+
+    A header holds ``sizes``, ``periods`` and ``keys``, and may hold
+    ``format`` ("binary", the default, or "csv").  Another key raises
+    :class:`UnknownConfigKey`; a missing key or a value that does not read
+    raises :class:`InvalidConfig` naming it.
+    """
+    where = path.with_suffix(path.suffix + ".json")
+    header = json.loads(where.read_text())
+    check_keys(header, str(where), ("sizes", "periods") + keys, ("format",))
+    lattice = Lattice(
+        sizes=read_value(f"{where} sizes", list_of(integer), header["sizes"]),
+        periods=read_value(f"{where} periods", list_of(positive), header["periods"]),
+    )
+    return header, lattice, read_value(f"{where} format", one_of("binary", "csv"),
+                                       header.get("format", "binary"))
+
+
 def load_field(path: str | Path) -> SpectralField:
     """Read a field written by :func:`save_field`.
 
-    Raises :class:`DimensionMismatch` when the file does not hold exactly the
-    number of entries its header's lattice sizes call for.
+    Its header is checked by :func:`_read_header`.  Raises
+    :class:`DimensionMismatch` when the file does not hold exactly the number
+    of entries its header's lattice sizes call for.
     """
     path = Path(path)
-    header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    lattice = Lattice(sizes=tuple(header["sizes"]), periods=tuple(header["periods"]))
-    if header.get("format", "binary") == "binary":
+    _, lattice, fmt = _read_header(path)
+    if fmt == "binary":
         item = np.dtype(np.complex128).itemsize
         count = path.stat().st_size / item  # fractional when truncated mid-entry
         flat = np.fromfile(path, dtype=np.complex128)

@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import parabolic as pb
+from ._config import integer, read_value
 from ._fd import fornberg_weights
 from .errors import (
     CutoffWrapsAround,
@@ -38,7 +40,7 @@ from .errors import (
     InsufficientTimeResolution,
 )
 from .params import FunctionParam
-from .spectra import Lattice, SpectralField, load_field, norm, random_field, save_field
+from .spectra import Lattice, SpectralField, _read_header, load_field, norm, random_field, save_field
 from .weights import isotropic
 
 __all__ = [
@@ -167,12 +169,13 @@ def save_cauchy(v: CauchyData, path, fmt: str = "binary") -> None:
 
 
 def load_cauchy(path) -> CauchyData:
+    """Read Cauchy data written by :func:`save_cauchy`; its header also holds ``r`` >= 1."""
     path = Path(path)
-    header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    lattice = Lattice(sizes=tuple(header["sizes"]), periods=tuple(header["periods"]))
+    header, lattice, _ = _read_header(path, ("r",))
+    r = read_value(f"{path}.json r", partial(integer, least=1), header["r"])
     comps = tuple(
         load_field(path.with_suffix(f"{path.suffix}.{k}")).to_samples()
-        for k in range(header["r"])
+        for k in range(r)
     )
     return CauchyData(lattice=lattice, components=comps)
 

@@ -462,6 +462,23 @@ def _complex_data_gram(p, nt, s):
                           quotient_gram(idx_h, pb.spatial_domain(geom)))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"eps_pair": (0.1, 0.1)}, "the two eps must differ"),
+    ({"eps_pair": (0.0, 0.2)}, r"eps = 0.0: s_star -\+ eps must lie in \(2.0, 3.5\) and \(3.5, 5.5\)"),
+    ({"eps_pair": (-0.1, 0.2)}, "eps = -0.1"),
+    ({"eps_pair": (2.0, 0.2)}, "eps = 2.0"),
+    ({"s_star": 3.4}, "s_star = 3.4 is not a Dirichlet jump point"),
+    ({"trials": 0}, "need at least 1 trial"),
+], ids=["equal-eps", "zero-eps", "negative-eps", "eps-past-the-interval", "s-star-off-E",
+        "no-trial"])
+def test_jump_study_rejects_bad_inputs_before_any_work(monkeypatch, kwargs, message):
+    built = []
+    monkeypatch.setattr(pb, "heat_problem", lambda *a, **kw: built.append(a))
+    with pytest.raises(InvalidConfig, match=message):
+        bench.jump_study(**{"resolutions": (16,), **kwargs})
+    assert built == []
+
+
 def _jump_study_complex(s_star, eps_pair, resolutions, trials, seed, tau=1.0, band=2):
     """Reference: the jump study on an explicit SVD kernel basis in complex arithmetic,
     with the K-functional evaluated one vector at a time (defect floor 1e-10)."""

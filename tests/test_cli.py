@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hoermander_kit
-from hoermander_kit import bench, interp, spectra
+from hoermander_kit import bench, cli, interp, spectra, traces
 from hoermander_kit.cli import main
 from hoermander_kit.errors import HoermanderKitError, InvalidConfig, UnknownConfigKey
 
@@ -101,6 +101,62 @@ def test_resolutions_flag_is_checked_before_any_work(monkeypatch, command, value
     monkeypatch.setattr(module, entry, lambda *a, **kw: called.append(a))
     with pytest.raises(InvalidConfig, match=f"{command} --resolutions: bad value"):
         main([command, "--resolutions", values])
+    assert called == []
+
+
+# the first step of each command's work, reached only once every input has been read
+_ENTRY = {"norm": (spectra, "load_field"), "interp-check": (interp, "verify_prop_interpolation"),
+          "compat-check": (bench, "synthesize_trial"), "trace-check": (traces.CauchyData, "random"),
+          "iso-bench": (bench, "estimate_isomorphism"), "jump-study": (bench, "jump_study")}
+# per table input: a value that does not read, and the message of a library type's check
+# where that check is the input's (None: the input's own "<command> --<flag>: bad value")
+_BAD_INPUTS = {
+    ("norm", "seed"): ("1.5", None), ("norm", "s"): ("nan", None),
+    ("norm", "phi"): ('{"kind": "Nope"}', None), ("norm", "anisotropy"): ("elliptic", None),
+    ("interp-check", "seed"): ("x", None), ("interp-check", "resolutions"): ("8,12", None),
+    ("interp-check", "trials"): ("0", None),
+    ("compat-check", "seed"): ("x", None), ("compat-check", "s"): ("2", None),
+    ("compat-check", "nx"): ("12", None), ("compat-check", "nt"): ("12", None),
+    ("trace-check", "seed"): ("x", None), ("trace-check", "trials"): ("0", None),
+    ("iso-bench", "seed"): ("x", None), ("iso-bench", "geometry"): ("disk", "geometry 'disk'"),
+    ("iso-bench", "boundary"): ("robin", "boundary 'robin'"), ("iso-bench", "s_grid"): ("3,x", None),
+    ("iso-bench", "phi"): ("x", None), ("iso-bench", "trials"): ("30.5", None),
+    ("iso-bench", "resolutions"): ("32,x", None), ("iso-bench", "ny"): ("1.5", None),
+    ("iso-bench", "band"): ("x", None),
+    ("jump-study", "seed"): ("x", None), ("jump-study", "s_star"): ("x", None),
+    ("jump-study", "eps1"): ("nan", None), ("jump-study", "eps2"): ("inf", None),
+    ("jump-study", "resolutions"): ("16,2", None), ("jump-study", "trials"): ("0", None),
+}
+
+
+@pytest.mark.parametrize("command, name", [(command, name) for command, inputs in cli._INPUTS.items()
+                                           for name in inputs])
+def test_every_input_is_checked_before_any_work(tmp_path, monkeypatch, command, name):
+    # a flag, or a --config key where the input is only that, fails naming itself
+    called = []
+    monkeypatch.setattr(*_ENTRY[command], lambda *a, **kw: called.append(a))
+    bad, message = _BAD_INPUTS[command, name]
+    argv = [command, "--field", "f.bin", "--s", "2"] if command == "norm" else [command]
+    if cli._INPUTS[command][name][2:] == ("key",):
+        cfg_path = tmp_path / "case.json"
+        cfg_path.write_text(json.dumps({name: bad}))
+        argv += ["--config", str(cfg_path)]
+        where = f"{command} {name}"
+    else:
+        flag = "--" + name.replace("_", "-")
+        argv += [flag, bad]
+        where = f"{command} {flag}"
+    with pytest.raises(InvalidConfig, match=message or f"{where}: bad value"):
+        main(argv)
+    assert called == []
+
+
+def test_norm_rejects_a_misspelt_phi_key(monkeypatch):
+    # a misspelt exponent is an error, not the plain Sobolev case phi = 1
+    called = []
+    monkeypatch.setattr(spectra, "load_field", lambda *a, **kw: called.append(a))
+    with pytest.raises(UnknownConfigKey, match=r"norm --phi: LogPower phi: unknown keys \['thet'\]"):
+        main(["norm", "--field", "f.bin", "--s", "2", "--phi", '{"kind": "LogPower", "thet": [1]}'])
     assert called == []
 
 

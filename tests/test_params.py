@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoermander_kit import params
-from hoermander_kit.errors import NonPositiveValue, OrderingViolation, UnboundedRatio
+from hoermander_kit.errors import (
+    InvalidConfig,
+    NonPositiveValue,
+    OrderingViolation,
+    UnboundedRatio,
+    UnknownConfigKey,
+)
 
 
 def test_slow_variation_constant_passes():
@@ -149,9 +156,21 @@ def test_sandwich_constants_bound_phi():
     ],
 )
 def test_serialization_round_trip(p):
-    q = params.param_from_json(params.param_to_json(p))
+    q = params.param_from_dict(json.loads(json.dumps(params.param_to_dict(p))))
     r = np.geomspace(1.0, 1e8, 50)
     assert np.allclose(p(r), q(r), rtol=1e-15)
+
+
+@pytest.mark.parametrize("d, error, message", [
+    ({"kind": "LogPower", "thet": [1.0]}, UnknownConfigKey, r"LogPower phi: unknown keys \['thet'\]"),
+    ({"kind": "Constant", "valeu": 2}, UnknownConfigKey, r"Constant phi: unknown keys \['valeu'\]"),
+    ({"kind": "PowerTimesSlow"}, InvalidConfig, r"PowerTimesSlow phi: missing keys \['power'\]"),
+    ({"kind": "LogPower", "theta": "ab"}, InvalidConfig, "phi theta: bad value 'ab'"),
+], ids=["misspelt-theta", "misspelt-value", "no-power", "theta-string"])
+def test_param_from_dict_checks_its_keys(d, error, message):
+    # a misspelt key is an error, not phi = 1
+    with pytest.raises(error, match=message):
+        params.param_from_dict(d)
 
 
 def test_serialization_schema():

@@ -1,9 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from hoermander_kit import parabolic as pb, params, spectra, weights
-from hoermander_kit.errors import DimensionMismatch, NoConvergence, NonFiniteData
+from hoermander_kit.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NoConvergence,
+    NonFiniteData,
+    UnknownConfigKey,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -876,6 +884,23 @@ def test_field_io_round_trip(tmp_path):
         g = spectra.load_field(p)
         assert g.lattice == lat
         assert np.allclose(g.coeffs, f.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"format": "bin"}, InvalidConfig, "json format: bad value 'bin'"),
+    ({"periods": None}, InvalidConfig, r"missing keys \['periods'\]"),
+    ({"sizes": "16"}, InvalidConfig, "json sizes: bad value '16'"),
+    ({"unit": "m"}, UnknownConfigKey, r"unknown keys \['unit'\]"),
+], ids=["format-bin", "no-periods", "sizes-string", "unknown-key"])
+def test_load_field_checks_its_header(tmp_path, change, error, message):
+    # None drops the key
+    p = tmp_path / "field.bin"
+    spectra.save_field(spectra.random_field(lattice2(8), 9), p)
+    header_path = tmp_path / "field.bin.json"
+    header = {**json.loads(header_path.read_text()), **change}
+    header_path.write_text(json.dumps({k: v for k, v in header.items() if v is not None}))
+    with pytest.raises(error, match=message):
+        spectra.load_field(p)
 
 
 def test_dimension_mismatch_guards():

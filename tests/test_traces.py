@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from hoermander_kit.errors import (
     CutoffWrapsAround,
     DimensionMismatch,
     InsufficientTimeResolution,
+    InvalidConfig,
+    UnknownConfigKey,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -390,6 +393,23 @@ def test_cauchy_io_round_trip(tmp_path):
     assert w.r == 3 and w.lattice == slat
     for a, b in zip(v.components, w.components):
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"r": None}, InvalidConfig, r"missing keys \['r'\]"),
+    ({"r": 0}, InvalidConfig, "json r: bad value 0"),
+    ({"sizes": "16"}, InvalidConfig, "json sizes: bad value '16'"),
+    ({"unit": "m"}, UnknownConfigKey, r"unknown keys \['unit'\]"),
+], ids=["no-r", "r-zero", "sizes-string", "unknown-key"])
+def test_load_cauchy_checks_its_header(tmp_path, change, error, message):
+    # None drops the key
+    path = tmp_path / "cauchy.dat"
+    traces.save_cauchy(traces.CauchyData.random(spatial_lattice(16), 2, seed=2), path)
+    header_path = tmp_path / "cauchy.dat.json"
+    header = {**json.loads(header_path.read_text()), **change}
+    header_path.write_text(json.dumps({k: v for k, v in header.items() if v is not None}))
+    with pytest.raises(error, match=message):
+        traces.load_cauchy(path)
 
 
 def test_strip_trace_through_extension():
