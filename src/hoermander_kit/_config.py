@@ -86,10 +86,14 @@ def one_of(*choices):
     return read
 
 
-def list_of(convert):
-    """A converter of a list (not a string) to the tuple of ``convert`` of its items."""
+def list_of(convert, least: int = 0):
+    """A converter of a list (not a string) of at least ``least`` items to the tuple of
+    ``convert`` of its items."""
     def read(values) -> tuple:
         if not isinstance(values, list):
             raise ValueError("not a list")
-        return tuple(convert(v) for v in values)
+        out = tuple(convert(v) for v in values)
+        if len(out) < least:
+            raise ValueError(f"fewer than {least} items")
+        return out
     return read

@@ -30,8 +30,9 @@ __all__ = ["main"]
 # --name (dashes for underscores) and, for a command with --config, the key name of that
 # file, which overrides the flag; only = "flag" or "key" keeps one of the two.  A converter
 # in a list reads a list: a comma-separated flag or a JSON array.  A default of ... makes
-# the flag required.  Every input is converted before the command does any work; one that
-# does not convert raises InvalidConfig naming "<command> --<flag>" or "<command> <key>".
+# the flag required; [converter, least] reads a list of at least that many items.  Every
+# input is converted before the command does any work; one that does not convert raises
+# InvalidConfig naming "<command> --<flag>" or "<command> <key>".
 _INPUTS = {
     "norm": {
         "seed": (integer, 0),
@@ -56,14 +57,16 @@ _INPUTS = {
         "phi": ([param_from_dict], [{"kind": "Constant"}, {"kind": "LogPower", "theta": [1.0]},
                                     {"kind": "LogPower", "theta": [-1.0]}], "key"),
         "trials": (integer, 30),
-        "resolutions": ([integer], "32,64"),
+        # the drift criterion compares the two finest resolutions
+        "resolutions": ([integer, 2], "32,64"),
         "ny": (integer, 16), "band": (integer, 4),
     },
     "jump-study": {
         "seed": (integer, 0),
         "s_star": (real, 3.5), "eps1": (real, 0.1), "eps2": (real, 0.2),
-        # box points per axis: nx = nt = resolution / 2 must be a power of two
-        "resolutions": ([partial(pow2, least=4)], "16,32"),
+        # box points per axis: nx = nt = resolution / 2 must be a power of two; the
+        # criteria compare the two finest resolutions
+        "resolutions": ([partial(pow2, least=4), 2], "16,32"),
         "trials": (partial(integer, least=1), 30),
     },
 }
@@ -72,7 +75,8 @@ _INPUTS = {
 def _read(args) -> None:
     """Convert every input of the command in place, from its --config key where the file
     holds it, else from its flag or default; ``args.unread`` keeps the keys no input reads."""
-    cfg = json.loads(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    path = getattr(args, "config", None)
+    cfg = _config.read_value(path, json.loads, Path(path).read_text()) if path else {}
     for name, (convert, default, *only) in _INPUTS[args.command].items():
         if only != ["flag"] and name in cfg:
             where, value = name, cfg.pop(name)
@@ -81,7 +85,7 @@ def _read(args) -> None:
         else:
             where, value = "--" + name.replace("_", "-"), getattr(args, name)
         if isinstance(convert, list):
-            convert = _config.list_of(convert[0])
+            convert = _config.list_of(*convert)
         setattr(args, name, _config.read_value(f"{args.command} {where}", convert, value))
     args.unread = cfg
 

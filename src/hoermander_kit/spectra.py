@@ -9,11 +9,14 @@ from one direct engine, :func:`quotient_norm_batch`: it gathers the data into
 fibers along the axes where the mask is full (none: one fiber), and per fiber
 factors the real Toeplitz kernel K of the weighted least-norm extension
 problem block by block.  Along every axis where the mask is its own mirror
-image K splits into an even and an odd block, so a box gives 2^k blocks; a
-memoized parity plan per mask holds their points and Toeplitz gather
-indices.  Each block is factored by Cholesky, or, past a weight spread of
-1e16, by an R-only QR of a real-folded square-root factor, whose rows a
-batched QR per mode of the first split axis first cuts to about half.
+image K splits into an even and an odd block, so a box gives 2^k blocks.
+Each block K_b has one real square root F_b (K_b = F_b^T F_b): cosine and
+sine tables of the mirror axes and the folded modes of the others, with
+rows scaled by mu^-1.  A memoized parity plan per mask holds the blocks'
+points and the mask side of F_b, so the weight enters by one gather.  Each
+block is factored by Cholesky of F_b^T F_b, or, past a weight spread of
+1e16, by an R-only QR of F_b, whose rows a batched QR per mode of the first
+split axis first cuts to about half.
 Fibers with equal weights share one factor.  Given a sequence of indices,
 the engine prepares the data (fiber gather, FFT, parity basis) once and
 solves each index against them.
@@ -38,8 +41,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from ._config import check_keys, integer, list_of, one_of, positive, read_value
-from .errors import DimensionMismatch, NoConvergence, NonFiniteData
+from ._config import check_keys, list_of, one_of, positive, pow2, read_value
+from .errors import DimensionMismatch, InvalidConfig, NoConvergence, NonFiniteData
 from .weights import RegularityIndex, _GridCache, weight_on_mesh
 
 __all__ = [
@@ -344,15 +347,16 @@ def quotient_norm(
 # per mirror-parity block: K is translation invariant and even in each
 # coordinate, so on every axis where the mask is its own mirror image it
 # commutes with that reflection and splits into an even and an odd block
-# (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Which points and
-# kernel entries each block takes depends on the mask alone; a memoized
-# parity plan holds them.  For mild spreads U is the Cholesky factor of the
-# real block, assembled by Toeplitz gathers from the plan.  For stiff ones it
-# is the R of an R-only QR of the block's real-folded square-root factor B*
-# (condition = spread, not spread^2), in two orthogonal stages: small batched
-# QRs shrink the rows of each mode of the first split axis, then one QR
-# factors what is left.  A squared norm is then the sum over blocks of
-# ||U^-T d||^2, and one factorization serves a whole batch of data vectors.
+# (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Each block has a real
+# square root F_b (K_b = F_b^T F_b) whose rows the weight only scales; which
+# points a block takes and the tables of F_b depend on the mask alone, and a
+# memoized parity plan holds them.  For mild spreads U is the Cholesky factor
+# of K_b, assembled from those tables.  For stiff ones it is the R of an
+# R-only QR of F_b itself (condition = spread, not spread^2), in two
+# orthogonal stages: small batched QRs shrink the rows of each mode of the
+# first split axis, then one QR factors what is left.  A squared norm is then
+# the sum over blocks of ||U^-T d||^2, and one factorization serves a whole
+# batch of data vectors.
 
 _CHOL_SPREAD_CAP = 1e16
 # parity plans by (shape, mask bytes); the benchmark's masks need a few MiB
@@ -411,13 +415,31 @@ class _ParityPlan:
     the representatives are the points with q >= 0 on every split axis, and
     parity block b (a tuple of k bits, 1 = odd) those with q > 0 on its odd
     axes.  Reflection patterns U (the same bit tuples, 1 = reflected) act on
-    points by m_U; chi_b(U) = (-1)^(b . U).  In the orthonormal basis of
-    reflection-symmetrized points, block b of K is
+    points by m_U; chi_b(U) = (-1)^(b . U).  The orthonormal basis of
+    reflection-symmetrized points takes data v at representative r of block
+    b to 2^-k D_r sum_U chi_b(U) v[m_U r], D = sqrt(2) per split axis on
+    which the point is off the mirror.
 
-        K_b = 2^-k D (sum_U chi_b(U) kern[p_r - m_U p_s]) D,
+    In that basis block b of the kernel K[i, j] = sum_xi mu^-2 cos(xi . (p_i -
+    p_j)) / N is K_b = F_b^T F_b, with one real square root F_b per block.  On
+    a split axis of size n the modes +-m add up to f_m cos(2 pi m dq / n)
+    (f_m = 2, or 1 at m = 0 and the Nyquist mode), and cos(t dq) = cos(t q_i)
+    cos(t q_j) + sin(t q_i) sin(t q_j): even blocks take the rows sqrt(f_m)
+    cos(t q) (m = 0..n/2), odd ones sqrt(f_m) sin(t q) (m = 1..n/2), each times
+    sqrt(2) off the mirror, as D.
+    The unsplit axes are folded jointly: the rows xi and -xi mix unitarily to
+    sqrt(2) cos(xi . p) and sqrt(2) sin(xi . p); a self-paired xi (every
+    coordinate 0 or Nyquist) keeps its row cos(xi . p).  The rows of F_b are
+    (modes m0 of the first split axis) x (the other modes r), and
 
-    r, s in the block and D = sqrt(2) per split axis on which the point is off
-    the mirror.  Every array is read-only:
+        F_b[(m0, r), p] = lead[x(p), m0] s[m0, r] G[rho(p), r],
+        s = mu^-1 / sqrt(N) at the flat lattice index index[m0, r],
+
+    x(p) the point's coordinate on the first split axis and rho(p) its other
+    coordinates (with no split axis, lead = 1 and rho(p) is the point).  The
+    mask fixes everything but s, so the plan holds the rest and the weight
+    enters every route by one gather, ``mu.reshape(-1)[index]``.  Every array
+    is read-only:
 
     - ``pts``: the masked points, mask order; ``twice_q``: 2q on the split axes.
     - ``negations``: (axes, flat negated index) for each split axis alone and
@@ -426,9 +448,10 @@ class _ParityPlan:
       among the representatives.
     - ``images[U]``: mask-order index of m_U of each representative (for U
       with one reflected axis, its mirror partner on that axis).
-    - ``gather[U][r, s]``: flat lattice index of (p_r - m_U p_s) mod sizes, in
-      the smallest integer type that holds the lattice size.
     - ``walsh[b, U]``: chi_b(U); ``dscale``: D on the representatives.
+    - ``roots[b]``: (lead, G, index, x, rho) of block b: lead over the
+      block's distinct first-axis coordinates, G over its distinct rho, and
+      per block point (in ``columns`` order) its row x of lead and rho of G.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -460,20 +483,44 @@ class _ParityPlan:
                 img = partner[img] if u else img
             images.append(img)
         self.images = np.array(images)
-        dtype = np.min_scalar_type(mask.size - 1)
-        self.gather = np.empty(self.images.shape + (len(reps),), dtype=dtype)
-        for g, img in zip(self.gather, self.images):
-            diff = 0
-            for d, n in enumerate(sizes):
-                # lattice sizes are powers of two, so & (n - 1) is the mod
-                step = np.subtract.outer(self.pts[reps, d], self.pts[img, d]) & (n - 1)
-                diff = diff * n + step
-            g[...] = diff
         self.walsh = (-1.0) ** (self.parities @ self.parities.T)
         self.dscale = np.sqrt(2.0) ** np.count_nonzero(self.twice_q[reps], axis=1)
-        arrays = [self.pts, self.twice_q, self.parities, self.images, self.gather, self.walsh,
-                  self.dscale, *self.locs, *self.columns,
-                  *(n for _, n in self.negations)]
+        # the unsplit modes folded by pairs {xi, -xi}: one representative each, with
+        # a sine row beside the cosine row where the pair is two modes
+        u_sizes = tuple(sizes[ax] for ax in self.unsplit)
+        neg = _negated_index(u_sizes, range(len(u_sizes)))
+        keep = np.arange(neg.size) <= neg
+        paired = (np.arange(neg.size) < neg)[keep]
+        freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in u_sizes], indexing="ij")
+        index = np.moveaxis(np.arange(mask.size).reshape(sizes), self.split, range(len(mirrors)))
+        index = index.reshape(tuple(sizes[ax] for ax in self.split) + (-1,))[..., keep]
+        index = np.concatenate([index, index[..., paired]], axis=-1)
+        self.roots = []
+        for parity, cols in zip(self.parities, self.columns):
+            pts, tables, modes = self.pts[cols], [], []
+            for j, (ax, b) in enumerate(zip(self.split, parity)):
+                tq, m = self.twice_q[cols, j], np.arange(b, sizes[ax] // 2 + 1)
+                table = (np.sin if b else np.cos)(np.outer(tq, m) * (np.pi / sizes[ax]))
+                table *= np.where((m == 0) | (2 * m == sizes[ax]), 1.0, np.sqrt(2.0))  # sqrt(f_m)
+                tables.append(table * np.where(tq > 0, np.sqrt(2.0), 1.0)[:, None])
+                modes.append(m)
+            _, x_first, x = np.unique(pts[:, self.split[:1]], axis=0,
+                                      return_index=True, return_inverse=True)
+            _, first, rho = np.unique(np.delete(pts, self.split[:1], axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+            phase = np.zeros((len(first), int(keep.sum())))
+            for ax, f in zip(self.unsplit, freqs):
+                phase += np.outer(pts[first, ax] * (2.0 * np.pi / sizes[ax]), f.reshape(-1)[keep])
+            G = np.concatenate([np.cos(phase) * np.where(paired, np.sqrt(2.0), 1.0),
+                                np.sin(phase[:, paired]) * np.sqrt(2.0)], axis=1)
+            for table in reversed(tables[1:]):  # the modes r in C order
+                G = (table[first][:, :, None] * G[:, None, :]).reshape(len(first), -1)
+            lead = tables[0][x_first] if tables else np.ones((1, 1))
+            self.roots.append((lead, G, index[np.ix_(*modes)].reshape(lead.shape[1], -1),
+                               x.reshape(-1), rho.reshape(-1)))
+        arrays = [self.pts, self.twice_q, self.parities, self.images, self.walsh, self.dscale,
+                  *self.locs, *self.columns, *(n for _, n in self.negations),
+                  *itertools.chain(*self.roots)]
         for a in arrays:
             a.flags.writeable = False
         self.nbytes = sum(a.nbytes for a in arrays)
@@ -494,20 +541,26 @@ def _parity_plan(mask: np.ndarray) -> _ParityPlan:
     return plan
 
 
-def _kernel_blocks(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
-    """The real symmetric blocks K_b of K (see :class:`_ParityPlan`), C order.
+def _weighted_roots(mu: np.ndarray, G: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """s[m0, None, :] G of one block (see :class:`_ParityPlan`): a (rho, r) matrix per m0."""
+    return (mu.reshape(-1)[index] ** -1.0 / np.sqrt(mu.size))[:, None, :] * G
 
-    kern, the inverse DFT of mu^-2, is real and even in each coordinate of
-    an even weight; averaging it with its mirror under each of the plan's
-    negations in turn drops the rounding ifftn leaves, so every block is
-    exactly symmetric.
+
+def _kernel_blocks(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
+    """The real symmetric blocks K_b = F_b^T F_b of K (see :class:`_ParityPlan`), C order.
+
+    Per mode m0, H = (s G)(s G)^T, exactly symmetric; one product with
+    lead[x, m0] lead[x', m0] then gives K_b on the (x, rho) grid, gathered to
+    the block's points.
     """
-    kern = np.fft.ifftn(mu**-2.0).real.reshape(-1)
-    for _, neg in plan.negations:
-        kern = 0.5 * (kern + kern[neg])
-    summed = np.tensordot(plan.walsh, kern[plan.gather], axes=1)
-    summed *= np.outer(plan.dscale, plan.dscale / len(plan.walsh))
-    return [K[loc[:, None], loc] for K, loc in zip(summed, plan.locs)]
+    blocks = []
+    for lead, G, index, x, rho in plan.roots:
+        A = _weighted_roots(mu, G, index)
+        pairs = (lead[:, None, :] * lead[None, :, :]).reshape(len(lead) ** 2, -1)
+        grid = pairs @ (A @ A.transpose(0, 2, 1)).reshape(len(A), -1)
+        grid = grid.reshape((len(lead),) * 2 + (len(G),) * 2)
+        blocks.append(grid[x[:, None], x[None, :], rho[:, None], rho[None, :]])
+    return blocks
 
 
 class _FiberSolver:
@@ -540,71 +593,17 @@ class _FiberSolver:
 
     @staticmethod
     def _factor_by_parity(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
-        # B*[xi, j] = mu(xi)^(-1) exp(-i xi . p_j) / sqrt(N) gives
-        # K[i, j] = sum_xi mu^-2 cos(xi . (p_i - p_j)) / N.  On a split axis,
-        # with q = p - (lo + hi)/2, the modes +-m add up to f_m cos(2 pi m dq / n)
-        # (f_m = 2, or 1 at m = 0 and the Nyquist mode), and
-        # cos(t dq) = cos(t q_i) cos(t q_j) + sin(t q_i) sin(t q_j): the cosine
-        # rows are even under q -> -q and the sine rows odd.  In the basis of
-        # normalized mirror pairs, (e_q +- e_-q) / sqrt(2) and e_0, block b of K is
-        # F_b^T F_b, F_b the product over split axes of sqrt(f_m) cos(t q) (even) or
-        # sqrt(f_m) sin(t q) (odd), times sqrt(2) at q > 0, scaled by mu^-1 / sqrt(N).
-        # The unsplit axes are folded jointly: the unitary mix of the rows xi and -xi
-        # gives sqrt(2) cos(xi . p) and sqrt(2) sin(xi . p); a self-paired xi (every
-        # coordinate 0 or Nyquist) keeps its row cos(xi . p).
-        sizes = mu.shape
-        pts, split, unsplit = plan.pts, plan.split, plan.unsplit
-        u_sizes = tuple(sizes[ax] for ax in unsplit)
-        neg = _negated_index(u_sizes, range(len(u_sizes)))
-        flat = np.arange(neg.size)
-        keep = flat <= neg  # one representative of each pair {xi_U, -xi_U}
-        paired = (flat < neg)[keep]
-        mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in u_sizes], indexing="ij")
-        phase = np.zeros((len(pts), int(keep.sum())))
-        for j, ax in enumerate(unsplit):
-            phase += np.outer(pts[:, ax] * (2.0 * np.pi / sizes[ax]), mesh[j].reshape(-1)[keep])
-        unsplit_rows = np.concatenate([
-            np.cos(phase) * np.where(paired, np.sqrt(2.0), 1.0),
-            np.sin(phase[:, paired]) * np.sqrt(2.0),
-        ], axis=1)
-        # mu^-1 / sqrt(N) by the split axes' modes, then by the folded unsplit modes
-        # (the columns of unsplit_rows)
-        mu_s = np.moveaxis(mu, split, range(len(split))).reshape(
-            tuple(sizes[ax] for ax in split) + (-1,)
-        )[..., keep]
-        scale = np.concatenate([mu_s, mu_s[..., paired]], axis=-1) ** -1.0 / np.sqrt(mu.size)
-        # The rows of block b are (modes m0 of the first split axis) x (the other
-        # modes r), with entries T0[p, m0] s[m0, r] G[r, rho(p)], rho(p) the point's
-        # coordinates off that axis.  Two orthogonal stages leave R^T R = K_b: per
-        # m0, a QR of diag(s[m0]) G over the block's distinct rho cuts the group to
-        # at most #rho rows; one R-only QR then factors the stacked groups.  With
-        # no split axis the whole block is one group.
-        rho_axes = [ax for ax in range(len(sizes)) if ax not in split[:1]]
+        # Two orthogonal stages leave R^T R = K_b = F_b^T F_b: per m0, a QR of
+        # (s G)^T cuts the group to at most #rho rows; one R-only QR then factors
+        # the stacked groups.  With no split axis the whole block is one group.
         factors = []
-        for parity, cols in zip(plan.parities, plan.columns):
-            modes = [np.arange(b, sizes[ax] // 2 + 1) for ax, b in zip(split, parity)]
-            tables = []
-            for j, (ax, b, m) in enumerate(zip(split, parity, modes)):
-                tq = plan.twice_q[cols, j]
-                table = (np.sin if b else np.cos)(np.outer(tq, m) * (np.pi / sizes[ax]))
-                # sqrt(f_m) by mode, and sqrt(2) off the mirror
-                table *= np.where((m == 0) | (2 * m == sizes[ax]), 1.0, np.sqrt(2.0))
-                table *= np.where(tq > 0, np.sqrt(2.0), 1.0)[:, None]
-                tables.append(table)
-            _, first, rho = np.unique(pts[cols][:, rho_axes], axis=0,
-                                      return_index=True, return_inverse=True)
-            G = unsplit_rows[cols[first]]  # (rho, r), the modes r in C order
-            for table in reversed(tables[1:]):
-                G = (table[first][:, :, None] * G[:, None, :]).reshape(len(first), -1)
-            lead = tables[0] if tables else np.ones((len(cols), 1))
-            s = scale[np.ix_(*modes)].reshape(lead.shape[1], -1)
-            R0 = np.linalg.qr(s[:, :, None] * G.T, mode="r")  # (m0, <= rho, rho)
-            # the stacked groups, built transposed (point by row) so that the QR
-            # gets them in Fortran order and factors them in place
-            folded = lead[:, :, None] * R0.transpose(2, 0, 1)[rho.reshape(-1)]
-            folded = folded.reshape(len(cols), -1).T
+        for lead, G, index, x, rho in plan.roots:
+            R0 = np.linalg.qr(_weighted_roots(mu, G, index).transpose(0, 2, 1), mode="r")
+            # the stacked groups, (m0, <= rho) by point, built transposed (point by
+            # row) so that the QR gets them in Fortran order and factors them in place
+            folded = (lead[x][:, :, None] * R0.transpose(2, 0, 1)[rho]).reshape(len(x), -1).T
             (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
-            factors.append(R[: len(cols)].copy())  # mode "r" returns every row
+            factors.append(R[: len(x)].copy())  # mode "r" returns every row
         return factors
 
     def solve_parts(self, parts: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
@@ -636,7 +635,7 @@ def _parity_parts(plan: _ParityPlan, gathered: np.ndarray) -> list[np.ndarray]:
     """Data columns v in the parity basis of ``plan``, from ``v[plan.images]``.
 
     Block b at representative r takes 2^-k D_r sum_U chi_b(U) v[m_U r], the
-    transpose of the K_b assembly.  One (column x block point) array per
+    basis of :class:`_ParityPlan`.  One (column x block point) array per
     block, so that a column selection is a row gather.
     """
     parts = np.tensordot(plan.walsh, gathered, axes=1)
@@ -804,18 +803,20 @@ def save_field(field: SpectralField, path: str | Path, fmt: str = "binary") -> N
 def _read_header(path: Path, keys: tuple = ()) -> tuple[dict, Lattice, str]:
     """The JSON header beside ``path``: the object, its lattice and its format.
 
-    A header holds ``sizes``, ``periods`` and ``keys``, and may hold
-    ``format`` ("binary", the default, or "csv").  Another key raises
-    :class:`UnknownConfigKey`; a missing key or a value that does not read
-    raises :class:`InvalidConfig` naming it.
+    A header holds ``sizes`` (powers of two >= 2, at least one), ``periods``
+    (one positive number per size) and ``keys``, and may hold ``format``
+    ("binary", the default, or "csv").  Another key raises
+    :class:`UnknownConfigKey`; a header that is not JSON, a missing key or a
+    value that does not read raises :class:`InvalidConfig` naming it.
     """
     where = path.with_suffix(path.suffix + ".json")
-    header = json.loads(where.read_text())
+    header = read_value(str(where), json.loads, where.read_text())
     check_keys(header, str(where), ("sizes", "periods") + keys, ("format",))
-    lattice = Lattice(
-        sizes=read_value(f"{where} sizes", list_of(integer), header["sizes"]),
-        periods=read_value(f"{where} periods", list_of(positive), header["periods"]),
-    )
+    sizes = read_value(f"{where} sizes", list_of(pow2, least=1), header["sizes"])
+    periods = read_value(f"{where} periods", list_of(positive), header["periods"])
+    if len(periods) != len(sizes):
+        raise InvalidConfig(f"{where} periods: {len(periods)} periods for {len(sizes)} sizes")
+    lattice = Lattice(sizes=sizes, periods=periods)
     return header, lattice, read_value(f"{where} format", one_of("binary", "csv"),
                                        header.get("format", "binary"))
 

@@ -94,7 +94,11 @@ def test_compat_check_config_rejects_a_bad_s(tmp_path, monkeypatch, cfg_s, messa
     ("jump-study", "2", bench, "jump_study"),
     ("interp-check", "12", interp, "verify_prop_interpolation"),
     ("interp-check", "8,x", interp, "verify_prop_interpolation"),
-], ids=["jump-study-48", "jump-study-2", "interp-check-12", "interp-check-not-a-number"])
+    # the criteria of both compare the two finest resolutions: one would pass vacuously
+    ("jump-study", "16", bench, "jump_study"),
+    ("iso-bench", "16", bench, "estimate_isomorphism"),
+], ids=["jump-study-48", "jump-study-2", "interp-check-12", "interp-check-not-a-number",
+        "jump-study-one", "iso-bench-one"])
 def test_resolutions_flag_is_checked_before_any_work(monkeypatch, command, values, module,
                                                      entry):
     called = []
@@ -309,14 +313,15 @@ def test_iso_bench_rejects_a_negative_band(tmp_path, monkeypatch):
     ({"band": 2.5}, "iso-bench band"),
     ({"trials": 30.5}, "iso-bench trials"),
     ({"ny": True}, "iso-bench ny"),
-    ({"resolutions": [48]}, "resolutions"),
+    ({"resolutions": [32, 48]}, "resolutions"),
+    ({"resolutions": [32]}, r"iso-bench resolutions: bad value \[32\] \(fewer than 2 items\)"),
     ({"resolutions": [32.5]}, "iso-bench resolutions"),
     ({"s_grid": "3,4"}, "iso-bench s_grid"),
     ({"phi": "x"}, "iso-bench phi"),
     ({"phi": [{"kind": "Nope"}]}, "iso-bench phi"),
     ({"phi": [{"theta": [1.0]}]}, "iso-bench phi"),
 ], ids=["geometry", "boundary", "seed", "band", "trials", "ny", "resolution-48",
-        "resolution-fraction", "s-grid-string", "phi-string", "phi-unknown-kind",
+        "one-resolution", "resolution-fraction", "s-grid-string", "phi-string", "phi-unknown-kind",
         "phi-without-kind"])
 def test_iso_bench_rejects_a_bad_config(tmp_path, monkeypatch, cfg, message):
     # a case that cannot run, or a number that does not read as one, fails before any work
@@ -327,3 +332,14 @@ def test_iso_bench_rejects_a_bad_config(tmp_path, monkeypatch, cfg, message):
     with pytest.raises(InvalidConfig, match=message):
         main(["iso-bench", "--config", str(cfg_path)])
     assert cases == []
+
+
+@pytest.mark.parametrize("command", ["iso-bench", "compat-check"])
+def test_a_config_that_is_not_json_fails_naming_the_file(tmp_path, monkeypatch, command):
+    called = []
+    monkeypatch.setattr(*_ENTRY[command], lambda *a, **kw: called.append(a))
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text("{nope")
+    with pytest.raises(InvalidConfig, match=r"case\.json: bad value '\{nope' \(Expecting"):
+        main([command, "--config", str(cfg_path)])
+    assert called == []

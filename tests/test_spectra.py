@@ -365,42 +365,6 @@ def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
     assert value == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "mask",
-    [np.random.default_rng(1).random((64,)) < 0.4,
-     np.random.default_rng(2).random((16, 32)) < 0.4,
-     np.random.default_rng(3).random((8, 4, 16)) < 0.4,
-     _box((32,), (30,), (5,)) | _box((32,), (0,), (3,)),  # wraps around the lattice
-     _box((32, 32), (2, 5), (9, 10)),
-     _mirrored_in_x_only()],
-    ids=["random-1d", "random-2d", "random-3d", "1d-wrapped", "2d-box", "mirrored-in-x-only"],
-)
-def test_parity_plan_gather_matches_mod_formula(mask):
-    # gather[U][r, s] is the flat lattice index of (p_r - m_U p_s) mod n, m_U the
-    # reflection of the axes in U about the midpoint of the mask's extent, p_r
-    # and p_s representatives (q >= 0 on every split axis)
-    plan = spectra._parity_plan(mask)
-    assert plan.gather.dtype == np.min_scalar_type(mask.size - 1)
-    pts = np.argwhere(mask)
-    split = [ax for ax, _ in spectra._mirror_axes(mask, pts)]
-    assert list(plan.split) == split
-    reps = pts[plan.images[0]]
-    for pattern, images, gather in zip(plan.parities, plan.images, plan.gather):
-        reflected = reps.copy()
-        for ax, u in zip(split, pattern):
-            if u:
-                lo, hi = pts[:, ax].min(), pts[:, ax].max()
-                reflected[:, ax] = lo + hi - reps[:, ax]
-        assert np.array_equal(pts[images], reflected)
-        expected = 0
-        for d, n in enumerate(mask.shape):
-            expected = expected * n + (reps[:, None, d] - reflected[None, :, d]) % n
-        assert np.array_equal(gather, expected)
-    # the blocks' columns cover every representative once for each parity that has it
-    columns = np.concatenate(plan.columns)
-    assert len(columns) == mask.sum()
-
-
 def _plan_arrays(plan):
     """Every array a parity plan holds, also inside its lists and tuples."""
     arrays, todo = [], list(vars(plan).values())
@@ -434,8 +398,9 @@ def test_parity_plans_are_read_only_and_keyed_on_mask_bits(monkeypatch):
     assert len(cache) == 2  # a hit
     for a in _plan_arrays(plan):
         assert not a.flags.writeable
-    with pytest.raises(ValueError):
-        plan.gather[0, 0, 0] = 0
+    for table in plan.roots[0][:3]:  # lead, G and the weight index
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
     # one mask array mutated in place between calls
     m = _box((32, 32), (2, 5), (9, 10))
     check(m)
@@ -578,22 +543,22 @@ def _unreduced_fold(mu, mask, block):
     return np.vstack([bstar.real, bstar.imag]) @ T.T
 
 
-def _stiff_interval_box():
+def _interval_box(s=4.6):
     mask = pb.omega_domain(pb.IntervalGeometry(nx=16), 1.0, 16)
-    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)
+    idx = weights.parabolic_split(s, params.log_power(1.0), dimension=2)
     return mask.lattice.weight(idx), mask.mask
 
 
-def _stiff_strip_fiber():
+def _strip_fiber(s=4.6):
     # the fiber xi_y = 1 of the strip's Omega box; its y axis is full
     mask = pb.omega_domain(pb.PeriodicStripGeometry(nx=16, ny=4, period_y=32.0), 1.0, 16)
-    idx = weights.parabolic_split(4.6, params.log_power(1.0), dimension=3)
+    idx = weights.parabolic_split(s, params.log_power(1.0), dimension=3)
     return mask.lattice.weight(idx)[:, 1], np.ascontiguousarray(mask.mask[:, 0])
 
 
-def _stiff_on_32x32(mask):
+def _on_32x32(mask, s=4.6):
     lat = spectra.Lattice(sizes=(32, 32), periods=(2.0, 2.0))
-    return lat.weight(weights.parabolic_split(4.6, params.log_power(1.0), dimension=2)), mask
+    return lat.weight(weights.parabolic_split(s, params.log_power(1.0), dimension=2)), mask
 
 
 def _lateral_1d():
@@ -604,9 +569,9 @@ def _lateral_1d():
 
 @pytest.mark.parametrize(
     "make",
-    [_stiff_interval_box, _stiff_strip_fiber,
-     lambda: _stiff_on_32x32(_mirrored_in_x_only()),
-     lambda: _stiff_on_32x32(np.random.default_rng(3).random((32, 32)) < 0.3),
+    [_interval_box, _strip_fiber,
+     lambda: _on_32x32(_mirrored_in_x_only()),
+     lambda: _on_32x32(np.random.default_rng(3).random((32, 32)) < 0.3),
      _lateral_1d],
     ids=["interval-box", "strip-fiber", "mirrored-in-x-only", "random", "lateral-1d"],
 )
@@ -622,6 +587,75 @@ def test_two_stage_qr_factor_matches_the_unreduced_fold(make):
         assert np.max(np.abs(R.T @ R - K)) <= 1e-13 * np.max(np.abs(K))
 
 
+def _long_double_blocks(mu, mask):
+    """K_b = 2^-k D (sum_U chi_b(U) kern[p_r - m_U p_s]) D in long double (see _ParityPlan).
+
+    kern(d) = sum_xi mu^-2 cos(xi . d) / N with each phase reduced mod 2 pi in
+    integers first, so the Walsh sum's cancellation in the odd blocks costs
+    long-double rounding only.
+    """
+    ld = np.longdouble
+    plan = spectra._parity_plan(mask)
+    m = np.indices(mask.shape).reshape(mask.ndim, -1)
+    turns = sum((np.outer(m[j], m[j]) % n) / ld(n) for j, n in enumerate(mask.shape))
+    w = mu.reshape(-1).astype(ld) ** -2.0
+    kern = (w[:, None] * np.cos(4 * np.arccos(ld(0)) * turns)).sum(axis=0) / mask.size
+    pts = np.argwhere(mask)
+    diff = 0
+    for j, n in enumerate(mask.shape):
+        diff = diff * n + np.subtract.outer(pts[:, j], pts[:, j]) % n
+    K = kern[diff]
+    reps = plan.images[0]
+    D = np.sqrt(ld(2)) ** np.count_nonzero(plan.twice_q[reps], axis=1)
+    blocks = []
+    for chi, loc in zip(plan.walsh, plan.locs):
+        summed = sum(c * K[reps[:, None], img] for c, img in zip(chi, plan.images))
+        blocks.append((summed * np.outer(D, D) / len(chi))[loc[:, None], loc])
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _interval_box(3.0), lambda: _interval_box(0.6), lambda: _strip_fiber(3.0),
+     lambda: _on_32x32(_mirrored_in_x_only(), 3.0)],
+    ids=["interval-box-s3", "interval-box-s0.6", "strip-fiber", "mirrored-in-x-only"],
+)
+def test_kernel_blocks_match_long_double(make):
+    # each block comes from its own square root, so the odd blocks keep the
+    # relative accuracy of the even ones: no sum over reflections cancels
+    mu, mask = make()
+    blocks = spectra._kernel_blocks(mu, spectra._parity_plan(mask))
+    for K, ref in zip(blocks, _long_double_blocks(mu, mask), strict=True):
+        assert K.flags.c_contiguous and np.array_equal(K, K.T)
+        assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+_PLAN_MASKS = pytest.mark.parametrize(
+    "mask",
+    [np.random.default_rng(1).random((64,)) < 0.4,
+     np.random.default_rng(2).random((16, 32)) < 0.4,
+     np.random.default_rng(3).random((8, 4, 16)) < 0.4,
+     _box((32,), (30,), (5,)) | _box((32,), (0,), (3,)),  # wraps around the lattice
+     _box((32, 32), (2, 5), (9, 10)),
+     _mirrored_in_x_only()],
+    ids=["random-1d", "random-2d", "random-3d", "1d-wrapped", "2d-box", "mirrored-in-x-only"],
+)
+
+
+@_PLAN_MASKS
+def test_kernel_blocks_match_the_unreduced_fold(mask):
+    k = mask.ndim
+    lat = spectra.Lattice(sizes=mask.shape, periods=(2.0,) * k)
+    mu = lat.weight(weights.isotropic(2.0, params.log_power(1.0), dimension=k))
+    blocks = spectra._kernel_blocks(mu, spectra._parity_plan(mask))
+    assert len(blocks) == len(spectra._parity_plan(mask).columns)
+    for b, K in enumerate(blocks):
+        F = _unreduced_fold(mu, mask, b)
+        ref = F.T @ F
+        assert np.array_equal(K, K.T)
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_stiff_qr_factors_the_reduced_rows(monkeypatch):
     # per mode of the first split axis (17 or 16 of them) the first stage leaves
     # one row per distinct coordinate on the other axis (9 or 8), not its 17 or
@@ -634,7 +668,7 @@ def test_stiff_qr_factors_the_reduced_rows(monkeypatch):
         return real_qr(a, *args, **kwargs)
 
     monkeypatch.setattr(sla, "qr", recording_qr)
-    mu, mask = _stiff_interval_box()
+    mu, mask = _interval_box()
     assert spectra._FiberSolver(mu, mask)._mode == "qr"
     assert [rows for rows, _ in received] == [153, 136, 144, 128]
 
@@ -891,7 +925,11 @@ def test_field_io_round_trip(tmp_path):
     ({"periods": None}, InvalidConfig, r"missing keys \['periods'\]"),
     ({"sizes": "16"}, InvalidConfig, "json sizes: bad value '16'"),
     ({"unit": "m"}, UnknownConfigKey, r"unknown keys \['unit'\]"),
-], ids=["format-bin", "no-periods", "sizes-string", "unknown-key"])
+    ({"sizes": [12, 8]}, InvalidConfig, r"json sizes: bad value \[12, 8\] \(not a power of two\)"),
+    ({"sizes": [8]}, InvalidConfig, "json periods: 2 periods for 1 sizes"),
+    ({"sizes": [], "periods": []}, InvalidConfig, r"json sizes: bad value \[\] \(fewer than 1 items\)"),
+], ids=["format-bin", "no-periods", "sizes-string", "unknown-key", "sizes-12", "lengths-differ",
+        "empty-lists"])
 def test_load_field_checks_its_header(tmp_path, change, error, message):
     # None drops the key
     p = tmp_path / "field.bin"
@@ -900,6 +938,14 @@ def test_load_field_checks_its_header(tmp_path, change, error, message):
     header = {**json.loads(header_path.read_text()), **change}
     header_path.write_text(json.dumps({k: v for k, v in header.items() if v is not None}))
     with pytest.raises(error, match=message):
+        spectra.load_field(p)
+
+
+def test_load_field_rejects_a_header_that_is_not_json(tmp_path):
+    p = tmp_path / "field.bin"
+    spectra.save_field(spectra.random_field(lattice2(8), 9), p)
+    (tmp_path / "field.bin.json").write_text("{nope")
+    with pytest.raises(InvalidConfig, match=r"field\.bin\.json: bad value '\{nope' \(Expecting"):
         spectra.load_field(p)
 
 
