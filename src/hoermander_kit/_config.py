@@ -9,6 +9,7 @@ converter that raises ValueError or TypeError when it does not read, which
 
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
 
@@ -48,6 +49,14 @@ def read_value(where: str, convert, value):
         raise UnknownConfigKey(f"{where}: {err}") from err
     except (TypeError, ValueError, SyntaxError, OverflowError) as err:
         raise InvalidConfig(f"{where}: bad value {value!r} ({err})") from err
+
+
+def json_object(text: str) -> dict:
+    """``text`` read as a JSON object; JSONDecodeError is a ValueError."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
 
 
 def integer(value, least: float = -math.inf) -> int:

@@ -76,7 +76,7 @@ def _read(args) -> None:
     """Convert every input of the command in place, from its --config key where the file
     holds it, else from its flag or default; ``args.unread`` keeps the keys no input reads."""
     path = getattr(args, "config", None)
-    cfg = _config.read_value(path, json.loads, Path(path).read_text()) if path else {}
+    cfg = _config.read_value(path, _config.json_object, Path(path).read_text()) if path else {}
     for name, (convert, default, *only) in _INPUTS[args.command].items():
         if only != ["flag"] and name in cfg:
             where, value = name, cfg.pop(name)

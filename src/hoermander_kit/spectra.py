@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from ._config import check_keys, list_of, one_of, positive, pow2, read_value
+from ._config import check_keys, json_object, list_of, one_of, positive, pow2, read_value
 from .errors import DimensionMismatch, InvalidConfig, NoConvergence, NonFiniteData
 from .weights import RegularityIndex, _GridCache, weight_on_mesh
 
@@ -810,7 +810,7 @@ def _read_header(path: Path, keys: tuple = ()) -> tuple[dict, Lattice, str]:
     value that does not read raises :class:`InvalidConfig` naming it.
     """
     where = path.with_suffix(path.suffix + ".json")
-    header = read_value(str(where), json.loads, where.read_text())
+    header = read_value(str(where), json_object, where.read_text())
     check_keys(header, str(where), ("sizes", "periods") + keys, ("format",))
     sizes = read_value(f"{where} sizes", list_of(pow2, least=1), header["sizes"])
     periods = read_value(f"{where} periods", list_of(positive), header["periods"])

@@ -334,12 +334,17 @@ def test_iso_bench_rejects_a_bad_config(tmp_path, monkeypatch, cfg, message):
     assert cases == []
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{nope", r"bad value '\{nope' \(Expecting"),
+    ('["seed"]', r"""bad value '\["seed"\]' \(not a JSON object\)"""),
+], ids=["not-json", "a-list"])
 @pytest.mark.parametrize("command", ["iso-bench", "compat-check"])
-def test_a_config_that_is_not_json_fails_naming_the_file(tmp_path, monkeypatch, command):
+def test_a_config_that_is_not_a_json_object_fails_naming_the_file(tmp_path, monkeypatch,
+                                                                  command, text, message):
     called = []
     monkeypatch.setattr(*_ENTRY[command], lambda *a, **kw: called.append(a))
     cfg_path = tmp_path / "case.json"
-    cfg_path.write_text("{nope")
-    with pytest.raises(InvalidConfig, match=r"case\.json: bad value '\{nope' \(Expecting"):
+    cfg_path.write_text(text)
+    with pytest.raises(InvalidConfig, match=r"case\.json: " + message):
         main([command, "--config", str(cfg_path)])
     assert called == []

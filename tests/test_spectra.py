@@ -622,7 +622,10 @@ def _long_double_blocks(mu, mask):
 )
 def test_kernel_blocks_match_long_double(make):
     # each block comes from its own square root, so the odd blocks keep the
-    # relative accuracy of the even ones: no sum over reflections cancels
+    # relative accuracy of the even ones: no sum over reflections cancels.
+    # The reference sums N long-double terms of the kernel's scale, so it
+    # resolves odd blocks of up to about 1e4 below it (s = 3 here); at s = 4.6
+    # they lie 1e5 below, and the reference's own rounding reaches 1e-13 of them
     mu, mask = make()
     blocks = spectra._kernel_blocks(mu, spectra._parity_plan(mask))
     for K, ref in zip(blocks, _long_double_blocks(mu, mask), strict=True):
@@ -630,7 +633,7 @@ def test_kernel_blocks_match_long_double(make):
         assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-_PLAN_MASKS = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "mask",
     [np.random.default_rng(1).random((64,)) < 0.4,
      np.random.default_rng(2).random((16, 32)) < 0.4,
@@ -640,10 +643,9 @@ _PLAN_MASKS = pytest.mark.parametrize(
      _mirrored_in_x_only()],
     ids=["random-1d", "random-2d", "random-3d", "1d-wrapped", "2d-box", "mirrored-in-x-only"],
 )
-
-
-@_PLAN_MASKS
 def test_kernel_blocks_match_the_unreduced_fold(mask):
+    # K_b = F^T F for the unfolded square root: every mode's real and imaginary
+    # row of B*, taken to the block by the parity basis
     k = mask.ndim
     lat = spectra.Lattice(sizes=mask.shape, periods=(2.0,) * k)
     mu = lat.weight(weights.isotropic(2.0, params.log_power(1.0), dimension=k))
