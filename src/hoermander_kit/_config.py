@@ -77,8 +77,8 @@ def pow2(value, least: int = 2) -> int:
 
 
 def real(value, above: float = -math.inf) -> float:
-    """``value`` as a finite float > ``above``; nan and inf are not."""
-    if not above < float(value) < math.inf:
+    """``value`` as a finite float > ``above``; nan, inf and true are not."""
+    if isinstance(value, bool) or not above < float(value) < math.inf:
         raise ValueError(f"not a finite number above {above}")
     return float(value)
 

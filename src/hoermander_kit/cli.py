@@ -22,7 +22,7 @@ import numpy as np
 from . import _config, bench, interp, parabolic as pb, params, spectra, traces
 from ._config import integer, one_of, pow2, real
 from .params import constant, log_power, param_from_dict
-from .weights import isotropic, parabolic_split
+from .weights import RegularityIndex, parabolic_split
 
 __all__ = ["main"]
 
@@ -35,7 +35,6 @@ __all__ = ["main"]
 # InvalidConfig naming "<command> --<flag>" or "<command> <key>".
 _INPUTS = {
     "norm": {
-        "seed": (integer, 0),
         "s": (real, ...),
         "phi": (lambda text: param_from_dict(json.loads(text)), '{"kind": "Constant"}'),
         "anisotropy": (one_of("parabolic", "isotropic"), "parabolic"),
@@ -53,7 +52,7 @@ _INPUTS = {
         "seed": (integer, 0),
         "geometry": (str, "interval"),
         "boundary": (str, "dirichlet", "key"),
-        "s_grid": ([float], "2.6,3,4,4.6"),
+        "s_grid": ([real], "2.6,3,4,4.6"),
         "phi": ([param_from_dict], [{"kind": "Constant"}, {"kind": "LogPower", "theta": [1.0]},
                                     {"kind": "LogPower", "theta": [-1.0]}], "key"),
         "trials": (integer, 30),
@@ -107,8 +106,7 @@ def _emit(args, report: dict | str, name: str, csv: str | None = None) -> None:
 
 def _cmd_norm(args) -> int:
     field = spectra.load_field(args.field)
-    make = parabolic_split if args.anisotropy == "parabolic" else isotropic
-    idx = make(args.s, args.phi, dimension=field.lattice.k)
+    idx = RegularityIndex(args.s, args.phi, args.anisotropy, field.lattice.k)
     value = spectra.norm(idx, field)
     _emit(args, {"field": str(args.field), "space": idx.describe(), "norm": value}, "norm")
     return 0
@@ -228,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     parsers["norm"].add_argument("--field", required=True)
     parsers["compat-check"].add_argument("--config", default=None, help="problem config JSON file")
     parsers["iso-bench"].add_argument("--config", default=None, help="bench case JSON file")
-    parsers["iso-bench"].add_argument("--json", dest="csv", action="store_false", default=False)
-    parsers["iso-bench"].add_argument("--csv", dest="csv", action="store_true")
+    parsers["iso-bench"].add_argument("--csv", action="store_true")
     return ap
 
 

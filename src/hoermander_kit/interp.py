@@ -2,14 +2,19 @@
 
 For an admissible pair of weighted spaces on one lattice the generating
 operator is the diagonal Fourier multiplier j(xi) = mu1(xi)/mu0(xi), and the
-interpolated norm with parameter psi is
+interpolated space [X0, X1]_psi is the weighted space with the weight
 
-    ||u||_psi = ( sum mu0(xi)^2 psi(j(xi))^2 |u_hat(xi)|^2 )^(1/2).
+    mu0(xi) * psi(mu1(xi)/mu0(xi)),
+
+built in one place, :func:`_interpolated_weight`, and returned by
+``AdmissiblePair.weight``; its norm is ``spectra``'s one weighted l2 sum,
+``weighted_norm``, of that weight.
 
 The verification sweeps in this module check, to float accuracy, the exact
 lattice identities behind the interpolation calculus: the norm equality for
 the canonical parameter built from (s0, s, s1, phi), the stability under
 reiteration omega = alpha * psi(beta/alpha), and the orthogonal-sum identity.
+Each sweep builds its weights once and compares the norms of seeded fields.
 Subspace interpolation (pairs restricted by linear constraints) is realized
 densely through the generalized eigenproblem of the two Gram matrices on a
 Householder frame of the constraint kernel; a closed-form K-functional
@@ -28,9 +33,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionMismatch, ProjectorMismatch
-from .params import FunctionParam, InterpParam, build_psi, reiterate
-from .spectra import Lattice, SpectralField, norm, random_field
-from .weights import RegularityIndex, parabolic_split, isotropic
+from .params import FunctionParam, InterpParam, build_psi, constant, reiterate
+from .spectra import Lattice, SpectralField, random_field, weighted_norm
+from .weights import RegularityIndex
 
 __all__ = [
     "AdmissiblePair",
@@ -49,6 +54,11 @@ __all__ = [
 ]
 
 _DENSE_CAP = 6000
+
+
+def _interpolated_weight(mu0: np.ndarray, mu1: np.ndarray, psi: InterpParam) -> np.ndarray:
+    """mu0 * psi(mu1/mu0): the weight of [X0, X1]_psi for the weights mu0 and mu1."""
+    return mu0 * psi(mu1 / mu0)
 
 
 @dataclass(frozen=True)
@@ -73,14 +83,15 @@ class AdmissiblePair:
         """j(xi) = mu1/mu0; satisfies ||J u||_X0 = ||u||_X1 exactly."""
         return self.mu1() / self.mu0()
 
+    def weight(self, psi: InterpParam) -> np.ndarray:
+        """The weight mu0 * psi(mu1/mu0) of [X0, X1]_psi."""
+        return _interpolated_weight(self.mu0(), self.mu1(), psi)
+
 
 def interpolated_norm(pair: AdmissiblePair, psi: InterpParam, u: SpectralField) -> float:
     if u.lattice != pair.lattice:
         raise DimensionMismatch("field lattice does not match the pair")
-    mu0 = pair.mu0()
-    jb = pair.generating_multiplier()
-    vals = mu0 * psi(jb) * np.abs(u.coeffs)
-    return float(np.sqrt(np.sum(vals**2)))
+    return weighted_norm(pair.weight(psi), u.coeffs)
 
 
 @dataclass
@@ -91,6 +102,20 @@ class VerificationReport:
     max_deviation: float
     seed: int
     notes: list[str] = field(default_factory=list)
+
+
+def _max_norm_deviation(w: np.ndarray, w_ref: np.ndarray, lattice: Lattice,
+                        trials: int, seed: int) -> float:
+    """max |N - N_ref| / N_ref over the fields random_field(lattice, seed + t), t < trials,
+    of their norms N and N_ref with the weights w and w_ref."""
+    worst = 0.0
+    for t in range(trials):
+        c = random_field(lattice, seed + t).coeffs
+        a = weighted_norm(w, c)
+        b = weighted_norm(w_ref, c)
+        if b > 0:
+            worst = max(worst, abs(a - b) / b)
+    return worst
 
 
 def verify_prop_interpolation(
@@ -113,19 +138,13 @@ def verify_prop_interpolation(
     unconditional.
     """
     psi = build_psi(s0, s, s1, phi)
-    make = parabolic_split if anisotropy == "parabolic" else isotropic
     pair = AdmissiblePair(
-        idx0=make(s0 - lam, dimension=lattice.k),
-        idx1=make(s1 - lam, dimension=lattice.k),
+        idx0=RegularityIndex(float(s0 - lam), constant(), anisotropy, lattice.k),
+        idx1=RegularityIndex(float(s1 - lam), constant(), anisotropy, lattice.k),
         lattice=lattice,
     )
-    direct = make(s - lam, phi, dimension=lattice.k)
-    worst = 0.0
-    for t in range(trials):
-        u = random_field(lattice, seed + t)
-        a = interpolated_norm(pair, psi, u)
-        b = norm(direct, u)
-        worst = max(worst, abs(a - b) / b)
+    direct = lattice.weight(RegularityIndex(float(s - lam), phi, anisotropy, lattice.k))
+    worst = _max_norm_deviation(pair.weight(psi), direct, lattice, trials, seed)
     notes = []
     if anisotropy == "parabolic" and not (0 <= s0 and lam <= s0):
         notes.append(
@@ -159,17 +178,15 @@ def verify_orthogonal_sum(
     """Interpolation commutes with orthogonal sums: block norms combine in l2."""
     if len(pairs) < 2:
         raise ValueError("need at least two pairs")
+    weights = [p.weight(psi) for p in pairs]
     worst = 0.0
     for t in range(trials):
-        blocks = [random_field(p.lattice, seed + 91 * t + i) for i, p in enumerate(pairs)]
+        blocks = [random_field(p.lattice, seed + 91 * t + i).coeffs for i, p in enumerate(pairs)]
         # componentwise combination
-        comps = [interpolated_norm(p, psi, u) for p, u in zip(pairs, blocks)]
+        comps = [weighted_norm(w, c) for w, c in zip(weights, blocks)]
         combined_l2 = float(np.sqrt(sum(c**2 for c in comps)))
         # direct-sum diagonal model: concatenate weighted coefficient vectors
-        stacked = []
-        for p, u in zip(pairs, blocks):
-            mu0 = p.mu0()
-            stacked.append((mu0 * psi(p.generating_multiplier()) * np.abs(u.coeffs)).reshape(-1))
+        stacked = [(w * np.abs(c)).reshape(-1) for w, c in zip(weights, blocks)]
         direct = float(np.linalg.norm(np.concatenate(stacked)))
         if direct > 0:
             worst = max(worst, abs(combined_l2 - direct) / direct)
@@ -191,20 +208,9 @@ def verify_reiteration(
     seed: int = 0,
 ) -> VerificationReport:
     """[X_alpha, X_beta]_psi = X_omega with omega = alpha * psi(beta/alpha)."""
-    omega = reiterate(alpha, beta, psi)
-    mu0 = pair.mu0()
-    jb = pair.generating_multiplier()
-    m_alpha = mu0 * alpha(jb)
-    m_beta = mu0 * beta(jb)
-    twice_mult = m_alpha * psi(m_beta / m_alpha)
-    direct_mult = mu0 * omega(jb)
-    worst = 0.0
-    for t in range(trials):
-        u = random_field(pair.lattice, seed + t)
-        a = float(np.linalg.norm(twice_mult * np.abs(u.coeffs)))
-        b = float(np.linalg.norm(direct_mult * np.abs(u.coeffs)))
-        if b > 0:
-            worst = max(worst, abs(a - b) / b)
+    direct = pair.weight(reiterate(alpha, beta, psi))
+    twice = _interpolated_weight(pair.weight(alpha), pair.weight(beta), psi)
+    worst = _max_norm_deviation(twice, direct, pair.lattice, trials, seed)
     return VerificationReport(
         proposition="reiteration",
         parameters={
@@ -351,7 +357,7 @@ def spectral_interp_norm(
     lam, to_coords = subspace_spectrum(grams, frame)
     c = to_coords(u)
     lam_safe = np.where(lam > 0, lam, np.min(lam[lam > 0]) if np.any(lam > 0) else 1.0)
-    return float(np.sqrt(np.sum((psi(lam_safe) * np.abs(c)) ** 2)))
+    return weighted_norm(psi(lam_safe), c)
 
 
 # A G0-orthogonal defect at or below this share of ||u||_0^2 is rounding, and u

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import spectra
-from ._config import check_keys, positive, pow2, read_kind, read_value
+from ._config import check_keys, positive, pow2, read_kind, read_value, real
 from ._expr import compile_expr
 from ._fd import apply_deriv_axis, trace_deriv_at_zero
 from .errors import (
@@ -352,8 +352,8 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
     n = geom.spatial_dim
 
     def parse_coeff(spec, where: str) -> Coefficient:
-        if isinstance(spec, (int, float)):
-            return Coefficient.const(spec)
+        if isinstance(spec, (int, float)):  # true, NaN and Infinity do not read as numbers
+            return Coefficient.const(read_value(where, real, spec))
         return Coefficient(evaluator=read_value(where, lambda src: compile_expr(src, variables),
                                                    str(spec)), label=str(spec))
 
@@ -450,9 +450,8 @@ def check_petrovskii(p: ParabolicProblem, samples: int = 2000, seed: int = 0) ->
 
     Over random (x, t) in the closed cylinder and xi on the unit sphere, the
     modulus |p0 + sum a_alpha xi^alpha| is minimized over the half-plane
-    Re p0 >= 0 in closed form (the minimizer is included among the sampled
-    p0), so the reported margin is exact per sampled (x, t, xi).  PASS
-    requires margin > 1e-9.
+    Re p0 >= 0 in closed form, so the reported margin is exact per sampled
+    (x, t, xi).  PASS requires margin > 1e-9.
     """
     if samples < 1000:
         raise ValueError("need at least 1e3 samples")
@@ -466,12 +465,6 @@ def check_petrovskii(p: ParabolicProblem, samples: int = 2000, seed: int = 0) ->
     q = _principal_symbol(p, pts, t, xi)
     # min over Re p0 >= 0 of |p0 + q| is max(Re q, 0)
     margins = np.maximum(np.real(q), 0.0)
-    # a few random p0 draws keep the reported margin a genuine sample minimum
-    radius = 1.0 + float(np.max(np.abs(q)))
-    pr = rng.uniform(0, radius, samples) * np.exp(
-        1j * rng.uniform(-np.pi / 2, np.pi / 2, samples)
-    )
-    margins = np.minimum(margins, np.abs(pr + q))
     i = int(np.argmin(margins))
     worst = {
         "x": tuple(float(c[i]) for c in pts),

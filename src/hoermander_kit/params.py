@@ -251,14 +251,9 @@ def check_slow_variation(
 
 @dataclass(frozen=True)
 class InterpParam:
-    """A positive function of r > 0 used as an interpolation parameter.
-
-    ``source`` records the (s0, s, s1, phi) construction when the parameter
-    came from :func:`build_psi`; purely custom evaluators leave it None.
-    """
+    """A positive function of r > 0 used as an interpolation parameter."""
 
     evaluator: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    source: tuple | None = None
     label: str = ""
 
     def __call__(self, r) -> np.ndarray:
@@ -289,11 +284,7 @@ def build_psi(s0: float, s: float, s1: float, phi: FunctionParam) -> InterpParam
         out[~hi] = phi1
         return out
 
-    return InterpParam(
-        evaluator=evaluator,
-        source=(s0, s, s1, phi),
-        label=f"psi[{s0:g},{s:g},{s1:g};{phi.describe()}]",
-    )
+    return InterpParam(evaluator=evaluator, label=f"psi[{s0:g},{s:g},{s1:g};{phi.describe()}]")
 
 
 _DECADE_GRID = np.array([10.0**j for j in range(3, 9)])
@@ -319,7 +310,6 @@ def reiterate(alpha: InterpParam, beta: InterpParam, psi: InterpParam) -> Interp
 
     return InterpParam(
         evaluator=evaluator,
-        source=("reiterate", alpha, beta, psi),
         label=f"reiterate({alpha.label or 'alpha'},{beta.label or 'beta'},{psi.label or 'psi'})",
     )
 

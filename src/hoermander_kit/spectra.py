@@ -49,6 +49,7 @@ __all__ = [
     "Lattice",
     "SpectralField",
     "SubdomainMask",
+    "weighted_norm",
     "norm",
     "inner_product",
     "embedding_constant",
@@ -183,10 +184,14 @@ class SubdomainMask:
         return int(self.mask.sum())
 
 
+def weighted_norm(mu: np.ndarray, coeffs: np.ndarray) -> float:
+    """The weighted l2 sum (sum of mu^2 |c|^2)^(1/2) of coefficients over a weight array."""
+    return float(np.sqrt(np.sum((mu * np.abs(coeffs)) ** 2)))
+
+
 def norm(idx: RegularityIndex, u: SpectralField) -> float:
     """Weighted l2 norm (sum of mu^2 |u_hat|^2)^(1/2) over lattice frequencies."""
-    mu = u.lattice.weight(idx)
-    return float(np.sqrt(np.sum((mu * np.abs(u.coeffs)) ** 2)))
+    return weighted_norm(u.lattice.weight(idx), u.coeffs)
 
 
 def inner_product(idx: RegularityIndex, u: SpectralField, v: SpectralField) -> complex:

@@ -115,7 +115,7 @@ _ENTRY = {"norm": (spectra, "load_field"), "interp-check": (interp, "verify_prop
 # per table input: a value that does not read, and the message of a library type's check
 # where that check is the input's (None: the input's own "<command> --<flag>: bad value")
 _BAD_INPUTS = {
-    ("norm", "seed"): ("1.5", None), ("norm", "s"): ("nan", None),
+    ("norm", "s"): ("nan", None),
     ("norm", "phi"): ('{"kind": "Nope"}', None), ("norm", "anisotropy"): ("elliptic", None),
     ("interp-check", "seed"): ("x", None), ("interp-check", "resolutions"): ("8,12", None),
     ("interp-check", "trials"): ("0", None),
@@ -347,4 +347,27 @@ def test_a_config_that_is_not_a_json_object_fails_naming_the_file(tmp_path, monk
     cfg_path.write_text(text)
     with pytest.raises(InvalidConfig, match=r"case\.json: " + message):
         main([command, "--config", str(cfg_path)])
+    assert called == []
+
+
+def test_iso_bench_rejects_true_in_its_s_grid(tmp_path, monkeypatch):
+    cases = []
+    monkeypatch.setattr(bench, "estimate_isomorphism", lambda case, **kw: cases.append(case))
+    cfg_path = tmp_path / "case.json"
+    cfg_path.write_text(json.dumps({"s_grid": [3.0, True]}))
+    with pytest.raises(InvalidConfig, match="iso-bench s_grid: bad value"):
+        main(["iso-bench", "--config", str(cfg_path)])
+    assert cases == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--field", "f.bin", "--s", "2.0", "--seed", "7"],
+    ["iso-bench", "--json"],
+], ids=["norm-seed", "iso-bench-json"])
+def test_flags_that_did_nothing_are_gone(monkeypatch, capsys, argv):
+    called = []
+    monkeypatch.setattr(*_ENTRY[argv[0]], lambda *a, **kw: called.append(a))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
     assert called == []

@@ -389,3 +389,60 @@ def test_power_case_geometric_mean():
         val = interp.interpolated_norm(pair, psi, u)
         direct = float(np.linalg.norm(mult * np.abs(u.coeffs)))
         assert val == pytest.approx(direct, rel=1e-13)
+
+
+def test_pair_weight_is_mu0_psi_of_the_ratio():
+    lat = lattice(16)
+    pair = pair_power(0.5, 2.5, lat)
+    psi = params.build_psi(0.5, 1.0, 2.5, params.log_power(1.0))
+    w = pair.weight(psi)
+    assert np.array_equal(w, pair.mu0() * psi(pair.mu1() / pair.mu0()))
+    u = spectra.random_field(lat, 4)
+    assert interp.interpolated_norm(pair, psi, u) == spectra.weighted_norm(w, u.coeffs)
+    assert interp.interpolated_norm(pair, psi, u) == pytest.approx(
+        np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)), rel=1e-14
+    )
+
+
+def _counting(fn):
+    calls = []
+
+    def evaluator(r):
+        calls.append(1)
+        return fn(r)
+
+    return evaluator, calls
+
+
+@pytest.mark.parametrize("anisotropy", ["parabolic", "isotropic"])
+def test_prop_interpolation_evaluates_phi_once_per_sweep(anisotropy):
+    # the weights are built before the trials: phi is evaluated as often for
+    # one trial as for ten
+    evaluator, calls = _counting(lambda r: 1.0 + np.log(r))
+    phi = params.custom(evaluator)
+    counts = []
+    for trials in (1, 10):
+        calls.clear()
+        rep = interp.verify_prop_interpolation(0.0, 1.0, 2.0, 0.0, phi, lattice(8),
+                                               anisotropy=anisotropy, trials=trials)
+        counts.append(len(calls))
+        assert rep.max_deviation <= 1e-10
+    assert counts[0] == counts[1] > 0
+
+
+def test_orthogonal_sum_and_reiteration_evaluate_psi_once_per_sweep():
+    lat = lattice(8)
+    pairs = [pair_power(0.0, 2.0, lat), pair_power(1.0, 3.0, lat)]
+    evaluator, calls = _counting(np.sqrt)
+    psi = params.InterpParam(evaluator=evaluator)
+    one = params.InterpParam(evaluator=lambda r: np.ones_like(r))
+    ident = params.InterpParam(evaluator=lambda r: r)
+    for sweep in (lambda trials: interp.verify_orthogonal_sum(pairs, psi, trials=trials),
+                  lambda trials: interp.verify_reiteration(one, ident, psi, pairs[0],
+                                                           trials=trials)):
+        counts = []
+        for trials in (1, 10):
+            calls.clear()
+            assert sweep(trials).max_deviation <= 1e-12
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

@@ -861,6 +861,44 @@ def test_expression_language_rejects_malice():
         compile_expr("lambda: 1", ("x", "t"))
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (_config(tau=True), "tau"),
+    (_config(geometry={"kind": "strip", "nx": 16, "ny": 4, "period_y": True}), "geometry period_y"),
+    (_config(a={"2": True}), r"a\['2'\]"),
+    (_config(a={"2": "True"}), r"a\['2'\]"),
+    (_config(a={"2": math.nan}), r"a\['2'\]"),
+    (_config(boundary={"kind": "first_order", "b": {"0": math.inf}}), r"boundary b\['0'\]"),
+], ids=["tau", "period-y", "a-true", "a-true-expression", "a-nan", "b-infinity"])
+def test_config_rejects_true_and_non_finite_numbers(cfg, message):
+    with pytest.raises(InvalidConfig, match=message):
+        pb.problem_from_config(cfg)
+
+
+@pytest.mark.parametrize("expr", [
+    "1 + x*9**9**9",  # an exact big-integer power that runs for minutes
+    "+".join(["x"] * 1500),  # deeper than the checker's recursion
+    "+".join(["x"] * 5000),  # deeper than the parser's
+    "1e400*x",
+    "1/(2-2)*x",
+    "log(0)*x",
+], ids=["huge-power", "deep-1500", "deep-5000", "infinite-constant", "divide-by-zero", "log-zero"])
+def test_config_rejects_an_expression_without_a_finite_value_at_read(expr):
+    with pytest.raises(InvalidConfig, match=r"a\['2'\]"):
+        pb.problem_from_config(_config(a={"2": expr}))
+
+
+def test_integer_literals_compile_as_floats_bit_for_bit():
+    from hoermander_kit._expr import compile_expr
+
+    rng = np.random.default_rng(5)
+    x, t = rng.uniform(0.1, 2.0, 64), rng.uniform(0.1, 2.0, 64)
+    namespace = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi, "e": math.e}
+    for src in ("x**2", "x**3", "x**-2", "t**e", "2*x", "x/3", "1 + x*(1-x)",
+                "cos(2*pi*x)*t", "exp(-2)*x + sin(1)"):
+        got = compile_expr(src, ("x", "t"))(x, t)
+        assert np.array_equal(got, eval(src, {"__builtins__": {}}, {**namespace, "x": x, "t": t}))
+
+
 def test_count_jump_sweep_dense():
     # 1e4 random s: the count jumps across s iff s is within eps of a jump point
     rng = np.random.default_rng(0)

@@ -173,6 +173,16 @@ def test_param_from_dict_checks_its_keys(d, error, message):
         params.param_from_dict(d)
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"kind": "LogPower", "theta": [True]}, "phi theta: bad value"),
+    ({"kind": "Constant", "value": True}, "phi value: bad value"),
+    ({"kind": "PowerTimesSlow", "power": True}, "phi power: bad value"),
+], ids=["theta", "value", "power"])
+def test_param_from_dict_rejects_true_as_a_number(d, message):
+    with pytest.raises(InvalidConfig, match=message):
+        params.param_from_dict(d)
+
+
 def test_serialization_schema():
     d = params.param_to_dict(params.log_power(1.0, -0.5))
     assert d == {"kind": "LogPower", "theta": [1.0, -0.5]}

@@ -951,6 +951,15 @@ def test_load_field_rejects_a_header_that_is_not_json(tmp_path):
         spectra.load_field(p)
 
 
+def test_load_field_rejects_true_as_a_period(tmp_path):
+    p = tmp_path / "field.bin"
+    spectra.save_field(spectra.random_field(spectra.Lattice((8,), (1.0,)), 9), p)
+    header_path = tmp_path / "field.bin.json"
+    header_path.write_text(json.dumps({**json.loads(header_path.read_text()), "periods": [True]}))
+    with pytest.raises(InvalidConfig, match=r"json periods: bad value \[True\]"):
+        spectra.load_field(p)
+
+
 def test_dimension_mismatch_guards():
     lat = lattice2(8)
     idx3 = weights.parabolic_split(1.0, dimension=3)
