@@ -147,14 +147,14 @@ def apply_lambda(
     mesh = np.ix_(*geom.spatial_axes(), np.arange(nt + 1) * (p.tau / nt))
     for alpha, coeff in p.a_coeffs.items():
         dv = trial.on_cylinder(geom, nt, alpha + (0,))
-        f = f + np.asarray(coeff.evaluator(*mesh), dtype=complex) * dv
+        f = f + coeff.values(*mesh) * dv
 
     u_grid = trial.on_cylinder(geom, nt)
     h = u_grid[..., 0]
     if p.order_l == 0:
         g = pb.boundary_values(geom, u_grid)
     else:
-        bu = sum(np.asarray(b.evaluator(*mesh), dtype=complex)
+        bu = sum(b.values(*mesh)
                  * (trial.on_cylinder(geom, nt, alpha + (0,)) if any(alpha) else u_grid)
                  for alpha, b in p.boundary.terms(n).items())
         g = pb.boundary_values(geom, bu)

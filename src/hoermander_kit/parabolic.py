@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientSmoothness,
     InvalidConfig,
+    NonFiniteData,
     NotFirstOrder,
 )
 from .params import FunctionParam, constant
@@ -165,23 +166,43 @@ class Coefficient:
     scalar (a constant returns its value), and callers broadcast.  Optional exact
     time-derivative evaluators avoid one-sided differencing of the
     coefficient at t = 0; constants short-circuit to zero derivatives.
+    ``key`` is where a config gave the coefficient (``a['2']``), which
+    errors name.
     """
 
     evaluator: Callable
     dt_evaluators: tuple[Callable, ...] = ()
     time_constant: bool = False
     label: str = ""
+    key: str = ""
 
     @classmethod
     def const(cls, value: complex) -> "Coefficient":
         v = complex(value)
         return cls(evaluator=lambda *args: v, time_constant=True, label=f"{value}")
 
+    def values(self, *args, q: int = 0) -> np.ndarray:
+        """The coefficient (q = 0) or its exact q-th time derivative at (*spatial, t), complex.
+
+        Raises :class:`NonFiniteData` naming the coefficient where a value is
+        NaN or infinite, or where Python float arithmetic on a scalar
+        argument (t = 0.0 in ``1/t``) has no value; numpy's warnings for
+        those values are silenced, the error reports them.
+        """
+        what = f"time derivative {q} of coefficient" if q else "coefficient"
+        name = f"{self.key} = {self.label}" if self.key else self.label or repr(self.evaluator)
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.asarray((self.dt_evaluators[q - 1] if q else self.evaluator)(*args),
+                                  dtype=complex)
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NonFiniteData(f"{what} {name} takes NaN or infinite values ({err})") from err
+        if not np.isfinite(vals).all():
+            raise NonFiniteData(f"{what} {name} takes NaN or infinite values")
+        return vals
+
     def on_G(self, geom: Geometry, t: float) -> np.ndarray:
-        meshes = _spatial_meshes(geom)
-        return np.asarray(self.evaluator(*meshes, t), dtype=complex) + np.zeros(
-            geom.g_shape(), dtype=complex
-        )
+        return self.values(*_spatial_meshes(geom), t) + np.zeros(geom.g_shape(), dtype=complex)
 
     def dt_on_G(self, geom: Geometry, q: int, tau: float, acc: int = 8) -> np.ndarray:
         """d^q/dt^q of the coefficient at t = 0 on the closed spatial grid."""
@@ -190,10 +211,8 @@ class Coefficient:
         if self.time_constant:
             return np.zeros(geom.g_shape(), dtype=complex)
         if len(self.dt_evaluators) >= q:
-            meshes = _spatial_meshes(geom)
-            return np.asarray(
-                self.dt_evaluators[q - 1](*meshes, 0.0), dtype=complex
-            ) + np.zeros(geom.g_shape(), dtype=complex)
+            return self.values(*_spatial_meshes(geom), 0.0, q=q) + np.zeros(geom.g_shape(),
+                                                                            dtype=complex)
         h = tau / 256.0
         samples = np.stack([self.on_G(geom, j * h) for j in range(q + acc)], axis=-1)
         return trace_deriv_at_zero(samples, samples.ndim - 1, h, q, acc)
@@ -355,7 +374,7 @@ def problem_from_config(cfg: dict) -> ParabolicProblem:
         if isinstance(spec, (int, float)):  # true, NaN and Infinity do not read as numbers
             return Coefficient.const(read_value(where, real, spec))
         return Coefficient(evaluator=read_value(where, lambda src: compile_expr(src, variables),
-                                                   str(spec)), label=str(spec))
+                                                   str(spec)), label=str(spec), key=where)
 
     a = _config_table(cfg, "a", "a", lambda k: _multi_index(str(k).split(","), n), parse_coeff)
     bcfg = cfg.get("boundary", {"kind": "dirichlet"})
@@ -427,7 +446,7 @@ def _principal_symbol(p: ParabolicProblem, spatial_pts, t, xi) -> np.ndarray:
     for alpha, coeff in p.a_coeffs.items():
         if sum(alpha) != 2:
             continue
-        vals = np.asarray(coeff.evaluator(*spatial_pts, t), dtype=complex)
+        vals = coeff.values(*spatial_pts, t)
         mono = np.ones(xi.shape[:-1])
         for j in range(n):
             if alpha[j]:
@@ -517,8 +536,7 @@ def check_covering(p: ParabolicProblem, samples: int = 2000, seed: int = 0) -> C
         eta = np.column_stack([np.zeros(m_tot), w * signs])
     m = m_tot
     b_vals = [
-        np.asarray(p.boundary.coeff(j).evaluator(*spatial, t), dtype=complex)
-        + np.zeros(m, dtype=complex)
+        p.boundary.coeff(j).values(*spatial, t) + np.zeros(m, dtype=complex)
         for j in range(n + 1)
     ]
     b_vec = np.column_stack(b_vals[1:])

@@ -2,9 +2,12 @@
 
 Chebyshev collocation in space with the boundary rows eliminated, exact
 exponential propagation of the interior modes, and Gauss-Legendre quadrature
-of the Duhamel integral between output times.  Data enters through callables
-so the quadrature can evaluate it off the output grid; this is the inverse
-direction used by the benchmark round trip, not a general-purpose solver.
+of the Duhamel integral between output times.  Every step integrates over
+the same quadrature panels, so the Duhamel terms are evaluated per panel for
+all steps at once and the step recurrence only adds them.  Data enters
+through callables so the quadrature can evaluate it off the output grid;
+this is the inverse direction used by the benchmark round trip, not a
+general-purpose solver.
 """
 
 from __future__ import annotations
@@ -129,18 +132,21 @@ def solve_heat_interval(
     n_refine = max(4, int(math.ceil(math.log2(lam_scale * dt))) + 3)
     offsets = dt * 2.0 ** (-np.arange(1, n_refine + 1, dtype=float))
     edges = np.concatenate([[0.0], dt - offsets, [dt]])  # ascending, layer-refined
+    # every step integrates over the same panels and nodes sigma, so each panel
+    # takes the data at all steps' times t_j + sigma in one call; its weights
+    # exp(lam (dt - sigma)) half w are the same for every step
+    duhamel = np.zeros((len(lam), nt_out), dtype=complex)  # modal, one column per step
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        sigma = mid + half * nodes
+        qs = Vinv @ q_of_t((t_out[:-1, None] + sigma[None, :]).reshape(-1))
+        kernel = np.exp(lam[:, None] * (dt - sigma[None, :])) * (half * wts[None, :])
+        duhamel += np.einsum("mjq,mq->mj", qs.reshape(len(lam), nt_out, len(sigma)), kernel)
+    duhamel = V @ duhamel
     u_hist = [u_int.copy()]
     for j in range(nt_out):
-        t0 = t_out[j]
-        duhamel = np.zeros_like(u_int)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            sigma = mid + half * nodes
-            qs = Vinv @ q_of_t(t0 + sigma)
-            phase = np.exp(lam[:, None] * (dt - sigma[None, :]))
-            duhamel += V @ np.sum(phase * qs * (half * wts[None, :]), axis=1)
-        u_int = eL @ u_int + duhamel
+        u_int = eL @ u_int + duhamel[:, j]
         u_hist.append(u_int.copy())
 
     g0_t = np.asarray(data.g0(t_out), dtype=complex)

@@ -454,9 +454,12 @@ class _ParityPlan:
     - ``images[U]``: mask-order index of m_U of each representative (for U
       with one reflected axis, its mirror partner on that axis).
     - ``walsh[b, U]``: chi_b(U); ``dscale``: D on the representatives.
-    - ``roots[b]``: (lead, G, index, x, rho) of block b: lead over the
-      block's distinct first-axis coordinates, G over its distinct rho, and
-      per block point (in ``columns`` order) its row x of lead and rho of G.
+    - ``roots[b]``: (lead, G, index, x, rho, pairs, pos) of block b: lead
+      over the block's distinct first-axis coordinates, G over its distinct
+      rho, and per block point (in ``columns`` order) its row x of lead and
+      rho of G; pairs[(x, x'), m0] = lead[x, m0] lead[x', m0]; pos, the row
+      x len(G) + rho of each block point in the (x, rho) grid, or None where
+      the block is that whole grid in C order (as on a box mask).
     """
 
     def __init__(self, mask: np.ndarray):
@@ -521,11 +524,16 @@ class _ParityPlan:
             for table in reversed(tables[1:]):  # the modes r in C order
                 G = (table[first][:, :, None] * G[:, None, :]).reshape(len(first), -1)
             lead = tables[0][x_first] if tables else np.ones((1, 1))
-            self.roots.append((lead, G, index[np.ix_(*modes)].reshape(lead.shape[1], -1),
-                               x.reshape(-1), rho.reshape(-1)))
+            x, rho = x.reshape(-1), rho.reshape(-1)
+            pos = x * len(G) + rho  # row of each block point in the (x, rho) grid
+            if np.array_equal(pos, np.arange(len(lead) * len(G))):
+                pos = None  # the block is that grid, in C order
+            self.roots.append((lead, G, index[np.ix_(*modes)].reshape(lead.shape[1], -1), x, rho,
+                               (lead[:, None, :] * lead[None, :, :]).reshape(len(lead) ** 2, -1),
+                               pos))
         arrays = [self.pts, self.twice_q, self.parities, self.images, self.walsh, self.dscale,
                   *self.locs, *self.columns, *(n for _, n in self.negations),
-                  *itertools.chain(*self.roots)]
+                  *(a for a in itertools.chain(*self.roots) if a is not None)]
         for a in arrays:
             a.flags.writeable = False
         self.nbytes = sum(a.nbytes for a in arrays)
@@ -554,17 +562,20 @@ def _weighted_roots(mu: np.ndarray, G: np.ndarray, index: np.ndarray) -> np.ndar
 def _kernel_blocks(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
     """The real symmetric blocks K_b = F_b^T F_b of K (see :class:`_ParityPlan`), C order.
 
-    Per mode m0, H = (s G)(s G)^T, exactly symmetric; one product with
-    lead[x, m0] lead[x', m0] then gives K_b on the (x, rho) grid, gathered to
-    the block's points.
+    Per mode m0, H = (s G)(s G)^T, exactly symmetric; one product with the
+    plan's pairs lead[x, m0] lead[x', m0] then gives K_b on the (x, x', rho,
+    rho') grid, symmetric up to the last bit where the GEMM rounds mirrored
+    entries apart.  One transpose makes that grid the (x, rho) x (x', rho')
+    matrix; where the block is not the whole grid, its points' rows ``pos``
+    are gathered from it.
     """
     blocks = []
-    for lead, G, index, x, rho in plan.roots:
+    for lead, G, index, _, _, pairs, pos in plan.roots:
         A = _weighted_roots(mu, G, index)
-        pairs = (lead[:, None, :] * lead[None, :, :]).reshape(len(lead) ** 2, -1)
         grid = pairs @ (A @ A.transpose(0, 2, 1)).reshape(len(A), -1)
-        grid = grid.reshape((len(lead),) * 2 + (len(G),) * 2)
-        blocks.append(grid[x[:, None], x[None, :], rho[:, None], rho[None, :]])
+        n = len(lead) * len(G)
+        K = grid.reshape((len(lead),) * 2 + (len(G),) * 2).transpose(0, 2, 1, 3).reshape(n, n)
+        blocks.append(K if pos is None else K[pos[:, None], pos[None, :]])
     return blocks
 
 
@@ -602,7 +613,7 @@ class _FiberSolver:
         # (s G)^T cuts the group to at most #rho rows; one R-only QR then factors
         # the stacked groups.  With no split axis the whole block is one group.
         factors = []
-        for lead, G, index, x, rho in plan.roots:
+        for lead, G, index, x, rho, _, _ in plan.roots:
             R0 = np.linalg.qr(_weighted_roots(mu, G, index).transpose(0, 2, 1), mode="r")
             # the stacked groups, (m0, <= rho) by point, built transposed (point by
             # row) so that the QR gets them in Fortran order and factors them in place

@@ -10,7 +10,12 @@ import pytest
 import hoermander_kit
 from hoermander_kit import bench, cli, interp, spectra, traces
 from hoermander_kit.cli import main
-from hoermander_kit.errors import HoermanderKitError, InvalidConfig, UnknownConfigKey
+from hoermander_kit.errors import (
+    HoermanderKitError,
+    InvalidConfig,
+    NonFiniteData,
+    UnknownConfigKey,
+)
 
 
 def test_norm_command(tmp_path):
@@ -87,6 +92,17 @@ def test_compat_check_config_rejects_a_bad_s(tmp_path, monkeypatch, cfg_s, messa
     with pytest.raises(InvalidConfig, match=f"compat-check s: bad value {message}"):
         main(["compat-check", "--config", str(cfg_path), "--nt", "32"])
     assert drawn == []
+
+
+def test_compat_check_config_rejects_a_coefficient_infinite_on_the_grid(tmp_path):
+    # 1/x reads (no variable-free part is infinite) but is infinite at x = 0:
+    # an error naming the key, not a report with NaN residuals
+    cfg = {"geometry": {"kind": "interval", "nx": 64}, "s": 3.0, "a": {"2": "1/x"}}
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(NonFiniteData, match=r"a\['2'\] = 1/x"):
+        main(["compat-check", "--config", str(cfg_path), "--nt", "64", "--out", str(tmp_path)])
+    assert not (tmp_path / "compat-check.json").exists()
 
 
 @pytest.mark.parametrize("command, values, module, entry", [

@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoermander_kit import parabolic as pb
+from hoermander_kit import bench, parabolic as pb
 from hoermander_kit.errors import (
     DimensionMismatch,
     HoermanderKitError,
     InvalidConfig,
+    NonFiniteData,
     NotFirstOrder,
     UnknownConfigKey,
 )
@@ -885,6 +887,31 @@ def test_config_rejects_true_and_non_finite_numbers(cfg, message):
 def test_config_rejects_an_expression_without_a_finite_value_at_read(expr):
     with pytest.raises(InvalidConfig, match=r"a\['2'\]"):
         pb.problem_from_config(_config(a={"2": expr}))
+
+
+@pytest.mark.parametrize("cfg, key, evaluate", [
+    (_config(a={"2": "1", "0": "1/x"}), r"a\['0'\] = 1/x",
+     lambda p: pb.compute_v(p, np.zeros((17, 33)), np.zeros(17), k_max=2)),
+    # finite at t = 0; infinite at x = 0 at the second sample of its time derivative
+    (_config(a={"2": "1", "1": "1/(x + 1 - 256*t)"}), r"a\['1'\] = 1/\(x \+ 1 - 256\*t\)",
+     lambda p: pb.compute_v(p, np.zeros((17, 33)), np.zeros(17), k_max=2)),
+    (_config(a={"2": "1", "0": "1/t"}), r"a\['0'\] = 1/t",  # t = 0.0 is a Python float here
+     lambda p: pb.compute_v(p, np.zeros((17, 33)), np.zeros(17), k_max=2)),
+    (_config(a={"2": "1/x"}), r"a\['2'\]",
+     lambda p: bench.apply_lambda(p, bench.synthesize_trial(p.geometry, p.tau, 16, seed=0), 16)),
+    (_config(boundary={"kind": "first_order", "b": {"1": "1", "0": "1/(1-x)"}}),
+     r"boundary b\['0'\]", lambda p: pb.check_covering(p)),
+    (_config(boundary={"kind": "first_order", "b": {"1": "1", "0": "1/(1-x)"}}),
+     r"boundary b\['0'\]", lambda p: pb.apply_boundary_recurrence(p, [np.zeros(17)], 0)),
+], ids=["a-on-G", "a-dt-on-G", "a-at-scalar-t", "a-on-cylinder", "b-covering", "b-recurrence"])
+def test_a_coefficient_that_is_not_finite_on_the_grid_raises_naming_its_key(cfg, key, evaluate):
+    # each expression is infinite somewhere on the closed grid (x = 0 or 1, or
+    # t = 0) but passes the read-time check, which folds only the variable-free parts
+    p = pb.problem_from_config(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error reports the values; numpy does not warn
+        with pytest.raises(NonFiniteData, match=key):
+            evaluate(p)
 
 
 def test_integer_literals_compile_as_floats_bit_for_bit():

@@ -658,6 +658,60 @@ def test_kernel_blocks_match_the_unreduced_fold(mask):
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _four_index_blocks(mu, plan):
+    """K_b gathered point by point from the (x, x', rho, rho') grid of the square roots."""
+    blocks = []
+    for lead, G, index, x, rho, *_ in plan.roots:
+        A = spectra._weighted_roots(mu, G, index)
+        pairs = (lead[:, None, :] * lead[None, :, :]).reshape(len(lead) ** 2, -1)
+        grid = pairs @ (A @ A.transpose(0, 2, 1)).reshape(len(A), -1)
+        grid = grid.reshape((len(lead),) * 2 + (len(G),) * 2)
+        blocks.append(grid[x[:, None], x[None, :], rho[:, None], rho[None, :]])
+    return blocks
+
+
+def _interval_mask(domain, res):
+    geom = pb.IntervalGeometry(nx=res // 2)
+    mask = domain(geom) if domain is pb.spatial_domain else domain(geom, 1.0, res // 2)
+    idx = (weights.parabolic_split(3.3, params.log_power(1.0), dimension=2) if mask.mask.ndim == 2
+           else weights.isotropic(3.3, params.log_power(1.0), dimension=1))
+    return mask.lattice.weight(idx), mask.mask
+
+
+def _unit_weight(mask):
+    lat = spectra.Lattice(sizes=mask.shape, periods=(2.0,) * mask.ndim)
+    return lat.weight(weights.isotropic(2.0, params.log_power(1.0), dimension=mask.ndim)), mask
+
+
+@pytest.mark.parametrize(
+    "make, by_transpose",
+    [(lambda: _interval_mask(pb.omega_domain, 32), True),
+     (lambda: _interval_mask(pb.omega_domain, 64), True),
+     (lambda: _interval_mask(pb.lateral_domain, 64), True),
+     (lambda: _interval_mask(pb.spatial_domain, 64), True),
+     (_strip_fiber, True),
+     # no split axis: the one block is the list of points, the whole grid too
+     (lambda: _unit_weight(np.random.default_rng(2).random((16, 32)) < 0.4), True),
+     (lambda: _unit_weight(np.random.default_rng(3).random((8, 4, 16)) < 0.4), True),
+     # rows of different lengths; mirrored in y only, the first split axis is not axis 0
+     (lambda: _unit_weight(_mirrored_in_x_only()), False),
+     (lambda: _unit_weight(np.ascontiguousarray(_mirrored_in_x_only().T)), False)],
+    ids=["omega-32", "omega-64", "lateral-64", "spatial-64", "strip-fiber", "random-2d",
+         "random-3d", "mirrored-in-x-only", "mirrored-in-y-only"],
+)
+def test_kernel_blocks_match_the_four_index_gather_bit_for_bit(make, by_transpose):
+    mu, mask = make()
+    plan = spectra._parity_plan(mask)
+    # a block takes its points' rows of the (x, rho) grid only where it is not that grid
+    assert [pos is None for *_, pos in plan.roots] == [by_transpose] * len(plan.roots)
+    # bit for bit, so symmetric exactly where the gather is (the res-64 Omega box's
+    # GEMM rounds some mirrored entries apart in the last bit, either way)
+    blocks = spectra._kernel_blocks(mu, plan)
+    for K, ref in zip(blocks, _four_index_blocks(mu, plan), strict=True):
+        assert K.flags.c_contiguous and np.array_equal(K, ref)
+    assert plan.nbytes == sum(a.nbytes for a in _plan_arrays(plan))  # pairs and pos counted
+
+
 def test_stiff_qr_factors_the_reduced_rows(monkeypatch):
     # per mode of the first split axis (17 or 16 of them) the first stage leaves
     # one row per distinct coordinate on the other axis (9 or 8), not its 17 or
