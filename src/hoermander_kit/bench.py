@@ -19,7 +19,6 @@ refinement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -99,8 +98,7 @@ class TrialField:
     @property
     def coeffs(self) -> np.ndarray:
         """Whole-box coefficients: the block at ``index``, zeros elsewhere; read-only."""
-        coeffs = np.zeros(self.box.sizes, dtype=complex)
-        coeffs[np.ix_(*self.index)] = self.block
+        coeffs = spectra._band_scatter(self.box, self.index, self.block)
         coeffs.flags.writeable = False
         return coeffs
 
@@ -272,8 +270,8 @@ class IsomorphismReport:
                 return False
         return True
 
-    def to_json(self) -> str:
-        return json.dumps({"case": self.case, "rows": self.rows}, indent=2)
+    def to_dict(self) -> dict:
+        return {"case": self.case, "rows": self.rows}
 
     def to_csv(self) -> str:
         if not self.rows:
@@ -554,16 +552,13 @@ class JumpStudyReport:
         vals = [row["norm"] for row in self.violation_rows]
         return all(b > a for a, b in zip(vals, vals[1:]))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "s_star": self.s_star,
-                "eps_pair": list(self.eps_pair),
-                "rows": self.rows,
-                "violations": self.violation_rows,
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "s_star": self.s_star,
+            "eps_pair": list(self.eps_pair),
+            "rows": self.rows,
+            "violations": self.violation_rows,
+        }
 
 
 def jump_study(
@@ -585,8 +580,10 @@ def jump_study(
     equivalence), its stability across resolutions, the growth of the norm
     for data violating the condition that appears at s_star, and
     ``defect_max``, the largest G0-orthogonal defect delta^2 / ||u||_0^2 of a
-    trial as the norm used it: 0 where it is rounding, at or below the noise
-    floor of :func:`interp.half_interp_norm`.
+    trial as the norm used it: 0 where it is rounding, at or below the one
+    membership floor of ``interp``'s subspace core, which
+    :func:`interp.half_interp_norm` and :func:`interp.interpolate_subspace_norm`
+    share.
 
     The problem is symmetric under x -> 1 - x, so every pencil is evaluated
     as the orthogonal sum of its mirror-even and mirror-odd halves

@@ -89,12 +89,9 @@ def _read(args) -> None:
     args.unread = cfg
 
 
-def _emit(args, report: dict | str, name: str, csv: str | None = None) -> None:
-    """Print a report (its CSV if given); with --out write <name>.json and <name>.csv.
-
-    ``report`` is a payload dict or the JSON text of one.
-    """
-    text = report if isinstance(report, str) else json.dumps(report, indent=2)
+def _emit(args, report: dict, name: str, csv: str | None = None) -> None:
+    """Print a report (its CSV if given); with --out write <name>.json and <name>.csv."""
+    text = json.dumps(report, indent=2)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +178,7 @@ def _cmd_iso_bench(args) -> int:
     )
     rep = bench.estimate_isomorphism(case)
     ok = rep.drift_passed()
-    _emit(args, rep.to_json(), "iso-bench", csv=rep.to_csv() if args.csv else None)
+    _emit(args, rep.to_dict(), "iso-bench", csv=rep.to_csv() if args.csv else None)
     print(f"drift check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -195,7 +192,7 @@ def _cmd_jump_study(args) -> int:
         seed=args.seed,
     )
     ok = rep.envelope_stable() and rep.violation_monotone()
-    _emit(args, rep.to_json(), "jump-study")
+    _emit(args, rep.to_dict(), "jump-study")
     print(f"jump study: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

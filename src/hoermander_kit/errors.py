@@ -53,10 +53,6 @@ class CutoffWrapsAround(HoermanderKitError):
     """The cutoff's time support does not fit inside the periodic time axis."""
 
 
-class ProjectorMismatch(HoermanderKitError):
-    """A supplied projector is not idempotent or is inconsistent with the constraint."""
-
-
 class UnknownConfigKey(HoermanderKitError):
     """A configuration file holds keys the command does not read."""
 

@@ -17,11 +17,12 @@ reiteration omega = alpha * psi(beta/alpha), and the orthogonal-sum identity.
 Each sweep builds its weights once and compares the norms of seeded fields.
 Subspace interpolation (pairs restricted by linear constraints) is realized
 densely through the generalized eigenproblem of the two Gram matrices on a
-Householder frame of the constraint kernel; a closed-form K-functional
-variant with a spectral floor, evaluated on whole batches, supports the jump
-studies where the two legs carry different constraint sets.  It takes an
-orthogonal sum of pencils, one spectrum per summand, so a pencil that splits
-(the jump study's, by mirror parity) is never assembled whole: interpolation
+Householder frame of the constraint kernel.  One private core takes an
+orthogonal sum of such pencils, one spectrum per summand, and applies the one
+membership floor to their summed G0-orthogonal defect; the J-method norm
+:func:`interpolate_subspace_norm` and the K-functional :func:`half_interp_norm`
+of the jump studies are two thin entries over it.  A pencil that splits (the
+jump study's, by mirror parity) is never assembled whole: interpolation
 commutes with orthogonal sums, the identity ``verify_orthogonal_sum`` checks.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, ProjectorMismatch
+from .errors import DimensionMismatch
 from .params import FunctionParam, InterpParam, build_psi, constant, reiterate
 from .spectra import Lattice, SpectralField, random_field, weighted_norm
 from .weights import RegularityIndex
@@ -49,7 +50,6 @@ __all__ = [
     "KernelFrame",
     "kernel_frame",
     "subspace_spectrum",
-    "spectral_interp_norm",
     "half_interp_norm",
 ]
 
@@ -350,24 +350,31 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
     return lam, to_coords
 
 
-def spectral_interp_norm(
-    grams: GramPair, frame: KernelFrame, psi: InterpParam, u: np.ndarray
-) -> float:
-    """J-method norm ||psi(J)u||_Y0 on the kernel framed by ``frame``."""
-    lam, to_coords = subspace_spectrum(grams, frame)
-    c = to_coords(u)
-    lam_safe = np.where(lam > 0, lam, np.min(lam[lam > 0]) if np.any(lam > 0) else 1.0)
-    return weighted_norm(psi(lam_safe), c)
-
-
 # A G0-orthogonal defect at or below this share of ||u||_0^2 is rounding, and u
-# a member of the subspace: it counts as 0, in the norm and in ``defect_out``.
+# a member of the subspace: it counts as 0, in the norms and in ``defect_out``.
 # The Lambda-synthesized trials of the jump study at resolutions 32 and 64
 # carry defects of 1e-12 to 2.5e-11 of ||u||_0^2 (seeds 0, 5 and 301), so a
 # floor of 1e-12 would count that noise as a violation.  (At resolution 16
 # their defects are about 2e-5: the coarse stencils of the constraint rows,
 # not rounding; the jump study reports them as ``defect_max``.)
 _DEFECT_FLOOR = 1e-10
+
+
+def _subspace_parts(summands):
+    """The subspace core: per (grams, frame, u) summand (lam, |c|^2, ||u||_0^2), c
+    from one G0 u, and per column the summed ||u||_0^2 and G0-orthogonal defect
+    delta^2, 0 at or below ``_DEFECT_FLOOR`` times ||u||_0^2 (the membership rule)."""
+    parts = []
+    for grams, frame, u in summands:
+        lam, to_coords = subspace_spectrum(grams, frame)
+        x = u.reshape(frame.dim, -1)
+        g0x = _gram_apply(grams.gram0, x)
+        norm0_sq = np.real(np.sum(np.conj(x) * g0x, axis=0))
+        parts.append((lam, np.abs(to_coords(x, g0x)) ** 2, norm0_sq))
+    norm0_sq = sum(n for _, _, n in parts)
+    delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(a, axis=0) for _, a, _ in parts))
+    delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
+    return parts, norm0_sq, delta_sq
 
 
 def half_interp_norm(
@@ -382,7 +389,7 @@ def half_interp_norm(
     is a (dim,) vector of its summand, which gives a float, or a (dim, batch)
     block with the same batch in every summand, which gives a (batch,) array
     from one spectrum set-up per summand.  For u in ker C and ``t_floor = 0``
-    this equals the J-method norm with psi(r) = sqrt(r) exactly (the
+    this equals :func:`interpolate_subspace_norm` with psi(r) = sqrt(r) (the
     quadratic K-functional integrates in closed form).  The default floor
     ``t_floor = 1/lam_max`` keeps the value finite for data outside the
     subspace: the orthogonal defect delta contributes (2/pi) delta^2 / t_floor,
@@ -395,16 +402,7 @@ def half_interp_norm(
     ``defect_out``, when given, receives delta^2 / ||u||_0^2 of each column
     as the norm used it: 0 at or below the noise floor.
     """
-    parts = []
-    for grams, frame, u in summands:
-        lam, to_coords = subspace_spectrum(grams, frame)
-        x = u.reshape(frame.dim, -1)
-        g0x = _gram_apply(grams.gram0, x)
-        norm0_sq = np.real(np.sum(np.conj(x) * g0x, axis=0))
-        parts.append((lam, np.abs(to_coords(x, g0x)) ** 2, norm0_sq))
-    norm0_sq = sum(n for _, _, n in parts)
-    delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(a, axis=0) for _, a, _ in parts))
-    delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
+    parts, norm0_sq, delta_sq = _subspace_parts(summands)
     if defect_out is not None:
         defect_out[...] = 0.0
         np.divide(delta_sq, norm0_sq, out=defect_out, where=norm0_sq > 0)
@@ -424,49 +422,26 @@ def interpolate_subspace_norm(
     psi: InterpParam,
     constraint: np.ndarray | None,
     u: SpectralField,
-    projector=None,
 ) -> float:
-    """Interpolated norm on the subspace cut out by a linear constraint set.
+    """J-method norm (sum psi(lam)^2 |c|^2)^(1/2) on the kernel of ``constraint``.
 
-    ``constraint`` is a matrix of linear functionals on flattened coefficient
-    vectors (None for the trivial/full-space case).  When a ``projector``
-    realizing the constraint is supplied (a callable on flattened vectors),
-    it is validated: P must be idempotent to 1e-10 on test vectors and its
-    range must satisfy the constraint; otherwise :class:`ProjectorMismatch`.
-    The norm itself comes from the dense generalized spectrum of the two
-    Gram forms restricted to the constraint kernel, so the lattice must hold
-    at most a few thousand points.
+    ``constraint`` is a matrix of functionals on flattened coefficients (None:
+    the whole space); lam, c: spectrum and coordinates of the diagonal Grams on
+    ker C, a positive definite pencil.  A defect above ``_DEFECT_FLOOR`` of
+    ||u||_0^2 raises ``ValueError``; the lattice holds at most ``_DENSE_CAP`` points.
     """
-    lattice = pair.lattice
-    dim = lattice.npoints
+    if u.lattice != pair.lattice:
+        raise DimensionMismatch("field lattice does not match the pair")
+    dim = pair.lattice.npoints
     if dim > _DENSE_CAP:
         raise ValueError(
             f"dense subspace interpolation is limited to {_DENSE_CAP} lattice points"
         )
-    uc = u.coeffs.reshape(-1)
-    if projector is not None:
-        rng = np.random.default_rng(1234)
-        for _ in range(8):
-            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            px = projector(x)
-            ppx = projector(px)
-            scale = np.linalg.norm(px)
-            if scale > 0 and np.linalg.norm(ppx - px) > 1e-10 * scale:
-                raise ProjectorMismatch("projector is not idempotent to 1e-10")
-            if constraint is not None:
-                C = np.atleast_2d(np.asarray(constraint, dtype=complex))
-                if np.linalg.norm(C @ px) > 1e-8 * max(1.0, np.linalg.norm(px)):
-                    raise ProjectorMismatch(
-                        "projector range does not satisfy the constraint set"
-                    )
-    frame = kernel_frame(constraint, dim)
-    if constraint is not None:
-        C = np.atleast_2d(np.asarray(constraint, dtype=complex))
-        violation = np.linalg.norm(C @ uc)
-        if violation > 1e-8 * max(1.0, np.linalg.norm(uc)):
-            raise ValueError(
-                "field does not satisfy the constraint set "
-                f"(violation {violation:.3e}); project it first"
-            )
-    grams = GramPair.diagonal(pair)
-    return spectral_interp_norm(grams, frame, psi, uc)
+    [(lam, a, _)], norm0_sq, delta_sq = _subspace_parts(
+        [(GramPair.diagonal(pair), kernel_frame(constraint, dim), u.coeffs.reshape(-1))])
+    if delta_sq[0] > 0:
+        raise ValueError(
+            "field does not satisfy the constraint set (G0-orthogonal defect "
+            f"{delta_sq[0] / norm0_sq[0]:.3e} of ||u||_0^2); project it first"
+        )
+    return float(np.sqrt(psi(lam) ** 2 @ a[:, 0]))

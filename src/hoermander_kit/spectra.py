@@ -228,16 +228,20 @@ def _band_draw(lattice: Lattice, seed: int, band: int | None):
     return index, block
 
 
+def _band_scatter(lattice: Lattice, index, block: np.ndarray) -> np.ndarray:
+    """Whole-lattice coefficients: ``block`` at the FFT-order modes ``index``, +0 elsewhere."""
+    coeffs = np.zeros(lattice.sizes, dtype=complex)
+    coeffs[np.ix_(*index)] = block
+    return coeffs
+
+
 def random_field(lattice: Lattice, seed: int, band: int | None = None) -> SpectralField:
     """Complex-Gaussian coefficients, optionally band-limited to |m| <= band per axis.
 
     The band is cut from the draw of :func:`_band_draw`; modes outside it are +0.
     """
     index, block = _band_draw(lattice, seed, band)
-    if band is None:
-        return SpectralField(lattice=lattice, coeffs=block)
-    coeffs = np.zeros(lattice.sizes, dtype=complex)
-    coeffs[np.ix_(*index)] = block
+    coeffs = block if band is None else _band_scatter(lattice, index, block)
     return SpectralField(lattice=lattice, coeffs=coeffs)
 
 
@@ -794,6 +798,17 @@ def quotient_norm_dense(
 
 # -- import/export --------------------------------------------------------------
 
+_FORMATS = ("binary", "csv")
+
+
+def _write_header(path: Path, header: dict) -> None:
+    """Write the JSON header beside ``path``; an unknown ``format`` raises first, so
+    nothing is written."""
+    if header["format"] not in _FORMATS:
+        raise ValueError(f"unknown format {header['format']!r}")
+    path.with_suffix(path.suffix + ".json").write_text(json.dumps(header))
+
+
 def save_field(field: SpectralField, path: str | Path, fmt: str = "binary") -> None:
     """Write coefficients plus a JSON lattice header {sizes, periods}.
 
@@ -801,19 +816,16 @@ def save_field(field: SpectralField, path: str | Path, fmt: str = "binary") -> N
     columns (real, imag), C-order flattened either way.
     """
     path = Path(path)
-    header = {
+    _write_header(path, {
         "sizes": list(field.lattice.sizes),
         "periods": list(field.lattice.periods),
         "format": fmt,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(header))
+    })
     flat = field.coeffs.reshape(-1)
     if fmt == "binary":
         flat.astype(np.complex128).tofile(path)
-    elif fmt == "csv":
-        np.savetxt(path, np.column_stack([flat.real, flat.imag]), delimiter=",")
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        np.savetxt(path, np.column_stack([flat.real, flat.imag]), delimiter=",")
 
 
 def _read_header(path: Path, keys: tuple = ()) -> tuple[dict, Lattice, str]:
@@ -833,14 +845,15 @@ def _read_header(path: Path, keys: tuple = ()) -> tuple[dict, Lattice, str]:
     if len(periods) != len(sizes):
         raise InvalidConfig(f"{where} periods: {len(periods)} periods for {len(sizes)} sizes")
     lattice = Lattice(sizes=sizes, periods=periods)
-    return header, lattice, read_value(f"{where} format", one_of("binary", "csv"),
+    return header, lattice, read_value(f"{where} format", one_of(*_FORMATS),
                                        header.get("format", "binary"))
 
 
 def load_field(path: str | Path) -> SpectralField:
     """Read a field written by :func:`save_field`.
 
-    Its header is checked by :func:`_read_header`.  Raises
+    Its header is checked by :func:`_read_header`.  A CSV file that is not
+    two numeric columns raises :class:`InvalidConfig` naming it.  Raises
     :class:`DimensionMismatch` when the file does not hold exactly the number
     of entries its header's lattice sizes call for.
     """
@@ -851,7 +864,13 @@ def load_field(path: str | Path) -> SpectralField:
         count = path.stat().st_size / item  # fractional when truncated mid-entry
         flat = np.fromfile(path, dtype=np.complex128)
     else:
-        cols = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            cols = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise InvalidConfig(f"{path}: not a CSV of numbers ({err})") from err
+        if cols.shape[1] != 2:
+            raise InvalidConfig(f"{path}: {cols.shape[1]} columns, not the two (real, imag) "
+                                "of a CSV field")
         count = len(cols)
         flat = cols[:, 0] + 1j * cols[:, 1]
     if count != lattice.npoints:

@@ -23,7 +23,6 @@ against an independent spectral oracle in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -40,7 +39,8 @@ from .errors import (
     InsufficientTimeResolution,
 )
 from .params import FunctionParam
-from .spectra import Lattice, SpectralField, _read_header, load_field, norm, random_field, save_field
+from .spectra import (Lattice, SpectralField, _read_header, _write_header, load_field, norm,
+                      random_field, save_field)
 from .weights import isotropic
 
 __all__ = [
@@ -156,28 +156,34 @@ class CauchyData:
 def save_cauchy(v: CauchyData, path, fmt: str = "binary") -> None:
     """Component files plus a JSON header, mirroring the field conventions."""
     path = Path(path)
-    header = {
+    _write_header(path, {
         "r": v.r,
         "sizes": list(v.lattice.sizes),
         "periods": list(v.lattice.periods),
         "format": fmt,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(header))
+    })
     for k, comp in enumerate(v.components):
         field = SpectralField.from_samples(v.lattice, comp)
         save_field(field, path.with_suffix(f"{path.suffix}.{k}"), fmt=fmt)
 
 
 def load_cauchy(path) -> CauchyData:
-    """Read Cauchy data written by :func:`save_cauchy`; its header also holds ``r`` >= 1."""
+    """Read Cauchy data written by :func:`save_cauchy`; its header also holds ``r`` >= 1.
+
+    A component whose own lattice differs from the header's raises
+    :class:`DimensionMismatch`.
+    """
     path = Path(path)
     header, lattice, _ = _read_header(path, ("r",))
     r = read_value(f"{path}.json r", partial(integer, least=1), header["r"])
-    comps = tuple(
-        load_field(path.with_suffix(f"{path.suffix}.{k}")).to_samples()
-        for k in range(r)
-    )
-    return CauchyData(lattice=lattice, components=comps)
+    comps = []
+    for k in range(r):
+        comp = load_field(path.with_suffix(f"{path.suffix}.{k}"))
+        if comp.lattice != lattice:
+            raise DimensionMismatch(f"{path}: component {k} lies on {comp.lattice}, "
+                                    f"the header on {lattice}")
+        comps.append(comp.to_samples())
+    return CauchyData(lattice=lattice, components=tuple(comps))
 
 
 def cauchy_norm(v: CauchyData, s: float, phi: FunctionParam | None = None) -> float:

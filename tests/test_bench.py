@@ -340,6 +340,7 @@ def test_synthesize_trial_matches_mask_loop_bitwise(geom):
     # the whole box equals the masked draw in value; outside the band its
     # zeros are unsigned, where the mask product left -0 for negative draws
     assert trial.coeffs.dtype == ref.dtype and np.array_equal(trial.coeffs, ref)
+    assert trial.coeffs.tobytes() == spectra.random_field(box, seed, band).coeffs.tobytes()
     outside = ref == 0
     assert not np.signbit(trial.coeffs.real[outside]).any()
     assert not np.signbit(trial.coeffs.imag[outside]).any()

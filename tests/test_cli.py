@@ -220,11 +220,11 @@ def test_iso_bench_and_jump_study_write_their_reports(tmp_path, monkeypatch, cap
     assert main(["jump-study", "--resolutions", "16,32", "--out", str(tmp_path)]) == 0
     jump_out = capsys.readouterr().out
     iso, jump = reports
-    assert (tmp_path / "iso-bench.json").read_text() == iso.to_json()
+    assert (tmp_path / "iso-bench.json").read_text() == json.dumps(iso.to_dict(), indent=2)
     assert (tmp_path / "iso-bench.csv").read_text() == iso.to_csv()
-    assert (tmp_path / "jump-study.json").read_text() == jump.to_json()
+    assert (tmp_path / "jump-study.json").read_text() == json.dumps(jump.to_dict(), indent=2)
     assert iso_out == iso.to_csv() + "\ndrift check: PASS\n"
-    assert jump_out == jump.to_json() + "\njump study: PASS\n"
+    assert jump_out == json.dumps(jump.to_dict(), indent=2) + "\njump study: PASS\n"
 
 
 def test_iso_bench_config(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoermander_kit import interp, params, spectra, weights
-from hoermander_kit.errors import ProjectorMismatch
+from hoermander_kit.errors import DimensionMismatch
 
 TWO_PI = 2.0 * np.pi
 
@@ -208,14 +210,40 @@ def test_subspace_norm_against_sqrtm_oracle():
     assert val == pytest.approx(oracle, rel=1e-8)
 
 
-def test_subspace_norm_rejects_bad_projector():
-    lat = lattice(4)
+def test_subspace_norm_rejects_a_small_field_outside_the_kernel():
+    # the membership rule is relative: a field of norm 1e-9 wholly outside
+    # ker C is not a member, however small ||C u|| is
+    lat = spectra.Lattice(sizes=(8,), periods=(TWO_PI,))
     pair = pair_power(0.0, 2.0, lat)
-    psi = params.InterpParam(evaluator=np.sqrt)
-    u = spectra.random_field(lat, 2)
-    not_projector = lambda x: 0.5 * x  # noqa: E731
-    with pytest.raises(ProjectorMismatch):
-        interp.interpolate_subspace_norm(pair, psi, None, u, projector=not_projector)
+    C = np.zeros((1, 8))
+    C[0, 0] = 1.0
+    u = spectra.SpectralField.single_mode(lat, (0,), amplitude=1e-9)
+    with pytest.raises(ValueError, match="defect 1.000e"):
+        interp.interpolate_subspace_norm(pair, params.InterpParam(evaluator=np.sqrt), C, u)
+
+
+def test_subspace_norm_rejects_a_field_on_another_lattice():
+    pair = pair_power(0.0, 2.0, spectra.Lattice(sizes=(8,), periods=(TWO_PI,)))
+    u = spectra.random_field(spectra.Lattice(sizes=(16,), periods=(TWO_PI,)), 2)
+    with pytest.raises(DimensionMismatch):
+        interp.interpolate_subspace_norm(pair, params.InterpParam(evaluator=np.sqrt), None, u)
+
+
+@given(n=st.sampled_from([4, 8, 16, 32]), rank=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_j_method_equals_the_unfloored_k_functional_on_members(n, rank, seed):
+    lat = spectra.Lattice(sizes=(n,), periods=(TWO_PI,))
+    pair = pair_power(0.0, 2.0, lat)
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)) if rank else None
+    basis = sla.null_space(C) if rank else np.eye(n)
+    u = basis @ (rng.standard_normal(n - rank) + 1j * rng.standard_normal(n - rank))
+    j_norm = interp.interpolate_subspace_norm(
+        pair, params.InterpParam(evaluator=np.sqrt), C, spectra.SpectralField(lat, u))
+    k_norm = interp.half_interp_norm(
+        [(interp.GramPair.diagonal(pair), interp.kernel_frame(C, n), u)], t_floor=0.0)
+    assert j_norm == pytest.approx(k_norm, rel=1e-10)
 
 
 def test_half_interp_matches_spectral_on_members():
@@ -228,7 +256,7 @@ def test_half_interp_matches_spectral_on_members():
     u = basis @ (rng.standard_normal(14) + 1j * rng.standard_normal(14))
     frame = interp.kernel_frame(C, 16)
     sqrt_psi = params.InterpParam(evaluator=np.sqrt)
-    j_norm = interp.spectral_interp_norm(grams, frame, sqrt_psi, u)
+    j_norm = interp.interpolate_subspace_norm(pair, sqrt_psi, C, spectra.SpectralField(lat, u))
     k_norm = interp.half_interp_norm([(grams, frame, u)], t_floor=0.0)
     assert k_norm == pytest.approx(j_norm, rel=1e-10)
     # the default spectral floor only dampens the stiffest modes

@@ -997,6 +997,25 @@ def test_load_field_checks_its_header(tmp_path, change, error, message):
         spectra.load_field(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1.0\n" * 64, "1 columns"),
+    ("1.0,2.0,3.0\n" * 64, "3 columns"),
+    ("re,im\n" * 64, "not a CSV of numbers"),
+], ids=["one-column", "three-columns", "text"])
+def test_load_field_reads_exactly_two_numeric_csv_columns(tmp_path, text, message):
+    q = tmp_path / "field.csv"
+    spectra.save_field(spectra.random_field(lattice2(8), 9), q, fmt="csv")
+    q.write_text(text)
+    with pytest.raises(InvalidConfig, match=rf"field\.csv: .*{message}"):
+        spectra.load_field(q)
+
+
+def test_save_field_rejects_an_unknown_format_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="unknown format 'txt'"):
+        spectra.save_field(spectra.random_field(lattice2(8), 9), tmp_path / "field.txt", fmt="txt")
+    assert not list(tmp_path.iterdir())
+
+
 def test_load_field_rejects_a_header_that_is_not_json(tmp_path):
     p = tmp_path / "field.bin"
     spectra.save_field(spectra.random_field(lattice2(8), 9), p)

@@ -412,6 +412,23 @@ def test_load_cauchy_checks_its_header(tmp_path, change, error, message):
         traces.load_cauchy(path)
 
 
+def test_load_cauchy_rejects_a_component_on_another_lattice(tmp_path):
+    path = tmp_path / "cauchy.dat"
+    traces.save_cauchy(traces.CauchyData.random(spatial_lattice(16), 2, seed=2), path)
+    header_path = tmp_path / "cauchy.dat.1.json"
+    header = json.loads(header_path.read_text())
+    header_path.write_text(json.dumps({**header, "periods": [2 * p for p in header["periods"]]}))
+    with pytest.raises(DimensionMismatch, match="component 1 lies on"):
+        traces.load_cauchy(path)
+
+
+def test_save_cauchy_rejects_an_unknown_format_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="unknown format 'txt'"):
+        traces.save_cauchy(traces.CauchyData.random(spatial_lattice(16), 2, seed=2),
+                           tmp_path / "cauchy.dat", fmt="txt")
+    assert not list(tmp_path.iterdir())
+
+
 def test_strip_trace_through_extension():
     # the strip trace goes through the recorded extension; on a resolvable
     # band-limited case the sampled path approaches the data
