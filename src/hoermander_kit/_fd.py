@@ -2,7 +2,8 @@
 
 The n rows of a width-(k + acc) stencil on a uniform grid hold only k + acc
 distinct weight vectors, one per evaluation point of a single window (Fornberg
-1988); ``apply_deriv_axis`` builds those once per call and applies them banded.
+1988); ``apply_deriv_axis`` builds those in one pass per call and applies them
+banded.
 """
 
 from __future__ import annotations
@@ -19,17 +20,19 @@ __all__ = [
 ]
 
 
-def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
+def fornberg_weights(z: float | np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Weights for derivatives 0..m at z from arbitrary nodes x; shape (m+1, n).
 
+    An array ``z`` gives one such table per point, shape ``z.shape + (m+1, n)``,
+    in one pass: each point's arithmetic is the scalar recurrence's, in its order.
     Computed in extended precision: the weights are consumed by stencils whose
     absolute-weight sums reach 1e3/dx^k, where double-precision weight noise
     would dominate high-order trace extractions.
     """
     x = np.asarray(x, dtype=np.longdouble)
-    z = np.longdouble(z)
+    z = np.asarray(z, dtype=np.longdouble)
     n = len(x)
-    c = np.zeros((m + 1, n), dtype=np.longdouble)
+    c = np.zeros((m + 1, n) + z.shape, dtype=np.longdouble)
     c1 = np.longdouble(1.0)
     c4 = x[0] - z
     c[0, 0] = 1.0
@@ -49,7 +52,7 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
                 c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
             c[0, j] = c4 * c[0, j] / c3
         c1 = c2
-    return c
+    return np.moveaxis(c, (0, 1), (-2, -1))
 
 
 def one_sided_weights(k: int, acc: int, dt: float, n_available: int) -> np.ndarray:
@@ -102,7 +105,7 @@ def apply_deriv_axis(field: np.ndarray, axis: int, dx: float, k: int, acc: int =
             f"grid with {n} points cannot support order-{k} derivative at accuracy {acc}"
         )
     nodes = np.arange(width) * np.longdouble(dx)
-    table = np.array([fornberg_weights(z, nodes, k)[k] for z in nodes])
+    table = fornberg_weights(nodes, nodes, k)[:, k]
     points = np.arange(n)
     first = np.clip(points - width // 2, 0, n - width)
     out = _banded_sum(field, axis, table[points - first], first)

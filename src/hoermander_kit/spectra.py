@@ -14,12 +14,12 @@ Each block K_b has one real square root F_b (K_b = F_b^T F_b): cosine and
 sine tables of the mirror axes and the folded modes of the others, with
 rows scaled by mu^-1.  A memoized parity plan per mask holds the blocks'
 points and the mask side of F_b, so the weight enters by one gather.  Each
-block is factored by Cholesky of F_b^T F_b, or, past a weight spread of
-1e16, by an R-only QR of F_b, whose rows a batched QR per mode of the first
-split axis first cuts to about half.
-Fibers with equal weights share one factor.  Given a sequence of indices,
-the engine prepares the data (fiber gather, FFT, parity basis) once and
-solves each index against them.
+block is factored by Cholesky of F_b^T F_b (LAPACK's potrf, called directly,
+as trtrs is for the solves), or, past a weight spread of 1e16, by an R-only
+QR of F_b, whose rows a batched QR per mode of the first split axis first
+cuts to about half.  Fibers with equal weights share one factor.  Given a
+sequence of indices, the engine prepares the data (fiber gather, FFT, parity
+basis) once and solves each index against them.
 :func:`quotient_gram` returns K^-1 in that basis, one inverted block each, and
 :func:`parity_coords` takes data there.
 :func:`quotient_norm_dense` is a dense oracle for small lattices, and
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -368,6 +369,8 @@ def quotient_norm(
 # batch of data vectors.
 
 _CHOL_SPREAD_CAP = 1e16
+# LAPACK's real Cholesky and triangular solve, bound once (scipy's wrappers cost much on small blocks)
+_potrf, _trtrs = sla.get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
 # parity plans by (shape, mask bytes); the benchmark's masks need a few MiB
 _PLAN_CACHE = _GridCache(byte_cap=2**26)
 
@@ -583,6 +586,13 @@ def _kernel_blocks(mu: np.ndarray, plan: _ParityPlan) -> list[np.ndarray]:
     return blocks
 
 
+def _lapack_out(out: np.ndarray, info: int) -> np.ndarray:
+    """``out`` of a LAPACK call, or the error scipy's wrappers raise for its ``info``."""
+    if info:
+        raise (ValueError if info < 0 else np.linalg.LinAlgError)(f"LAPACK info {info}")
+    return out
+
+
 class _FiberSolver:
     """Least-norm solve on one fiber: weight ``mu`` on the fiber lattice, ``mask``.
 
@@ -602,9 +612,8 @@ class _FiberSolver:
         self._plan = plan
         if self._mode == "chol":
             try:
-                # each K_b is symmetric, so K_b.T is K_b in Fortran order and factors
-                # in place
-                self._factors = [sla.cho_factor(K.T, overwrite_a=True, check_finite=False)[0]
+                # each K_b is symmetric, so K_b.T is K_b in Fortran order and factors in place
+                self._factors = [_lapack_out(*_potrf(K.T, lower=0, overwrite_a=1, clean=0))
                                  for K in _kernel_blocks(mu, plan)]
                 return
             except np.linalg.LinAlgError:
@@ -635,8 +644,9 @@ class _FiberSolver:
         """
         sq = 0.0
         for U, part in zip(self._factors, parts):
-            # part[cols].T is in Fortran order, as LAPACK takes it
-            z = sla.solve_triangular(U, part[cols].T, trans="T", check_finite=False)
+            # U^T z = d routed as scipy does (QR's C-order U by its lower transpose), in place
+            c = int(not U.flags.f_contiguous)
+            z = _lapack_out(*_trtrs(U.T if c else U, part[cols].T, lower=c, trans=1 - c, overwrite_b=1))
             sq = sq + np.sum(z**2, axis=0)
         return sq[0::2] + sq[1::2]
 
@@ -853,9 +863,10 @@ def load_field(path: str | Path) -> SpectralField:
     """Read a field written by :func:`save_field`.
 
     Its header is checked by :func:`_read_header`.  A CSV file that is not
-    two numeric columns raises :class:`InvalidConfig` naming it.  Raises
+    rows of two numeric columns raises :class:`InvalidConfig` naming it.  Raises
     :class:`DimensionMismatch` when the file does not hold exactly the number
-    of entries its header's lattice sizes call for.
+    of entries its header's lattice sizes call for, and :class:`NonFiniteData`
+    naming it when an entry is NaN or infinite.
     """
     path = Path(path)
     _, lattice, fmt = _read_header(path)
@@ -864,18 +875,22 @@ def load_field(path: str | Path) -> SpectralField:
         count = path.stat().st_size / item  # fractional when truncated mid-entry
         flat = np.fromfile(path, dtype=np.complex128)
     else:
-        try:
-            cols = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise InvalidConfig(f"{path}: not a CSV of numbers ({err})") from err
-        if cols.shape[1] != 2:
-            raise InvalidConfig(f"{path}: {cols.shape[1]} columns, not the two (real, imag) "
-                                "of a CSV field")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file: no rows, below
+            try:
+                cols = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as err:
+                raise InvalidConfig(f"{path}: not a CSV of numbers ({err})") from err
+        if not len(cols) or cols.shape[1] != 2:
+            what = f"{cols.shape[1]} columns" if len(cols) else "no rows"
+            raise InvalidConfig(f"{path}: {what}, not the (real, imag) rows of a CSV field")
         count = len(cols)
-        flat = cols[:, 0] + 1j * cols[:, 1]
+        flat = np.ascontiguousarray(cols).view(complex).reshape(-1)  # no arithmetic on inf
     if count != lattice.npoints:
         raise DimensionMismatch(
             f"{path} holds {count:g} entries, but header sizes {list(lattice.sizes)} "
             f"need {lattice.npoints}"
         )
+    if not np.isfinite(flat).all():
+        raise NonFiniteData(f"{path} holds NaN or infinite coefficients")
     return SpectralField(lattice=lattice, coeffs=flat.reshape(lattice.sizes))

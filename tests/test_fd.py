@@ -21,6 +21,51 @@ def _dense_deriv_matrix(n, dx, k, acc):
     return D
 
 
+def _per_point_fornberg(z, x, m):
+    """The Fornberg recurrence for one evaluation point, scalar by scalar."""
+    x = np.asarray(x, dtype=np.longdouble)
+    z = np.longdouble(z)
+    n = len(x)
+    c = np.zeros((m + 1, n), dtype=np.longdouble)
+    c1 = np.longdouble(1.0)
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
+        c1 = c2
+    return c
+
+
+@pytest.mark.parametrize("acc", [2, 4, 8, 10])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_fornberg_weights_at_many_points_equal_the_per_point_loop(k, acc):
+    # one pass over an array of points keeps each point's long-double
+    # arithmetic and its order; np.array_equal, as padding bytes may differ
+    for dx in (1.0, 1.0 / 7, 1.0 / 63):
+        nodes = np.arange(k + acc) * np.longdouble(dx)
+        tables = fornberg_weights(nodes, nodes, k)
+        assert tables.shape == (len(nodes), k + 1, len(nodes))
+        for z, table in zip(nodes, tables):
+            ref = _per_point_fornberg(z, nodes, k)
+            assert np.array_equal(table, ref) and np.array_equal(np.signbit(table), np.signbit(ref))
+            assert np.array_equal(fornberg_weights(z, nodes, k), ref)
+        z = nodes[:2].reshape(2, 1)
+        assert fornberg_weights(z, nodes, k).shape == (2, 1, k + 1, len(nodes))
+
+
 def _dense_apply(field, axis, dx, k, acc):
     D = _dense_deriv_matrix(field.shape[axis], dx, k, acc)
     moved = np.moveaxis(field, axis, 0)

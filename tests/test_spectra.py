@@ -336,23 +336,25 @@ def test_parity_cholesky_matches_dense(mask, blocks):
 
 
 class _FailingOnSecondBlock:
-    """``sla.cho_factor`` that fails on its ``at``-th call since ``calls`` was cleared."""
+    """The engine's ``potrf`` binding, failing on its ``at``-th call since ``calls``
+    was cleared as LAPACK fails: info > 0, the order of a leading minor that is
+    not positive definite."""
 
     def __init__(self, at=2):
         self.at = at
         self.calls = []
-        self.real_cho_factor = sla.cho_factor
+        self.real_potrf = spectra._potrf
 
     def __call__(self, a, *args, **kwargs):
         self.calls.append(a.shape)
         if len(self.calls) == self.at:
-            raise np.linalg.LinAlgError("not positive definite")
-        return self.real_cho_factor(a, *args, **kwargs)
+            return a, 1
+        return self.real_potrf(a, *args, **kwargs)
 
 
 def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
     failing_on_second_block = _FailingOnSecondBlock()
-    monkeypatch.setattr(sla, "cho_factor", failing_on_second_block)
+    monkeypatch.setattr(spectra, "_potrf", failing_on_second_block)
     mask = _box((32, 32), (2, 5), (9, 10))
     lat = spectra.Lattice(sizes=mask.shape, periods=(2.0, 2.0))
     idx = weights.parabolic_split(1.0, params.log_power(1.0), dimension=2)
@@ -585,6 +587,69 @@ def test_two_stage_qr_factor_matches_the_unreduced_fold(make):
         K = ref.T @ ref
         assert R.shape == (len(K), len(K)) and np.array_equal(R, np.triu(R))
         assert np.max(np.abs(R.T @ R - K)) <= 1e-13 * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize(
+    "make, mode",
+    [(lambda: _interval_box(2.0), "chol"), (lambda: _strip_fiber(2.0), "chol"),
+     (_interval_box, "qr"), (_strip_fiber, "qr")],
+    ids=["interval-box-chol", "strip-fiber-chol", "interval-box-qr", "strip-fiber-qr"],
+)
+def test_direct_lapack_calls_match_the_scipy_wrappers_bit_for_bit(make, mode):
+    # the engine calls LAPACK's potrf and trtrs itself: scipy's cho_factor and
+    # solve_triangular, kept here as the references, reach the same routines
+    # with the same arguments, so factors and squared norms keep every bit
+    mu, mask = make()
+    plan = spectra._parity_plan(mask)
+    solver = spectra._FiberSolver(mu, mask)
+    assert solver._mode == mode
+    if mode == "chol":
+        refs = [sla.cho_factor(K.T, overwrite_a=True, check_finite=False)[0]
+                for K in spectra._kernel_blocks(mu, plan)]
+        for U, ref in zip(solver._factors, refs, strict=True):
+            assert U.flags.f_contiguous and U.tobytes() == ref.tobytes()
+    rng = np.random.default_rng(41)
+    data = rng.standard_normal((len(plan.pts), 6)) + 1j * rng.standard_normal((len(plan.pts), 6))
+    parts = spectra._parity_parts(plan, spectra._real_columns(data)[plan.images])
+    kept = [part.copy() for part in parts]
+    cols = np.array([2, 3, 8, 9, 10, 11])  # re and im of three data columns, as a group picks them
+    sq = 0.0
+    for U, part in zip(solver._factors, parts):
+        z = sla.solve_triangular(U, part[cols].T, trans="T", check_finite=False)
+        sq = sq + np.sum(z**2, axis=0)
+    assert solver.solve_parts(parts, cols).tobytes() == (sq[0::2] + sq[1::2]).tobytes()
+    # the solves run in place on the column gather, never on the shared data
+    assert all(part.tobytes() == k.tobytes() for part, k in zip(parts, kept, strict=True))
+
+
+def test_a_block_lapack_finds_not_positive_definite_sends_the_fiber_to_qr():
+    # with the weight 1e163 everywhere (spread 1: the Cholesky branch) every
+    # product of K's assembly underflows, so K_b = 0 and LAPACK's potrf
+    # reports a leading minor that is not positive definite; the QR branch
+    # factors F_b itself, whose entries are near 1e-164.  The quotient norm is
+    # homogeneous, so data scaled by 1e-163 give the norm of the unit weight.
+    mu, mask = _interval_box(2.0)
+    c = 1e163
+    scaled = spectra._FiberSolver(np.full(mu.shape, c), mask)
+    assert scaled._mode == "qr" and len(scaled._factors) == len(spectra._parity_plan(mask).locs)
+    unit = spectra._FiberSolver(np.ones(mu.shape), mask)
+    assert unit._mode == "chol"
+    d = np.random.default_rng(42).standard_normal((int(mask.sum()), 2)) + 0j
+    assert scaled.solve_values(d / c) == pytest.approx(unit.solve_values(d), rel=1e-9)
+
+
+def test_lapack_errors_surface_as_the_scipy_wrappers_raised_them(monkeypatch):
+    mu, mask = _interval_box(2.0)
+    solver = spectra._FiberSolver(mu, mask)
+    d = np.ones((int(mask.sum()), 1), dtype=complex)
+    # trtrs info > 0: a zero on the diagonal of a factor
+    solver._factors[1][3, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.solve_values(d)
+    # potrf info < 0, an illegal argument, is an error, not a cue for the QR branch
+    monkeypatch.setattr(spectra, "_potrf", lambda a, **kwargs: (a, -1))
+    with pytest.raises(ValueError):
+        spectra._FiberSolver(mu, mask)
 
 
 def _long_double_blocks(mu, mask):
@@ -910,7 +975,7 @@ def test_quotient_norm_batch_over_indices_matches_one_call_per_index(make_mask, 
             super().__init__(mu, mask)
             modes.append((mu.tobytes() in fails, self._mode))
 
-    monkeypatch.setattr(sla, "cho_factor", failing)
+    monkeypatch.setattr(spectra, "_potrf", failing)
     monkeypatch.setattr(spectra, "_FiberSolver", Arming)
     rng = np.random.default_rng(31)
     datas = [rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
@@ -1001,13 +1066,26 @@ def test_load_field_checks_its_header(tmp_path, change, error, message):
     ("1.0\n" * 64, "1 columns"),
     ("1.0,2.0,3.0\n" * 64, "3 columns"),
     ("re,im\n" * 64, "not a CSV of numbers"),
-], ids=["one-column", "three-columns", "text"])
+    ("", "no rows"),
+    ("\n\n", "no rows"),
+], ids=["one-column", "three-columns", "text", "empty", "blank-lines"])
 def test_load_field_reads_exactly_two_numeric_csv_columns(tmp_path, text, message):
     q = tmp_path / "field.csv"
     spectra.save_field(spectra.random_field(lattice2(8), 9), q, fmt="csv")
     q.write_text(text)
     with pytest.raises(InvalidConfig, match=rf"field\.csv: .*{message}"):
         spectra.load_field(q)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j], ids=["nan", "inf", "imag-inf"])
+def test_load_field_rejects_non_finite_coefficients(tmp_path, fmt, bad):
+    f = spectra.random_field(lattice2(8), 9)
+    f.coeffs[3, 5] = bad
+    p = tmp_path / f"field.{fmt}"
+    spectra.save_field(f, p, fmt=fmt)
+    with pytest.raises(NonFiniteData, match=rf"field\.{fmt} holds NaN or infinite"):
+        spectra.load_field(p)
 
 
 def test_save_field_rejects_an_unknown_format_before_writing(tmp_path):
