@@ -394,8 +394,8 @@ def round_trip_interval(
     g_rec = np.stack([sol.u[0], sol.u[-1]])
     h_rec = sol.u[:, 0]
     defect = (f_rec - f_grid, g_rec - g_grid, h_rec - h_grid)
-    norm_defect = pb.target_norm(p, *defect, s=s)
-    norm_data = pb.target_norm(p, f_grid, g_grid, h_grid, s=s)
+    norm_defect, norm_data = (
+        b.total for b in pb.target_norm_batch(p, [defect, (f_grid, g_grid, h_grid)], s))
     u_err = float(np.max(np.abs(sol.u - trial.on_cylinder(geom, nt))))
     return {
         "s": s,

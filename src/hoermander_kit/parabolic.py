@@ -65,7 +65,6 @@ __all__ = [
     "check_compatibility",
     "boundary_values",
     "gamma_norm",
-    "target_norm",
     "target_norm_batch",
     "omega_domain",
     "lateral_domain",
@@ -431,12 +430,6 @@ class ConditionReport:
     margin_b: float | None
     samples: int
     worst: dict
-
-    def summary(self) -> str:
-        parts = [f"margin={self.margin:.3e}"]
-        if self.margin_b is not None:
-            parts.append(f"margin_b={self.margin_b:.3e}")
-        return ("PASS " if self.passed else "FAIL ") + " ".join(parts)
 
 
 def _principal_symbol(p: ParabolicProblem, spatial_pts, t, xi) -> np.ndarray:
@@ -953,14 +946,3 @@ def target_norm_batch(
     ]
     return out[0] if single else out
 
-
-def target_norm(
-    p: ParabolicProblem,
-    f: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    s: float,
-    phi: FunctionParam | None = None,
-) -> float:
-    """l2 combination of the three component norms of one data triple."""
-    return target_norm_batch(p, [(f, g, h)], s, phi)[0].total

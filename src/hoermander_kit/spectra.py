@@ -20,11 +20,12 @@ QR of F_b, whose rows a batched QR per mode of the first split axis first
 cuts to about half.  Fibers with equal weights share one factor.  Given a
 sequence of indices, the engine prepares the data (fiber gather, FFT, parity
 basis) once and solves each index against them.
-:func:`quotient_gram` returns K^-1 in that basis, one inverted block each, and
-:func:`parity_coords` takes data there.
-:func:`quotient_norm_dense` is a dense oracle for small lattices, and
+There are three quotient entry points: the engine;
+:func:`quotient_gram`, which returns K^-1 in that basis, one inverted block
+each, with :func:`parity_coords` taking data there; and
 :func:`quotient_norm` (preconditioned conjugate gradient, two DFTs per
-iteration) is the matrix-free cross-check.
+iteration), the matrix-free cross-check.  The dense least-norm oracle that
+the tests hold all three against is a test helper, ``tests/_oracle.py``.
 
 The DFT convention is unitary throughout, so Parseval holds with constant one
 and single-mode norms equal the weight value at that mode.
@@ -58,7 +59,6 @@ __all__ = [
     "quotient_norm_batch",
     "quotient_gram",
     "parity_coords",
-    "quotient_norm_dense",
     "random_field",
     "save_field",
     "load_field",
@@ -426,11 +426,11 @@ class _ParityPlan:
     With k split axes (:func:`_mirror_axes`) and q = p - (lo + hi)/2 on each,
     the representatives are the points with q >= 0 on every split axis, and
     parity block b (a tuple of k bits, 1 = odd) those with q > 0 on its odd
-    axes.  Reflection patterns U (the same bit tuples, 1 = reflected) act on
-    points by m_U; chi_b(U) = (-1)^(b . U).  The orthonormal basis of
-    reflection-symmetrized points takes data v at representative r of block
-    b to 2^-k D_r sum_U chi_b(U) v[m_U r], D = sqrt(2) per split axis on
-    which the point is off the mirror.
+    axes; a block with no point is dropped.  Reflection patterns U (all 2^k
+    bit tuples, 1 = reflected) act on points by m_U; chi_b(U) = (-1)^(b . U).
+    The orthonormal basis of reflection-symmetrized points takes data v at
+    representative r of block b to 2^-k D_r sum_U chi_b(U) v[m_U r], D =
+    sqrt(2) per split axis on which the point is off the mirror.
 
     In that basis block b of the kernel K[i, j] = sum_xi mu^-2 cos(xi . (p_i -
     p_j)) / N is K_b = F_b^T F_b, with one real square root F_b per block.  On
@@ -460,7 +460,8 @@ class _ParityPlan:
       among the representatives.
     - ``images[U]``: mask-order index of m_U of each representative (for U
       with one reflected axis, its mirror partner on that axis).
-    - ``walsh[b, U]``: chi_b(U); ``dscale``: D on the representatives.
+    - ``walsh[b, U]``: chi_b(U), block by pattern; ``dscale``: D on the
+      representatives.
     - ``roots[b]``: (lead, G, index, x, rho, pairs, pos) of block b: lead
       over the block's distinct first-axis coordinates, G over its distinct
       rho, and per block point (in ``columns`` order) its row x of lead and
@@ -485,20 +486,23 @@ class _ParityPlan:
             image = self.pts.copy()
             image[:, ax] = a - self.pts[:, ax]
             partners.append(order[tuple(image.T)])
-        self.parities = np.array(list(itertools.product((0, 1), repeat=len(mirrors))),
-                                 dtype=int).reshape(2 ** len(mirrors), len(mirrors))
+        patterns = np.array(list(itertools.product((0, 1), repeat=len(mirrors))),
+                            dtype=int).reshape(2 ** len(mirrors), len(mirrors))
         reps = np.flatnonzero(np.all(self.twice_q >= 0, axis=1))
-        self.locs = [np.flatnonzero(np.all((self.twice_q[reps] > 0) | (b == 0), axis=1))
-                     for b in self.parities]
+        locs = [np.flatnonzero(np.all((self.twice_q[reps] > 0) | (b == 0), axis=1))
+                for b in patterns]
+        # a block with no point (a plus-shaped mask has no odd-odd one) has nothing to factor
+        self.parities = patterns[[len(loc) > 0 for loc in locs]]
+        self.locs = [loc for loc in locs if len(loc)]
         self.columns = [reps[loc] for loc in self.locs]
         images = []
-        for pattern in self.parities:
+        for pattern in patterns:
             img = reps
             for partner, u in zip(partners, pattern):
                 img = partner[img] if u else img
             images.append(img)
         self.images = np.array(images)
-        self.walsh = (-1.0) ** (self.parities @ self.parities.T)
+        self.walsh = (-1.0) ** (self.parities @ patterns.T)
         self.dscale = np.sqrt(2.0) ** np.count_nonzero(self.twice_q[reps], axis=1)
         # the unsplit modes folded by pairs {xi, -xi}: one representative each, with
         # a sine row beside the cosine row where the pair is two modes
@@ -632,7 +636,7 @@ class _FiberSolver:
             # row) so that the QR gets them in Fortran order and factors them in place
             folded = (lead[x][:, :, None] * R0.transpose(2, 0, 1)[rho]).reshape(len(x), -1).T
             (R,) = sla.qr(folded, mode="r", overwrite_a=True, check_finite=False)
-            factors.append(R[: len(x)].copy())  # mode "r" returns every row
+            factors.append(np.asfortranarray(R[: len(x)]))  # mode "r" returns every row
         return factors
 
     def solve_parts(self, parts: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
@@ -644,9 +648,8 @@ class _FiberSolver:
         """
         sq = 0.0
         for U, part in zip(self._factors, parts):
-            # U^T z = d routed as scipy does (QR's C-order U by its lower transpose), in place
-            c = int(not U.flags.f_contiguous)
-            z = _lapack_out(*_trtrs(U.T if c else U, part[cols].T, lower=c, trans=1 - c, overwrite_b=1))
+            # U^T z = d in place; U is in Fortran order, as potrf returns it
+            z = _lapack_out(*_trtrs(U, part[cols].T, lower=0, trans=1, overwrite_b=1))
             sq = sq + np.sum(z**2, axis=0)
         return sq[0::2] + sq[1::2]
 
@@ -669,7 +672,7 @@ def _parity_parts(plan: _ParityPlan, gathered: np.ndarray) -> list[np.ndarray]:
     block, so that a column selection is a row gather.
     """
     parts = np.tensordot(plan.walsh, gathered, axes=1)
-    parts *= (plan.dscale / len(plan.walsh))[:, None]
+    parts *= (plan.dscale / len(plan.images))[:, None]
     return [np.ascontiguousarray(part[loc].T) for part, loc in zip(parts, plan.locs)]
 
 
@@ -784,26 +787,6 @@ def parity_coords(mask: SubdomainMask, d: np.ndarray) -> list[np.ndarray]:
     plan = _parity_plan(mask.mask)
     parts = _parity_parts(plan, d.reshape(len(d), -1)[plan.images])
     return [part.T.reshape((-1,) + d.shape[1:]) for part in parts]
-
-
-def quotient_norm_dense(
-    idx: RegularityIndex, samples_on_v: np.ndarray, mask: SubdomainMask
-) -> float:
-    """Dense least-norm oracle, independent of the CG path (small lattices only)."""
-    lattice = mask.lattice
-    n = lattice.npoints
-    if n > 4096:
-        raise ValueError("dense oracle is limited to lattices with <= 4096 points")
-    mu = lattice.weight(idx).reshape(-1)
-    # rows of the map coefficients -> masked physical samples
-    eye = np.eye(n, dtype=complex).reshape((n,) + lattice.sizes)
-    phys = np.fft.ifftn(eye, axes=tuple(range(1, lattice.k + 1)), norm="ortho")
-    A = phys.reshape(n, n).T[mask.mask.reshape(-1), :]
-    d = np.asarray(samples_on_v, dtype=complex).reshape(-1)
-    # minimize ||diag(mu) c|| s.t. A c = d; substitute y = mu*c
-    B = A / mu[None, :]
-    y, *_ = np.linalg.lstsq(B, d, rcond=None)
-    return float(np.linalg.norm(y))
 
 
 # -- import/export --------------------------------------------------------------

@@ -53,9 +53,6 @@ __all__ = [
     "trace_R",
     "lift_T",
     "lift_trace",
-    "StripField",
-    "lift_T_strip",
-    "strip_trace",
     "cutoff_moments",
     "lift_bound_constant",
     "equivalent_2m_norm",
@@ -302,43 +299,6 @@ def lift_trace(v: CauchyData, beta: CutoffProfile, r_out: int) -> CauchyData:
             )
         comps.append(np.fft.ifftn(acc, norm="ortho"))
     return CauchyData(lattice=v.lattice, components=tuple(comps))
-
-
-@dataclass(frozen=True)
-class StripField:
-    """Restriction of a lifted field to the time window [0, tau)."""
-
-    full: SpectralField
-    tau: float
-    samples: np.ndarray  # physical samples on spatial x window grid
-
-
-def lift_T_strip(
-    v: CauchyData, beta: CutoffProfile, lattice: Lattice, tau: float
-) -> StripField:
-    """Lift and restrict to the strip 0 <= t < tau.
-
-    The full-lattice field is kept alongside the window samples: the strip
-    trace operator is defined through any extension, and the lift itself is
-    the canonical one.
-    """
-    full = lift_T(v, beta, lattice)
-    t = lattice.grid_axis(lattice.k - 1)
-    n_window = int(np.sum(t < tau))
-    if n_window < 2:
-        raise InsufficientTimeResolution("strip window holds fewer than two time levels")
-    samples = full.to_samples()[..., :n_window]
-    return StripField(full=full, tau=tau, samples=samples)
-
-
-def strip_trace(sf: StripField, r: int) -> CauchyData:
-    """Traces of a strip field through its recorded extension.
-
-    This is the sampled spectral path; its accuracy is limited by how well
-    the time grid resolves the scaled cutoff bumps.  Identity checks use the
-    closed-form :func:`lift_trace` instead.
-    """
-    return trace_R(sf.full, r)
 
 
 # -- cutoff moments and boundedness ----------------------------------------------------

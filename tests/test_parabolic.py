@@ -234,7 +234,7 @@ def test_condition_corpus_verdicts():
             rep = pb.check_petrovskii(prob, 2000, seed=7)
         else:
             rep = pb.check_covering(prob, 2000, seed=7)
-        assert rep.passed == expected, f"{name}: {rep.summary()}"
+        assert rep.passed == expected, f"{name}: {rep}"
 
 
 # -- the v_k recurrence ---------------------------------------------------------
@@ -687,7 +687,7 @@ def test_target_norm_zero_data():
     f = np.zeros((geom.nx + 1, nt + 1), dtype=complex)
     g = np.zeros((2, nt + 1), dtype=complex)
     h = np.zeros(geom.nx + 1, dtype=complex)
-    assert pb.target_norm(p, f, g, h, s=3.0) == 0.0
+    assert pb.target_norm_batch(p, [(f, g, h)], s=3.0)[0].total == 0.0
 
 
 def test_target_norm_single_component():
@@ -728,6 +728,28 @@ def test_target_norm_lateral_order_distinguishes_l():
     vd = pb.target_norm_batch(pd, [(f, g, h)], s=s)[0].lateral
     vn = pb.target_norm_batch(pn, [(f, g, h)], s=s)[0].lateral
     assert vd > vn * 1.5  # higher order weighs the oscillation more
+
+
+@pytest.mark.parametrize("geom", [interval(16), strip(8, 8)], ids=["interval", "strip"])
+def test_target_norm_batch_keeps_the_bits_of_each_single_datum(geom):
+    # the round trip takes its defect and data norms from one batched call
+    p = pb.heat_problem(geom)
+    nt = 8
+    rng = np.random.default_rng(13)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    shape = geom.g_shape()
+    datas = [(draw(shape + (nt + 1,)), draw((2,) + shape[1:] + (nt + 1,)), draw(shape))
+             for _ in range(2)]
+
+    def bits(bd):
+        return np.array([bd.interior, bd.lateral, bd.initial]).tobytes()
+
+    batched = pb.target_norm_batch(p, datas, s=3.0)
+    for datum, got in zip(datas, batched, strict=True):
+        assert bits(got) == bits(pb.target_norm_batch(p, [datum], s=3.0)[0])
 
 
 def test_expression_language_problem():

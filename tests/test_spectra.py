@@ -13,6 +13,8 @@ from hoermander_kit.errors import (
     UnknownConfigKey,
 )
 
+from _oracle import quotient_norm_dense
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -131,7 +133,7 @@ def test_quotient_unweighted_is_plain_l2():
     d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
     val = spectra.quotient_norm(idx, d, mask)
     assert val == pytest.approx(np.linalg.norm(d), rel=1e-10)
-    assert spectra.quotient_norm_dense(idx, d, mask) == pytest.approx(
+    assert quotient_norm_dense(idx, d, mask) == pytest.approx(
         np.linalg.norm(d), rel=1e-10
     )
 
@@ -160,7 +162,7 @@ def test_quotient_vs_dense_oracle_random_masks():
         mask = spectra.SubdomainMask(lat, m)
         d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
         cg = spectra.quotient_norm(idx, d, mask, tol=1e-10)
-        dense = spectra.quotient_norm_dense(idx, d, mask)
+        dense = quotient_norm_dense(idx, d, mask)
         assert abs(cg - dense) <= 1e-8 * dense
 
 
@@ -194,7 +196,7 @@ def test_quotient_direct_matches_dense_stiff():
         mask = spectra.SubdomainMask(lat, m)
         d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
         dv = spectra.quotient_norm_batch(idx, [d], mask)[0]
-        dn = spectra.quotient_norm_dense(idx, d, mask)
+        dn = quotient_norm_dense(idx, d, mask)
         assert dv == pytest.approx(dn, rel=1e-9)
 
 
@@ -270,13 +272,21 @@ def test_quotient_direct_matches_dense_qr_branch():
     for _ in range(3):
         d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
         dv = spectra.quotient_norm_batch(idx, [d], mask)[0]
-        dn = spectra.quotient_norm_dense(idx, d, mask)
+        dn = quotient_norm_dense(idx, d, mask)
         assert dv == pytest.approx(dn, rel=1e-9)
 
 
 def _box(sizes, corner, extent):
     m = np.zeros(sizes, dtype=bool)
     m[tuple(slice(c, c + e) for c, e in zip(corner, extent))] = True
+    return m
+
+
+def _plus(n=16):
+    # mirror symmetric about row 7 and column 7, with no point off both mirror
+    # lines: the odd-odd parity block is empty
+    m = np.zeros((n, n), dtype=bool)
+    m[7, 4:11] = m[4:11, 7] = True
     return m
 
 
@@ -297,10 +307,11 @@ _PARITY_MASKS = pytest.mark.parametrize(
         (_box((32, 32), (0, 1), (10, 12)), 4),
         (_mirrored_in_x_only(), 2),
         (_box((32, 32), (5, 3), (1, 9)), 2),  # one row: nothing to split along x
+        (_plus(32), 3),
         (np.random.default_rng(3).random((32, 32)) < 0.3, 1),
     ],
     ids=["1d-odd", "1d-even", "2d-odd-even", "2d-even-even", "mirrored-in-x-only", "one-row",
-         "random"],
+         "plus", "random"],
 )
 
 
@@ -319,7 +330,7 @@ def _split_matches_dense(mask, blocks, s, mode):
     datas = [rng.standard_normal(sub.npoints) + 1j * rng.standard_normal(sub.npoints)
              for _ in range(3)]
     for dv, d in zip(spectra.quotient_norm_batch(idx, datas, sub), datas):
-        assert dv == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
+        assert dv == pytest.approx(quotient_norm_dense(idx, d, sub), rel=1e-9)
 
 
 @_PARITY_MASKS
@@ -364,7 +375,7 @@ def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
     sub = spectra.SubdomainMask(lat, mask)
     d = np.random.default_rng(14).standard_normal(sub.npoints) + 0j
     value = np.sqrt(solver.solve_values(d[:, None])[0])
-    assert value == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
+    assert value == pytest.approx(quotient_norm_dense(idx, d, sub), rel=1e-9)
 
 
 def _plan_arrays(plan):
@@ -390,7 +401,7 @@ def test_parity_plans_are_read_only_and_keyed_on_mask_bits(monkeypatch):
         sub = spectra.SubdomainMask(lat, m.copy())
         d = rng.standard_normal(sub.npoints) + 1j * rng.standard_normal(sub.npoints)
         value = spectra.quotient_norm_batch(idx, [d], spectra.SubdomainMask(lat, m))[0]
-        assert value == pytest.approx(spectra.quotient_norm_dense(idx, d, sub), rel=1e-9)
+        assert value == pytest.approx(quotient_norm_dense(idx, d, sub), rel=1e-9)
 
     # two masks of one shape with different points
     check(_box((32, 32), (2, 5), (9, 10)))
@@ -441,6 +452,17 @@ def test_quotient_norm_batch_rejects_non_finite_data(bad):
         spectra.quotient_norm_batch(idx, [d], mask)
 
 
+def test_plus_shaped_mask_drops_its_empty_parity_block():
+    lat = spectra.Lattice(sizes=(16, 16), periods=(2.0, 2.0))
+    mask = spectra.SubdomainMask(lat, _plus())
+    assert len(spectra._parity_plan(mask.mask).columns) == 3
+    # a mild weight (spread 1.2e4), so the dense oracle's least squares keeps 1e-12
+    idx = weights.parabolic_split(1.0, params.log_power(1.0), dimension=2)
+    d = np.random.default_rng(8).standard_normal(mask.npoints) + 0.5j
+    dense = quotient_norm_dense(idx, d, mask)
+    assert abs(spectra.quotient_norm_batch(idx, [d], mask)[0] - dense) <= 1e-12 * dense
+
+
 def test_quotient_norm_batch_of_no_data_is_empty():
     mask = pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8)
     idx = weights.parabolic_split(2.0, params.constant(), dimension=2)
@@ -468,8 +490,10 @@ def _random_mask():
     [lambda: pb.omega_domain(pb.IntervalGeometry(nx=8), 1.0, 8),
      lambda: pb.lateral_domain(pb.IntervalGeometry(nx=8), 1.0, 8),
      lambda: pb.spatial_domain(pb.IntervalGeometry(nx=8)),
-     _strip_sub_mask, _random_mask],
-    ids=["interval-omega", "interval-lateral", "interval-spatial", "strip-sub-mask", "random"],
+     _strip_sub_mask, _random_mask,
+     lambda: spectra.SubdomainMask(spectra.Lattice(sizes=(16, 16), periods=(2.0, 2.0)), _plus())],
+    ids=["interval-omega", "interval-lateral", "interval-spatial", "strip-sub-mask", "random",
+         "plus"],
 )
 def test_parity_coords_are_orthonormal(make):
     mask = make()
@@ -503,7 +527,7 @@ def test_parity_coords_and_quotient_gram_give_the_dense_quotient_norm(make):
         d = rng.standard_normal(mask.npoints) + 1j * rng.standard_normal(mask.npoints)
         coords = spectra.parity_coords(mask, d)
         value = sum(np.real(np.conj(c) @ G @ c) for c, G in zip(coords, grams, strict=True))
-        assert np.sqrt(value) == pytest.approx(spectra.quotient_norm_dense(idx, d, mask), rel=1e-9)
+        assert np.sqrt(value) == pytest.approx(quotient_norm_dense(idx, d, mask), rel=1e-9)
 
 
 def test_folded_qr_factors_a_fortran_order_matrix(monkeypatch):

@@ -175,7 +175,6 @@ def test_strip_restriction_identity_and_zero():
     beta = traces.default_cutoff()
     lat = spacetime_lattice(32, 128)
     v = traces.CauchyData.random(slat, 2, seed=9)
-    sf = traces.lift_T_strip(v, beta, lat, tau=1.0)
     back = traces.lift_trace(v, beta, 2)  # strip trace through the extension
     for k in range(2):
         scale = np.max(np.abs(v.components[k]))
@@ -183,8 +182,9 @@ def test_strip_restriction_identity_and_zero():
     zero = traces.CauchyData(
         lattice=slat, components=(np.zeros(slat.sizes, dtype=complex),)
     )
-    sz = traces.lift_T_strip(zero, beta, lat, tau=1.0)
-    assert np.max(np.abs(sz.samples)) == 0.0
+    # the lift of zero data, restricted to the strip 0 <= t < 1
+    sz = traces.lift_T(zero, beta, lat).to_samples()[..., lat.grid_axis(1) < 1.0]
+    assert np.max(np.abs(sz)) == 0.0
 
 
 def test_cutoff_moments_against_spectral_oracle():
@@ -430,14 +430,13 @@ def test_save_cauchy_rejects_an_unknown_format_before_writing(tmp_path):
 
 
 def test_strip_trace_through_extension():
-    # the strip trace goes through the recorded extension; on a resolvable
+    # the strip trace goes through the lifted extension; on a resolvable
     # band-limited case the sampled path approaches the data
     slat = spectra.Lattice(sizes=(8,), periods=(TWO_PI,))
     lat = spectra.Lattice(sizes=(8, 4096), periods=(TWO_PI, 4.0))
     beta = traces.default_cutoff()
     v = traces.CauchyData.random(slat, 2, seed=21, band=2)
-    sf = traces.lift_T_strip(v, beta, lat, tau=1.0)
-    got = traces.strip_trace(sf, 2)
+    got = traces.trace_R(traces.lift_T(v, beta, lat), 2)
     for k in range(2):
         scale = np.max(np.abs(v.components[k]))
         assert np.max(np.abs(got.components[k] - v.components[k])) / scale < 5e-4
