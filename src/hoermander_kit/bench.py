@@ -221,6 +221,9 @@ class BenchCase:
             raise InvalidConfig(f"ny must be a power of two >= 2, got {self.ny}")
         if not self.s_grid or not all(2 < s < math.inf for s in self.s_grid):
             raise InvalidConfig(f"s_grid must hold finite values s > 2, got {list(self.s_grid)}")
+        labels = [phi.describe() for phi in self.phis()]
+        if len(set(labels)) < len(labels):  # the report keys its rows by label
+            raise InvalidConfig(f"phi_list labels must differ, got {labels}")
         l = 0 if self.boundary == "dirichlet" else 1
         for s in self.s_grid:
             if pb.in_E(s, l):
@@ -283,7 +286,7 @@ class IsomorphismReport:
         return "\n".join(lines)
 
 
-def estimate_isomorphism(case: BenchCase, progress=None) -> IsomorphismReport:
+def estimate_isomorphism(case: BenchCase) -> IsomorphismReport:
     """Two-sided ratio sweep of the problem operator over seeded trials.
 
     For every (s, phi, resolution) cell the report records the minimum and
@@ -295,8 +298,7 @@ def estimate_isomorphism(case: BenchCase, progress=None) -> IsomorphismReport:
     data triples and cylinder samples are prepared once, and every cell is
     solved against them: one :func:`solution_norms` and one
     :func:`~hoermander_kit.parabolic.target_norm_batch` call over all cells,
-    four quotient calls in all.  ``progress`` receives each row once its
-    resolution is done.
+    four quotient calls in all.
     """
     report = IsomorphismReport(
         case={
@@ -329,20 +331,17 @@ def estimate_isomorphism(case: BenchCase, progress=None) -> IsomorphismReport:
         tgts = pb.target_norm_batch(p, datas, s_cells, phi_cells, nt=nt)
         for (s, phi), sol, tgt in zip(cells, sols, tgts):
             ratios = np.array([b.total for b in tgt]) / sol
-            row = {
-                "geometry": case.geometry_kind,
-                "s": s,
-                "phi": phi.describe(),
-                "resolution": resolution,
-                "trials": case.trial_count,
-                "lower_ratio": float(np.min(ratios)),
-                "upper_ratio": float(np.max(ratios)),
-                "condition": float(np.max(ratios) / np.min(ratios)),
-                "seed": case.seed,
-            }
-            report.add(**row)
-            if progress:
-                progress(row)
+            report.add(
+                geometry=case.geometry_kind,
+                s=s,
+                phi=phi.describe(),
+                resolution=resolution,
+                trials=case.trial_count,
+                lower_ratio=float(np.min(ratios)),
+                upper_ratio=float(np.max(ratios)),
+                condition=float(np.max(ratios) / np.min(ratios)),
+                seed=case.seed,
+            )
     return report
 
 
@@ -352,9 +351,6 @@ def round_trip_interval(
     resolution: int = 64,
     s: float = 3.0,
     seed: int = 0,
-    band: int = 3,
-    tau: float = 1.0,
-    n_cheb: int = 48,
 ) -> dict:
     """Solve the Dirichlet heat problem for synthesized data and re-apply the map.
 
@@ -368,8 +364,8 @@ def round_trip_interval(
     """
     nx = nt = resolution // 2
     geom = pb.IntervalGeometry(nx=nx)
-    p = pb.heat_problem(geom, tau=tau)
-    trial = synthesize_trial(geom, tau, nt, seed=seed, band=band)
+    p = pb.heat_problem(geom)
+    trial = synthesize_trial(geom, p.tau, nt, seed=seed, band=3)
     f_grid, g_grid, h_grid = apply_lambda(p, trial, nt)
 
     fx, ft = trial.freqs
@@ -388,7 +384,7 @@ def round_trip_interval(
         dg0=lambda t: du(0.0, t),
         dg1=lambda t: du(1.0, t),
     )
-    sol: SolveResult = solve_heat_interval(data, nx, nt, tau, n_cheb=n_cheb)
+    sol: SolveResult = solve_heat_interval(data, nx, nt, p.tau)
 
     f_rec = f_grid + sol.f_residual
     g_rec = np.stack([sol.u[0], sol.u[-1]])
@@ -497,7 +493,7 @@ class _MirrorSplit:
 
 
 def _constraint_matrix(
-    p: pb.ParabolicProblem, nt: int, count: int, acc_t: int = 8, acc_x: int = 8,
+    p: pb.ParabolicProblem, nt: int, count: int, acc_x: int = 8,
 ) -> np.ndarray:
     """Rows of the first ``count`` compatibility functionals (per condition k, per sheet).
 
@@ -505,15 +501,15 @@ def _constraint_matrix(
     j-th coordinate impulse of the flattened (f, g, h) data: 0 minus its
     :func:`parabolic.compatibility_mismatch`, from one batched call, so zeros
     are unsigned.  Columns that are exactly zero are never computed: f and g
-    impulses at time level (count - 2) + acc_t, resp. (count - 1) + acc_t,
-    or later, which no trace stencil reads.
+    impulses at time level (count - 2) + T, resp. (count - 1) + T, or later,
+    with T = :data:`parabolic._TRACE_ORDER`, which no trace stencil reads.
     """
     shapes = _data_shapes(p.geometry, nt)
     sizes = [int(np.prod(shape)) for shape in shapes]
     C = np.zeros((count * sizes[1] // (nt + 1), sum(sizes)), dtype=complex)
     if count == 0:
         return C
-    levels = (count - 2 + acc_t, count - 1 + acc_t, None)
+    levels = (count - 2 + pb._TRACE_ORDER, count - 1 + pb._TRACE_ORDER, None)
     cols = [np.arange(size).reshape(shape)[..., :level].reshape(-1)
             for size, shape, level in zip(sizes, shapes, levels)]
     batch, first = sum(map(len, cols)), np.cumsum([0] + [len(c) for c in cols])
@@ -522,7 +518,7 @@ def _constraint_matrix(
         part = np.zeros((batch, size), dtype=complex)
         part[i + np.arange(len(c)), c] = 1.0
         impulses.append(part.reshape((batch,) + shape))
-    _, mismatches = pb.compatibility_mismatch(p, *impulses, count, acc_t, acc_x)
+    _, mismatches = pb.compatibility_mismatch(p, *impulses, count=count, acc_x=acc_x)
     columns = np.concatenate([c + offset for c, offset in zip(cols, np.cumsum([0] + sizes[:2]))])
     C[:, columns] = 0.0 - np.stack(mismatches, axis=1).reshape(batch, -1).T
     return C
@@ -567,8 +563,6 @@ def jump_study(
     resolutions: tuple[int, ...] = (16, 32),
     trials: int = 30,
     seed: int = 0,
-    tau: float = 1.0,
-    band: int = 2,
 ) -> JumpStudyReport:
     """Half-interpolated target norm at a jump point of the condition count.
 
@@ -616,7 +610,7 @@ def jump_study(
     for resolution in resolutions:
         nx = nt = resolution // 2
         geom = pb.IntervalGeometry(nx=nx)
-        p = pb.heat_problem(geom, tau=tau)
+        p = pb.heat_problem(geom)
         acc_x = 8 if nx + 1 >= 2 + 8 else 4  # small grids degrade gracefully
         split = _MirrorSplit(p, nt)
         C_above = _constraint_matrix(p, nt, r_above, acc_x=acc_x)
@@ -628,11 +622,11 @@ def jump_study(
         # appearing at s_star; both eps see the same block
         columns = [
             _flatten_data(*apply_lambda(
-                p, synthesize_trial(geom, tau, nt, seed=seed + 31 * t, band=band), nt))
+                p, synthesize_trial(geom, p.tau, nt, seed=seed + 31 * t, band=2), nt))
             for t in range(trials)
         ]
         f_shape, g_shape, h_shape = _data_shapes(geom, nt)
-        g_viol = np.broadcast_to(np.arange(nt + 1) * (tau / nt), g_shape)
+        g_viol = np.broadcast_to(np.arange(nt + 1) * (p.tau / nt), g_shape)
         columns.append(_flatten_data(np.zeros(f_shape), g_viol, np.zeros(h_shape)))
         halves = split.coords(np.column_stack(columns))
 

@@ -263,8 +263,7 @@ class ParabolicProblem:
     |alpha| <= 2) to coefficients of A u = dt u + sum a_alpha D^alpha u.
     Construction does not run the parabolicity/covering checks; failing
     instances must be constructible so the checks themselves can report on
-    them.  Call :func:`check_petrovskii` / :func:`check_covering` (or
-    ``verify()``) to validate.
+    them.  Call :func:`check_petrovskii` / :func:`check_covering` to validate.
     """
 
     geometry: Geometry
@@ -286,25 +285,18 @@ class ParabolicProblem:
     def order_l(self) -> int:
         return self.boundary.order
 
-    def verify(self, samples: int = 2000, seed: int = 0) -> dict:
-        rep: dict = {"petrovskii": check_petrovskii(self, samples, seed)}
-        if isinstance(self.boundary, FirstOrder):
-            rep["covering"] = check_covering(self, samples, seed)
-        return rep
-
 
 def heat_problem(
     geometry: Geometry,
     tau: float = 1.0,
     boundary: str = "dirichlet",
-    diffusion=1.0,
 ) -> ParabolicProblem:
-    """Heat operator dt - diffusion * Laplace with Dirichlet or Neumann-type boundary."""
+    """Heat operator dt - Laplace with Dirichlet or Neumann-type boundary."""
     n = geometry.spatial_dim
     a = {}
     for j in range(n):
         alpha = tuple(2 if i == j else 0 for i in range(n))
-        a[alpha] = _as_coefficient(diffusion)
+        a[alpha] = Coefficient.const(1.0)
     if boundary == "dirichlet":
         bnd: Dirichlet | FirstOrder = Dirichlet()
     elif boundary == "neumann":
@@ -683,6 +675,10 @@ def apply_boundary_recurrence(
 
 # -- compatibility residuals -----------------------------------------------------------
 
+# order of the one-sided time traces dt^k g(., 0) that the compatibility conditions
+# read; the jump study's zero columns and the projector's lift cap follow from it
+_TRACE_ORDER = 8
+
 @dataclass
 class CompatibilityReport:
     s: float
@@ -693,8 +689,7 @@ class CompatibilityReport:
     residuals: list[float]
     residual_orders: list[float]
     v_funcs: list[np.ndarray] = field(repr=False)
-    tol: float = 1e-8
-    trace_acc: int = 8
+    tol = 1e-8
 
     @property
     def passed(self) -> bool:
@@ -711,7 +706,7 @@ class CompatibilityReport:
             "residual_orders": self.residual_orders,
             "passed": self.passed,
             "tol": self.tol,
-            "trace_accuracy": self.trace_acc,
+            "trace_accuracy": _TRACE_ORDER,
         }
 
 
@@ -739,14 +734,13 @@ def compatibility_mismatch(
     g: np.ndarray,
     h: np.ndarray,
     count: int,
-    acc_t: int = 8,
     acc_x: int = 8,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """v_0..v_(count-1) (v_0 at least) and the first ``count`` compatibility mismatches.
 
     The package's one definition of the compatibility conditions.  Mismatch
     k, complex on the two boundary sheets, is the boundary target minus the
-    one-sided time trace dt^k g(., 0) of order ``acc_t``: the target is v_k
+    one-sided time trace dt^k g(., 0) of order :data:`_TRACE_ORDER`: the target is v_k
     on the boundary for the Dirichlet problem and B_k[v_0..v_k] for a
     first-order boundary operator.  f, g and h may share leading batch axes,
     which each mismatch keeps; each item equals the unbatched call's.
@@ -757,14 +751,14 @@ def compatibility_mismatch(
     if g.shape[:-1] != expected_g:
         raise DimensionMismatch(f"g must have shape {expected_g} x (nt+1)")
     dt_g = p.tau / (g.shape[-1] - 1)
-    v = compute_v(p, f, h, max(count - 1, 0), acc_t, acc_x)
+    v = compute_v(p, f, h, max(count - 1, 0), _TRACE_ORDER, acc_x)
     mismatches = []
     for k in range(count):
         if p.order_l == 0:
             target = boundary_values(geom, v[k], axis=-p.n)
         else:
             target = apply_boundary_recurrence(p, v, k, acc_x)
-        trace = trace_deriv_at_zero(g, g.ndim - 1, dt_g, k, acc_t)
+        trace = trace_deriv_at_zero(g, g.ndim - 1, dt_g, k, _TRACE_ORDER)
         mismatches.append(np.asarray(target - trace, dtype=complex))
     return v, mismatches
 
@@ -781,9 +775,6 @@ def check_compatibility(
     g: np.ndarray,
     h: np.ndarray,
     s: float,
-    tol: float = 1e-8,
-    acc_t: int = 8,
-    acc_x: int = 8,
 ) -> CompatibilityReport:
     """Residuals of the compatibility conditions at smoothness s.
 
@@ -791,8 +782,10 @@ def check_compatibility(
     boundary; for a first-order boundary operator the right side is
     B_k[v_0..v_k] (see :func:`compatibility_mismatch`).  Residual k is
     measured in the boundary norm of order s - 3/2 - 2k (respectively
-    s - 5/2 - 2k) with trivial weight factor.  At a jump point both adjacent
-    counts are evaluated and flagged.  It takes one datum, not a batch.
+    s - 5/2 - 2k) with trivial weight factor, and passes below 1e-8.  At a
+    jump point both adjacent counts are evaluated and flagged.  It takes one
+    datum, not a batch.  Time traces have order :data:`_TRACE_ORDER` and
+    spatial derivatives order 8.
     """
     _one_datum(p, h)
     l = p.order_l
@@ -802,14 +795,13 @@ def check_compatibility(
     count = compat_count(s, l)
     count_above = compat_count(s + 1e-9, l) if at_jump else count
     n_eval = count_above if at_jump else count
-    v, mismatches = compatibility_mismatch(p, f, g, h, n_eval, acc_t, acc_x)
+    v, mismatches = compatibility_mismatch(p, f, g, h, n_eval)
     top = s - 1.5 if l == 0 else s - 2.5
     orders = [top - 2 * k for k in range(n_eval)]
     residuals = [gamma_norm(p.geometry, m, order) for m, order in zip(mismatches, orders)]
     return CompatibilityReport(
         s=s, l=l, count=count, count_above=count_above, at_jump=at_jump,
-        residuals=residuals, residual_orders=orders, v_funcs=v, tol=tol,
-        trace_acc=acc_t,
+        residuals=residuals, residual_orders=orders, v_funcs=v,
     )
 
 

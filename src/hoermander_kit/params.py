@@ -83,9 +83,7 @@ class FunctionParam:
     exponents: tuple[float, ...] = ()
     base_power: float = 0.0
     scale: float = 1.0
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False
-    )
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = None  # compared by identity
 
     def __post_init__(self):
         if self.kind is ParamKind.CUSTOM and self.evaluator is None:
@@ -130,6 +128,8 @@ class FunctionParam:
     def describe(self) -> str:
         if self.kind is ParamKind.CONSTANT:
             return f"{self.scale:g}"
+        if self.kind is ParamKind.CUSTOM:
+            return f"custom({getattr(self.evaluator, '__name__', type(self.evaluator).__name__)})"
         parts = []
         if self.scale != 1.0:
             parts.append(f"{self.scale:g}")
@@ -314,16 +314,11 @@ def reiterate(alpha: InterpParam, beta: InterpParam, psi: InterpParam) -> Interp
     )
 
 
-def check_interp_membership(
-    psi: InterpParam,
-    compact: tuple[float, float] = (1e-3, 1e3),
-    tail_start: float = 1.0,
-    samples: int = 400,
-) -> dict:
-    """Sampled class-B diagnostic: psi bounded on [a, b], 1/psi bounded on [a, inf)."""
-    a, b = compact
-    grid_compact = np.geomspace(a, b, samples)
-    grid_tail = np.geomspace(tail_start, 1e8, samples)
+def check_interp_membership(psi: InterpParam) -> dict:
+    """Sampled class-B diagnostic: psi bounded on [1e-3, 1e3], 1/psi bounded on [1, 1e8],
+    each interval sampled at 400 geometric points."""
+    grid_compact = np.geomspace(1e-3, 1e3, 400)
+    grid_tail = np.geomspace(1.0, 1e8, 400)
     vc = psi(grid_compact)
     vt = psi(grid_tail)
     ok = (
@@ -339,15 +334,14 @@ def check_interp_membership(
     }
 
 
-def check_pseudoconcavity(
-    psi: InterpParam, r_range: tuple[float, float] = (1e2, 1e8), samples: int = 200
-) -> dict:
-    """Advisory sampled concavity check of log psi(e^x) over the given range.
+def check_pseudoconcavity(psi: InterpParam) -> dict:
+    """Advisory sampled concavity check of log psi(e^x) for r = e^x in [1e2, 1e8].
 
-    Reports the maximal positive second difference of the log-log profile;
-    values near zero are consistent with pseudoconcavity.  Not a proof.
+    Reports the maximal positive second difference of the log-log profile at
+    200 evenly spaced x; values near zero are consistent with
+    pseudoconcavity.  Not a proof.
     """
-    x = np.linspace(math.log(r_range[0]), math.log(r_range[1]), samples)
+    x = np.linspace(math.log(1e2), math.log(1e8), 200)
     y = np.log(psi(np.exp(x)))
     d2 = np.diff(y, 2)
     scale = max(1.0, float(np.max(np.abs(y))))
@@ -358,13 +352,12 @@ def check_pseudoconcavity(
     }
 
 
-def sandwich_constants(
-    phi: FunctionParam, s0: float, s: float, s1: float, samples: int = 400
-) -> tuple[float, float]:
-    """Sampled constants c0, c1 with c0*r^(s0-s) <= phi(r) <= c1*r^(s1-s) on r >= 1."""
+def sandwich_constants(phi: FunctionParam, s0: float, s: float, s1: float) -> tuple[float, float]:
+    """Sampled constants c0, c1 with c0*r^(s0-s) <= phi(r) <= c1*r^(s1-s) on r >= 1,
+    from 400 geometric samples of r in [1, 1e8]."""
     if not (s0 < s < s1):
         raise OrderingViolation(f"need s0 < s < s1, got ({s0}, {s}, {s1})")
-    grid = np.geomspace(1.0, 1e8, samples)
+    grid = np.geomspace(1.0, 1e8, 400)
     vals = phi(grid)
     c0 = float(np.min(vals / grid ** (s0 - s)))
     c1 = float(np.max(vals / grid ** (s1 - s)))

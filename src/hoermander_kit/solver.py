@@ -93,21 +93,21 @@ def solve_heat_interval(
     nx_out: int,
     nt_out: int,
     tau: float,
-    diffusion: float = 1.0,
-    n_cheb: int = 48,
     quad_order: int = 12,
 ) -> SolveResult:
-    """Solve dt u - diffusion * dxx u = f, u(0,.) = g0, u(1,.) = g1, u(.,0) = h.
+    """Solve dt u - dxx u = f, u(0,.) = g0, u(1,.) = g1, u(.,0) = h.
 
-    Returns the solution sampled on the uniform (nx_out+1) x (nt_out+1) grid
-    together with the interior equation residual there (a spectral-accuracy
+    Collocates on the 49 Chebyshev-Gauss-Lobatto nodes of degree 48.  Returns
+    the solution sampled on the uniform (nx_out+1) x (nt_out+1) grid together
+    with the interior equation residual there (a spectral-accuracy
     diagnostic: it vanishes at the collocation nodes by construction).
     """
+    n_cheb = 48
     xc, D = _cheb_nodes_and_diff(n_cheb)
     D2 = D @ D
     interior = slice(1, n_cheb)
-    L = diffusion * D2[interior, interior]
-    B = diffusion * D2[interior, [0, n_cheb]]
+    L = D2[interior, interior]
+    B = D2[interior, [0, n_cheb]]
     lam, V = sla.eig(L)
     Vinv = sla.inv(V)
 
@@ -165,20 +165,16 @@ def solve_heat_interval(
         + np.asarray(data.f(xc[interior, None], t_out[None, :]), dtype=complex)
         + B @ np.stack([g0_t, g1_t])
     )
+    uxx_nodes = D2 @ u_nodes
     du_nodes = np.zeros_like(u_nodes)
     du_nodes[interior] = du_int
     if data.dg0 is not None:
         du_nodes[0] = np.asarray(data.dg0(t_out), dtype=complex)
         du_nodes[n_cheb] = np.asarray(data.dg1(t_out), dtype=complex)
     else:  # fall back to the PDE at the boundary nodes
-        du_nodes[0] = diffusion * (D2 @ u_nodes)[0] + np.asarray(
-            data.f(xc[0], t_out), dtype=complex
-        )
-        du_nodes[n_cheb] = diffusion * (D2 @ u_nodes)[n_cheb] + np.asarray(
-            data.f(xc[n_cheb], t_out), dtype=complex
-        )
+        for i in (0, n_cheb):
+            du_nodes[i] = uxx_nodes[i] + np.asarray(data.f(xc[i], t_out), dtype=complex)
 
-    uxx_nodes = D2 @ u_nodes
     f_out = np.asarray(data.f(x_out[:, None], t_out[None, :]), dtype=complex)
-    residual = P @ du_nodes - diffusion * (P @ uxx_nodes) - f_out
+    residual = P @ du_nodes - P @ uxx_nodes - f_out
     return SolveResult(x=x_out, t=t_out, u=u_out, f_residual=residual, u_cheb=u_nodes)

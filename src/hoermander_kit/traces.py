@@ -304,13 +304,13 @@ def lift_trace(v: CauchyData, beta: CutoffProfile, r_out: int) -> CauchyData:
 # -- cutoff moments and boundedness ----------------------------------------------------
 
 def _profile_derivative_samples(
-    beta: CutoffProfile, m: int, pts: np.ndarray, k_pow: int, h: float = 2e-3
+    beta: CutoffProfile, m: int, pts: np.ndarray, k_pow: int
 ) -> np.ndarray:
-    """d^m/dtau^m of beta(tau) tau^k at given points, by high-order central FD."""
+    """d^m/dtau^m of beta(tau) tau^k at given points, by central FD of order 10, step 2e-3."""
     if m == 0:
         return beta(pts) * pts**k_pow
     acc = 10
-    nodes = (np.arange(m + acc + 1) - (m + acc) / 2.0) * h
+    nodes = (np.arange(m + acc + 1) - (m + acc) / 2.0) * 2e-3
     w = fornberg_weights(0.0, nodes, m)[m]
     vals = np.zeros_like(pts, dtype=np.longdouble)
     for node, wj in zip(nodes, w):
@@ -319,15 +319,15 @@ def _profile_derivative_samples(
     return vals.astype(float)
 
 
-def cutoff_moments(beta: CutoffProfile, m: int, k: int, panels: int = 256) -> tuple[float, float]:
+def cutoff_moments(beta: CutoffProfile, m: int, k: int) -> tuple[float, float]:
     """(c1, c2) with c1 = int |d^m(beta(tau) tau^k)|^2 dtau, c2 = int |tau^k beta|^2 dtau.
 
-    Composite Gauss-Legendre over the support; the integrands are smooth and
-    compactly supported, so the panel rule converges rapidly.
+    Composite 8-point Gauss-Legendre on 256 panels of the support; the smooth,
+    compactly supported integrands make the panel rule converge rapidly.
     """
     nodes, wts = np.polynomial.legendre.leggauss(8)
     a, b = -beta.support_radius, beta.support_radius
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, 257)
     c1 = 0.0
     c2 = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -368,9 +368,6 @@ def lemma2_projector(
     data: tuple[np.ndarray, np.ndarray, np.ndarray],
     p: pb.ParabolicProblem,
     r: int,
-    beta: CutoffProfile | None = None,
-    acc_t: int = 8,
-    acc_x: int = 8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection onto the compatibility-satisfying subspace: (f, g, h) -> (f, g*, h).
 
@@ -380,21 +377,21 @@ def lemma2_projector(
     conditions; data that already satisfies them is fixed.  Idempotent up to
     the trace-extraction accuracy.  The mismatches are those of
     :func:`parabolic.compatibility_mismatch`, which checks the shape of g.
-    It takes one datum, not a batch.
+    The lift uses :func:`default_cutoff`.  It takes one datum, not a batch.
     """
-    beta = beta if beta is not None else default_cutoff()
+    beta = default_cutoff()
     f, g, h = data
     pb._one_datum(p, h)
     g = np.asarray(g, dtype=complex)
     if r < 1:
         return (np.asarray(f, dtype=complex), g.copy(), np.asarray(h, dtype=complex))
-    _, w_comps = pb.compatibility_mismatch(p, f, g, h, r, acc_t, acc_x)
+    _, w_comps = pb.compatibility_mismatch(p, f, g, h, r)
     dt_g = p.tau / (g.shape[-1] - 1)
     tgrid = np.arange(g.shape[-1]) * dt_g
-    # the trace stencils read g up to t = (r - 2 + acc_t) dt, and the lift is the
+    # the trace stencils read g up to t = (r - 2 + _TRACE_ORDER) dt, and the lift is the
     # bare polynomial only where beta(xi_sq t) = 1, t <= flat_radius / xi_sq:
     # xi_sq is capped so that this covers the stencils at every frequency
-    reach = (r - 2 + acc_t) * dt_g
+    reach = (r - 2 + pb._TRACE_ORDER) * dt_g
     cap = beta.flat_radius / reach if reach > 0 else np.inf
     # per sheet and frequency xi of the boundary circle (xi = 0 alone on the interval)
     geom = p.geometry

@@ -188,10 +188,11 @@ class AdmissibilityFit:
 def check_admissibility(
     idx: RegularityIndex,
     sample_pairs: int = 10_000,
-    box: float = 64.0,
     seed: int = 0,
 ) -> AdmissibilityFit:
     """Empirical fit of mu(xi)/mu(eta) <= c (1+|xi-eta|)^l over random pairs.
+
+    xi and eta are drawn uniformly from the cube [-64, 64]^k.
 
     The existential (c, l) of the admissibility bound are estimated from the
     upper convex hull of (log(1+|xi-eta|), log ratio) samples: ``l`` is the
@@ -203,8 +204,8 @@ def check_admissibility(
         raise ValueError("need at least 100 sample pairs")
     rng = np.random.default_rng(seed)
     k = idx.dimension
-    xi = rng.uniform(-box, box, size=(sample_pairs, k))
-    eta = rng.uniform(-box, box, size=(sample_pairs, k))
+    xi = rng.uniform(-64.0, 64.0, size=(sample_pairs, k))
+    eta = rng.uniform(-64.0, 64.0, size=(sample_pairs, k))
     mu_xi = eval_weight(idx, xi)
     mu_eta = eval_weight(idx, eta)
     y = np.log(mu_xi / mu_eta)

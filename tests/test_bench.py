@@ -205,11 +205,27 @@ def test_bench_case_rejects_jump_points():
     ({"s_grid": (1.5, 3.0)}, "s_grid"),
     ({"s_grid": (float("nan"),)}, "s_grid"),
     ({"trial_count": 29}, "30 trials"),
+    ({"phi_list": (params.constant(), params.constant(1.0))}, "phi_list labels"),
 ], ids=["geometry", "boundary", "resolution-48", "resolution-2", "no-resolutions", "ny-12",
-        "no-s", "s-below-2", "s-nan", "trials-29"])
+        "no-s", "s-below-2", "s-nan", "trials-29", "phi-labels"])
 def test_bench_case_rejects_what_cannot_run(kw, message):
     with pytest.raises(InvalidConfig, match=message):
         bench.BenchCase(**{"geometry_kind": "interval", **kw})
+
+
+def test_drift_pairs_a_custom_phi_with_its_own_rows():
+    # the report keys rows by phi label, so the drift check compares each phi's fine
+    # row with its own coarse row only when the two phis' labels differ
+    phis = (params.constant(), params.custom(lambda r: r**0.5))
+    case = bench.BenchCase("interval", phi_list=phis, s_grid=(3.0,), resolutions=(8, 16))
+    rep = bench.estimate_isomorphism(case)
+    labels = [phi.describe() for phi in phis]
+    assert rep.case["phi"] == labels and labels[0] != labels[1]
+    for label in labels:
+        rows = [row for row in rep.rows if row["phi"] == label]
+        assert [row["resolution"] for row in rows] == [8, 16]
+        assert rep.condition(3.0, label, 8) == rows[0]["condition"]
+    assert rep.drift_passed()
 
 
 def test_heat_data_takes_both_boundary_derivatives_or_neither():

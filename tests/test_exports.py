@@ -18,3 +18,4 @@ def test_every_export_resolves_and_no_retired_name_is_left():
         left = [name for name in _RETIRED if name in exported or hasattr(module, name)]
         assert not left, f"{module.__name__} still has {left}"
     assert not hasattr(parabolic.ConditionReport, "summary")
+    assert not hasattr(parabolic.ParabolicProblem, "verify")

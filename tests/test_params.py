@@ -193,6 +193,14 @@ def test_custom_not_serializable():
         params.param_to_dict(params.custom(lambda r: np.ones_like(r)))
 
 
+def test_custom_params_compare_by_evaluator():
+    sqrt, log1p = params.custom(np.sqrt), params.custom(np.log1p)
+    assert sqrt != log1p and len({sqrt, log1p}) == 2
+    assert sqrt == params.custom(np.sqrt) and hash(sqrt) == hash(params.custom(np.sqrt))
+    assert sqrt.describe() != log1p.describe() != params.constant().describe()
+    assert sqrt.cache_key() is None and log1p.cache_key() is None
+
+
 def test_membership_diagnostics_for_family():
     for phi in [params.log_power(t) for t in (-2.0, -0.5, 0.5, 2.0)]:
         for s0, s, s1 in [(0, 1, 2), (-1, 0.5, 3), (2, 2.2, 2.5)]:

@@ -302,18 +302,21 @@ def test_projector_idempotent():
 
 
 def test_projector_range_is_compat_pass_set():
-    geom = pb.IntervalGeometry(nx=64)
-    p = pb.heat_problem(geom)
-    nt = 512
-    tgrid = np.arange(nt + 1) * (p.tau / nt)
-    f = np.zeros((geom.nx + 1, nt + 1), dtype=complex)
-    h = np.sin(np.pi * geom.x_axis()).astype(complex) + 2.0
-    g = np.stack([1.0 + 0.3 * tgrid, np.cos(tgrid)]).astype(complex)
-    rep_before = pb.check_compatibility(p, f, g, h, s=4.0)
-    assert not rep_before.passed
-    corrected = traces.lemma2_projector((f, g, h), p, r=2)
-    rep_after = pb.check_compatibility(p, corrected[0], corrected[1], corrected[2], s=4.0)
-    assert rep_after.passed, rep_after.residuals
+    # the Dirichlet problem, and a first-order boundary on either side of its jump at s = 9/2
+    for boundary, s, r in (("dirichlet", 4.0, 2), ("neumann", 3.0, 1), ("neumann", 4.6, 2)):
+        geom = pb.IntervalGeometry(nx=64)
+        p = pb.heat_problem(geom, boundary=boundary)
+        assert r == pb.compat_count(s, p.order_l)
+        nt = 512
+        tgrid = np.arange(nt + 1) * (p.tau / nt)
+        f = np.zeros((geom.nx + 1, nt + 1), dtype=complex)
+        h = np.sin(np.pi * geom.x_axis()).astype(complex) + 2.0
+        g = np.stack([1.0 + 0.3 * tgrid, np.cos(tgrid)]).astype(complex)
+        rep_before = pb.check_compatibility(p, f, g, h, s=s)
+        assert not rep_before.passed
+        corrected = traces.lemma2_projector((f, g, h), p, r=r)
+        rep_after = pb.check_compatibility(p, corrected[0], corrected[1], corrected[2], s=s)
+        assert rep_after.passed, (boundary, s, rep_after.residuals)
 
 
 def _interval_lift(w_comps, beta, tgrid):
