@@ -21,7 +21,10 @@ Householder frame of the constraint kernel.  One private core takes an
 orthogonal sum of such pencils, one spectrum per summand, and applies the one
 membership floor to their summed G0-orthogonal defect; the J-method norm
 :func:`interpolate_subspace_norm` and the K-functional :func:`half_interp_norm`
-of the jump studies are two thin entries over it.  A pencil that splits (the
+of the jump studies are two thin entries over it.  The core sets up on basis
+columns (spectra, eigencoordinates, G0 applied once) and evaluates coefficient
+columns in that basis, so the jump study sets up once per pencil and
+evaluates every later trial from its band coefficients.  A pencil that splits (the
 jump study's, by mirror parity) is never assembled whole: interpolation
 commutes with orthogonal sums, the identity ``verify_orthogonal_sum`` checks.
 """
@@ -360,21 +363,49 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
 _DEFECT_FLOOR = 1e-10
 
 
-def _subspace_parts(summands):
-    """The subspace core: per (grams, frame, u) summand (lam, |c|^2, ||u||_0^2), c
-    from one G0 u, and per column the summed ||u||_0^2 and G0-orthogonal defect
-    delta^2, 0 at or below ``_DEFECT_FLOOR`` times ||u||_0^2 (the membership rule)."""
-    parts = []
+def _subspace_basis(summands):
+    """The subspace core's set-up on basis columns: per (grams, frame, x) summand, x a
+    (dim,) vector or a (dim, batch) block, the spectrum lam, the eigencoordinates c of
+    x's columns, and x and G0 x as (dim, batch) blocks, c from that one G0 x."""
+    basis = []
     for grams, frame, u in summands:
         lam, to_coords = subspace_spectrum(grams, frame)
         x = u.reshape(frame.dim, -1)
         g0x = _gram_apply(grams.gram0, x)
-        norm0_sq = np.real(np.sum(np.conj(x) * g0x, axis=0))
-        parts.append((lam, np.abs(to_coords(x, g0x)) ** 2, norm0_sq))
-    norm0_sq = sum(n for _, _, n in parts)
-    delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(a, axis=0) for _, a, _ in parts))
+        basis.append((lam, to_coords(x, g0x), x, g0x))
+    return basis
+
+
+def _column_norms0(basis) -> np.ndarray:
+    """||u||_0^2 of each column of the basis blocks, summed over the summands."""
+    return sum(np.real(np.sum(np.conj(x) * g0x, axis=0)) for _, _, x, g0x in basis)
+
+
+def _subspace_parts(coords, norm0_sq: np.ndarray):
+    """The subspace core's evaluation on coefficient columns: per summand |c|^2 of the
+    eigencoordinates c, and per column the G0-orthogonal defect delta^2 of the summed
+    ||u||_0^2, 0 at or below ``_DEFECT_FLOOR`` times ||u||_0^2 (the membership rule)."""
+    a = [np.abs(c) ** 2 for c in coords]
+    delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(x, axis=0) for x in a))
     delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
-    return parts, norm0_sq, delta_sq
+    return a, delta_sq
+
+
+def _half_norms(lams, coords, norm0_sq: np.ndarray, t_floor: float | None = None):
+    """The K-functional norms with parameter 1/2 of columns given by their per-summand
+    spectra lam and eigencoordinates c and their summed ||u||_0^2, and their defects
+    delta^2 / ||u||_0^2 as the norms used them (see :func:`half_interp_norm`)."""
+    a, delta_sq = _subspace_parts(coords, norm0_sq)
+    lam_max = max((float(np.max(lam)) for lam in lams if lam.size), default=1.0)
+    t0 = (1.0 / lam_max) if t_floor is None else t_floor
+    core = sum((lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ x for lam, x in zip(lams, a))
+    if t0 > 0:
+        tail = delta_sq / t0
+    else:
+        tail = np.where(delta_sq > 0, np.inf, 0.0)
+    defect = np.zeros_like(norm0_sq)
+    np.divide(delta_sq, norm0_sq, out=defect, where=norm0_sq > 0)
+    return np.sqrt((2.0 / np.pi) * (core + tail)), defect
 
 
 def half_interp_norm(
@@ -401,19 +432,17 @@ def half_interp_norm(
     block-diagonal pencil under the block-diagonal constraints.
     ``defect_out``, when given, receives delta^2 / ||u||_0^2 of each column
     as the norm used it: 0 at or below the noise floor.
+
+    The spectra and coordinates depend on u only through its columns, so a
+    caller that evaluates many columns in one fixed span sets the core up once
+    on a basis of it (:func:`_subspace_basis`) and evaluates coefficient
+    columns with :func:`_half_norms`; the jump study does.
     """
-    parts, norm0_sq, delta_sq = _subspace_parts(summands)
+    basis = _subspace_basis(summands)
+    out, defect = _half_norms([lam for lam, *_ in basis], [c for _, c, *_ in basis],
+                              _column_norms0(basis), t_floor)
     if defect_out is not None:
-        defect_out[...] = 0.0
-        np.divide(delta_sq, norm0_sq, out=defect_out, where=norm0_sq > 0)
-    lam_max = max((float(np.max(lam)) for lam, _, _ in parts if lam.size), default=1.0)
-    t0 = (1.0 / lam_max) if t_floor is None else t_floor
-    core = sum((lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ a for lam, a, _ in parts)
-    if t0 > 0:
-        tail = delta_sq / t0
-    else:
-        tail = np.where(delta_sq > 0, np.inf, 0.0)
-    out = np.sqrt((2.0 / np.pi) * (core + tail))
+        defect_out[...] = defect
     return out if summands[0][2].ndim == 2 else float(out[0])
 
 
@@ -437,8 +466,10 @@ def interpolate_subspace_norm(
         raise ValueError(
             f"dense subspace interpolation is limited to {_DENSE_CAP} lattice points"
         )
-    [(lam, a, _)], norm0_sq, delta_sq = _subspace_parts(
+    [(lam, c, *_)] = basis = _subspace_basis(
         [(GramPair.diagonal(pair), kernel_frame(constraint, dim), u.coeffs.reshape(-1))])
+    norm0_sq = _column_norms0(basis)
+    [a], delta_sq = _subspace_parts([c], norm0_sq)
     if delta_sq[0] > 0:
         raise ValueError(
             "field does not satisfy the constraint set (G0-orthogonal defect "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,9 +251,14 @@ def check_slow_variation(
 
 @dataclass(frozen=True)
 class InterpParam:
-    """A positive function of r > 0 used as an interpolation parameter."""
+    """A positive function of r > 0 used as an interpolation parameter.
 
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    Two parameters are equal when they share the evaluator (by identity) and
+    the label, so parameters built with different functions compare and hash
+    apart.
+    """
+
+    evaluator: Callable[[np.ndarray], np.ndarray]  # compared by identity
     label: str = ""
 
     def __call__(self, r) -> np.ndarray:

@@ -63,6 +63,10 @@ class _GridCache:
             _, old = self._grids.popitem(last=False)
             self.nbytes -= old.nbytes
 
+    def clear(self) -> None:
+        self._grids.clear()
+        self.nbytes = 0
+
 
 _GRID_CACHE_POINT_CAP = 2**24  # 128 MiB per float64 grid
 # far above every working set of the benchmark (under 2 MiB), and room for a

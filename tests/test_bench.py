@@ -659,6 +659,142 @@ def test_jump_study_reports_the_resolution_16_membership_defect(monkeypatch):
     assert len(calls) == 3 * 2 * 2  # resolutions x eps x parity halves: no second pass
 
 
+def _jump_norms_by_columns(s_star, eps_pair, resolution, seeds, trials):
+    """Reference: the study's norms per eps on the Lambda data columns of the trials of
+    every seed, seed after seed, then of the violating datum, through one
+    interp.half_interp_norm call per eps on the mirror halves; and their defects."""
+    nx = nt = resolution // 2
+    geom = pb.IntervalGeometry(nx=nx)
+    p = pb.heat_problem(geom)
+    split = bench._MirrorSplit(p, nt)
+    C = bench._constraint_matrix(p, nt, pb.compat_count(s_star, 0) + 1,
+                                 acc_x=8 if nx + 1 >= 2 + 8 else 4)
+    frames = [interp.kernel_frame(half, half.shape[1]) for half in split.constraints(C)]
+    columns = [
+        bench._flatten_data(*bench.apply_lambda(
+            p, bench.synthesize_trial(geom, p.tau, nt, seed=seed + 31 * t, band=2), nt))
+        for seed in seeds for t in range(trials)
+    ]
+    f_shape, g_shape, h_shape = bench._data_shapes(geom, nt)
+    g_viol = np.broadcast_to(np.arange(nt + 1) * (p.tau / nt), g_shape)
+    columns.append(bench._flatten_data(np.zeros(f_shape), g_viol, np.zeros(h_shape)))
+    halves = split.coords(np.column_stack(columns))
+    norms, defects = np.empty((2, len(columns))), np.empty((2, len(columns)))
+    for eps, norm, defect in zip(eps_pair, norms, defects):
+        summands = [(interp.GramPair(gram0=g0, gram1=g1), frame, x) for g0, g1, frame, x in zip(
+            bench._data_gram(p, split, s_star - eps), bench._data_gram(p, split, s_star + eps),
+            frames, halves)]
+        norm[:] = interp.half_interp_norm(summands, defect_out=defect)
+    return norms, defects
+
+
+@pytest.mark.parametrize("resolutions, seeds, trials", [
+    ((16, 32, 64), (0, 5, 301), 30), ((16, 32), (0, 5), 1), ((16, 32), (7,), 200),
+], ids=["three-seeds", "one-trial", "200-trials"])
+def test_jump_study_matches_half_interp_norm_on_the_data_columns(resolutions, seeds, trials):
+    # the study evaluates each trial from its band block through cached
+    # eigencoordinates; the reference takes the trial's Lambda data column
+    # through the subspace core directly
+    s_star, eps_pair = 3.5, (0.1, 0.2)
+    reports = [bench.jump_study(s_star, eps_pair, resolutions, trials, seed) for seed in seeds]
+    for r, resolution in enumerate(resolutions):
+        norms, defects = _jump_norms_by_columns(s_star, eps_pair, resolution, seeds, trials)
+        for i, rep in enumerate(reports):
+            cols = slice(i * trials, (i + 1) * trials)
+            ratios = norms[0, cols] / norms[1, cols]
+            row = rep.rows[r]
+            assert row["resolution"] == resolution and row["trials"] == trials
+            for key, ref in (("envelope", max(np.max(ratios), 1.0 / np.min(ratios))),
+                             ("ratio_min", np.min(ratios)), ("ratio_max", np.max(ratios))):
+                assert row[key] == pytest.approx(ref, rel=1e-12, abs=0.0), (key, resolution)
+            assert rep.violation_rows[r]["norm"] == pytest.approx(norms[0, -1], rel=1e-12, abs=0.0)
+            defect_max = float(np.max(defects[:, cols]))
+            if resolution == 16:
+                assert defect_max > 0.0
+                assert row["defect_max"] == pytest.approx(defect_max, rel=1e-9, abs=0.0)
+            else:
+                assert row["defect_max"] == 0.0 == defect_max
+
+
+def test_jump_study_cold_and_warm_calls_agree_bitwise():
+    # a warm call evaluates the same cached arrays as the cold call that built
+    # them, and a key never serves another key's pencils
+    def study(seed, eps_pair=(0.1, 0.2)):
+        rep = bench.jump_study(3.5, eps_pair, (16, 32), 30, seed)
+        return rep.rows, rep.violation_rows
+
+    cold = {seed: study(seed) for seed in (4, 19)}
+    other = study(4, (0.2, 0.3))
+    assert len(bench._STUDY_CACHE) == 4
+    for seed, (rows, violations) in cold.items():
+        assert study(seed) == (rows, violations)
+        assert rows[0]["defect_max"] > 0.0
+    bench._STUDY_CACHE.clear()
+    assert study(4, (0.2, 0.3)) == other
+    assert other != cold[4]
+
+
+def _counting(monkeypatch, targets):
+    calls = []
+    for module, name in targets:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+    return calls
+
+
+def test_a_warm_jump_study_makes_no_dense_set_up(monkeypatch):
+    bench.jump_study(resolutions=(16, 32), trials=30, seed=0)
+    calls = _counting(monkeypatch, [(sla, "eigh"), (sla, "inv"), (bench, "_constraint_matrix")])
+    bench.jump_study(resolutions=(32, 16), trials=30, seed=8)
+    assert calls == []
+    bench.jump_study(resolutions=(16,), eps_pair=(0.2, 0.1), trials=30, seed=8)
+    assert calls.count("eigh") == 4 and calls.count("_constraint_matrix") == 1
+    assert calls.count("inv") > 0
+
+
+def test_jump_study_sets_up_each_new_key_once(monkeypatch):
+    calls = _counting(monkeypatch, [(sla, "eigh")])
+
+    def eigh_calls(**kwargs):
+        calls.clear()
+        bench.jump_study(**{"trials": 5, "seed": 1, **kwargs})
+        return len(calls)
+
+    assert eigh_calls(resolutions=(16,)) == 4  # 2 eps x 2 mirror halves
+    assert eigh_calls(resolutions=(16, 32)) == 4  # resolution 32 is new
+    assert eigh_calls(resolutions=(32, 16), seed=2) == 0
+    assert eigh_calls(resolutions=(16,), eps_pair=(0.2, 0.1)) == 4  # the order counts
+    assert eigh_calls(resolutions=(16,), eps_pair=(0.1, 0.3)) == 4
+    assert eigh_calls(resolutions=(16, 32), eps_pair=(0.1, 0.3)) == 4
+    assert len(bench._STUDY_CACHE) == 5
+
+
+def test_jump_study_cache_holds_read_only_arrays():
+    bench.jump_study(resolutions=(16,), trials=5, seed=0)
+    pencils = bench._STUDY_CACHE.get((3.5, (0.1, 0.2), 16))
+    arrays = [*pencils.gram0, *(a for per_eps in (*pencils.lams, *pencils.coords) for a in per_eps)]
+    assert len(arrays) == 2 + 2 * 2 * 2
+    assert not any(a.flags.writeable for a in arrays)
+    assert all(c.shape[1] == 25 for per_eps in pencils.coords for c in per_eps)  # |m| <= 2
+    with pytest.raises(ValueError, match="read-only"):
+        pencils.coords[0][0][0, 0] = 0.0
+    assert pencils.nbytes == sum(a.nbytes for a in arrays) == bench._STUDY_CACHE.nbytes
+
+
+def test_jump_study_cache_evicts_at_its_byte_cap(monkeypatch):
+    first = bench.jump_study(resolutions=(16,), trials=5, seed=0)
+    monkeypatch.setattr(bench._STUDY_CACHE, "byte_cap", bench._STUDY_CACHE.nbytes)
+    bench.jump_study(resolutions=(16,), eps_pair=(0.2, 0.1), trials=5, seed=0)
+    assert len(bench._STUDY_CACHE) == 1
+    assert bench._STUDY_CACHE.get((3.5, (0.1, 0.2), 16)) is None
+    assert bench._STUDY_CACHE.get((3.5, (0.2, 0.1), 16)) is not None
+    assert bench._STUDY_CACHE.nbytes <= bench._STUDY_CACHE.byte_cap
+    calls = _counting(monkeypatch, [(sla, "eigh")])
+    assert bench.jump_study(resolutions=(16,), trials=5, seed=0).rows == first.rows
+    assert len(calls) == 4  # built again
+
+
 def test_quotient_gram_rejects_a_weight_that_is_not_even(monkeypatch):
     mask = pb.omega_domain(pb.IntervalGeometry(nx=4), 1.0, 4)
     rng = np.random.default_rng(1)

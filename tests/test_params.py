@@ -201,6 +201,14 @@ def test_custom_params_compare_by_evaluator():
     assert sqrt.cache_key() is None and log1p.cache_key() is None
 
 
+def test_interp_params_compare_by_evaluator():
+    sqrt, log1p = params.InterpParam(evaluator=np.sqrt), params.InterpParam(evaluator=np.log1p)
+    assert sqrt != log1p and len({sqrt, log1p}) == 2
+    assert sqrt == params.InterpParam(evaluator=np.sqrt)
+    assert hash(sqrt) == hash(params.InterpParam(evaluator=np.sqrt))
+    assert sqrt != params.InterpParam(evaluator=np.sqrt, label="sqrt")
+
+
 def test_membership_diagnostics_for_family():
     for phi in [params.log_power(t) for t in (-2.0, -0.5, 0.5, 2.0)]:
         for s0, s, s1 in [(0, 1, 2), (-1, 0.5, 3), (2, 2.2, 2.5)]:
