@@ -184,11 +184,24 @@ def solution_norms(
 
 # -- the isomorphism surrogate --------------------------------------------------------
 
+def _check_resolutions(resolutions: Sequence[int]) -> None:
+    """Raise :class:`InvalidConfig` unless ``resolutions`` are one or more distinct powers
+    of two >= 4: box points per axis, whose finest two the PASS criteria compare."""
+    if not resolutions:
+        raise InvalidConfig("resolutions must name at least one resolution, got []")
+    for i, n in enumerate(resolutions):
+        if n < 4 or n & (n - 1):
+            raise InvalidConfig(
+                f"resolutions must be powers of two >= 4, got {n} in {list(resolutions)}")
+        if n in resolutions[:i]:
+            raise InvalidConfig(f"resolution {n} is repeated in {list(resolutions)}")
+
+
 @dataclass(frozen=True)
 class BenchCase:
     """Sweep specification for the isomorphism surrogate.
 
-    ``resolutions`` are box points per axis, powers of two >= 4 (the closed
+    ``resolutions`` are box points per axis, distinct powers of two >= 4 (the closed
     cylinder grid then has resolution/2 + 1 points per axis); the jump set is
     excluded from ``s_grid`` unless the study explicitly asks for it.  A case
     that cannot run raises :class:`InvalidConfig` when it is made.
@@ -214,9 +227,7 @@ class BenchCase:
             raise InvalidConfig("need at least 30 trials")
         if self.band < 0:
             raise InvalidConfig(f"band must be >= 0, got {self.band}")
-        if not self.resolutions or any(n < 4 or n & (n - 1) for n in self.resolutions):
-            raise InvalidConfig(
-                f"resolutions must be powers of two >= 4, got {list(self.resolutions)}")
+        _check_resolutions(self.resolutions)
         if self.ny < 2 or self.ny & (self.ny - 1):
             raise InvalidConfig(f"ny must be a power of two >= 2, got {self.ny}")
         if not self.s_grid or not all(2 < s < math.inf for s in self.s_grid):
@@ -545,7 +556,8 @@ class JumpStudyReport:
         return 1.0 / factor < b / a < factor
 
     def violation_monotone(self) -> bool:
-        vals = [row["norm"] for row in self.violation_rows]
+        rows = sorted(self.violation_rows, key=lambda row: row["resolution"])
+        vals = [row["norm"] for row in rows]
         return all(b > a for a, b in zip(vals, vals[1:]))
 
     def to_dict(self) -> dict:
@@ -559,27 +571,15 @@ class JumpStudyReport:
 
 @dataclass(frozen=True, eq=False)
 class _StudyPencils:
-    """What a jump study evaluates its trials with at one (s_star, eps_pair, resolution).
+    """What a jump study evaluates its trials with at one (s_star, eps_pair, resolution):
+    per eps, the :class:`interp.SubspaceBasis` of :func:`_study_pencils`.  ``nbytes`` is
+    their size, as ``weights._GridCache`` counts it."""
 
-    Per eps, one entry of ``lams``, ``coords`` and ``gram0``: the spectra of
-    the mirror-even and mirror-odd half-pencils, the eigencoordinates of the
-    data columns of the band modes in each half, and the modes' G0 Gram, so
-    a trial with band block b has coordinates c @ b and ||u||_0^2 b^H G0 b.
-    ``violation`` is the violating datum's norm at eps_1.  All arrays are
-    read-only; ``nbytes`` is their size, as ``weights._GridCache`` counts it.
-    """
+    bases: tuple[interp.SubspaceBasis, ...]
 
-    lams: tuple[tuple[np.ndarray, ...], ...]
-    coords: tuple[tuple[np.ndarray, ...], ...]
-    gram0: tuple[np.ndarray, ...]
-    violation: float
-    nbytes: int = field(init=False)
-
-    def __post_init__(self):
-        arrays = [*self.gram0, *(a for per_eps in (*self.lams, *self.coords) for a in per_eps)]
-        for a in arrays:
-            a.flags.writeable = False
-        object.__setattr__(self, "nbytes", sum(a.nbytes for a in arrays))
+    @property
+    def nbytes(self) -> int:
+        return sum(basis.nbytes for basis in self.bases)
 
 
 # far above one 16/32/64 study (about 1.3 MiB), with room for resolution 128
@@ -592,11 +592,11 @@ def _study_pencils(
 ) -> _StudyPencils:
     """The seed-free part of :func:`jump_study` at one resolution.
 
-    ``trial``, any trial of the study, gives the box and the band modes.  One
-    spectrum per half-pencil and eps, applied to the data columns of the
-    band modes and of the violating datum: zero interior/initial data with
-    the t-linear boundary value, which satisfies the k = 0 condition and
-    breaks the k = 1 condition appearing at s_star.
+    ``trial``, any trial of the study, gives the box and the band modes.  Per
+    eps, the subspace core is set up on the data columns of the band modes
+    and, last, of the violating datum: zero interior/initial data with the
+    t-linear boundary value, which satisfies the k = 0 condition and breaks
+    the k = 1 condition appearing at s_star.
     """
     geom = p.geometry
     acc_x = 8 if geom.nx + 1 >= 2 + 8 else 4  # small grids degrade gracefully
@@ -604,29 +604,18 @@ def _study_pencils(
     C_above = _constraint_matrix(p, nt, pb.compat_count(s_star, 0) + 1, acc_x=acc_x)
     frames = [interp.kernel_frame(C, C.shape[1]) for C in split.constraints(C_above)]
 
-    n = trial.block.size
     columns = [_flatten_data(*apply_lambda(
-        p, TrialField(trial.box, trial.index, e.reshape(trial.block.shape)), nt)) for e in np.eye(n)]
+        p, TrialField(trial.box, trial.index, e.reshape(trial.block.shape)), nt))
+        for e in np.eye(trial.block.size)]
     f_shape, g_shape, h_shape = _data_shapes(geom, nt)
     g_viol = np.broadcast_to(np.arange(nt + 1) * (p.tau / nt), g_shape)
     columns.append(_flatten_data(np.zeros(f_shape), g_viol, np.zeros(h_shape)))
     halves = split.coords(np.column_stack(columns))
-
-    lams, coords, gram0, violation = [], [], [], None
-    for eps in eps_pair:
-        grams0 = _data_gram(p, split, s_star - eps)
-        grams1 = _data_gram(p, split, s_star + eps)
-        basis = interp._subspace_basis(
-            [(interp.GramPair(gram0=g0, gram1=g1), frame, x)
-             for g0, g1, frame, x in zip(grams0, grams1, frames, halves)])
-        lams.append(tuple(lam for lam, *_ in basis))
-        coords.append(tuple(np.ascontiguousarray(c[:, :n]) for _, c, *_ in basis))
-        gram0.append(sum(x[:, :n].conj().T @ g0x[:, :n] for _, _, x, g0x in basis))
-        if violation is None:
-            [violation], _ = interp._half_norms(
-                lams[-1], [c[:, n:] for _, c, *_ in basis], interp._column_norms0(basis)[n:])
-    return _StudyPencils(lams=tuple(lams), coords=tuple(coords), gram0=tuple(gram0),
-                         violation=float(violation))
+    return _StudyPencils(bases=tuple(
+        interp.subspace_basis([(interp.GramPair(gram0=g0, gram1=g1), frame, x) for g0, g1, frame, x
+                               in zip(_data_gram(p, split, s_star - eps),
+                                      _data_gram(p, split, s_star + eps), frames, halves)])
+        for eps in eps_pair))
 
 
 def jump_study(
@@ -662,22 +651,26 @@ def jump_study(
     Everything but the trials depends only on (s_star, eps_pair, resolution):
     the heat problem, tau = 1, band 2 and the stencil orders are fixed.  So
     :func:`_study_pencils` builds it once per such key (the constraint rows,
-    the kernel frames, the Grams and one spectrum per half-pencil and eps)
-    and keeps it in ``_STUDY_CACHE``, at most 16 MiB, least recently used
-    out.  A trial's data column is linear in its band block (Lambda is), so a
-    call draws its trials and evaluates each from its block through the
-    cached eigencoordinates of the band modes' data columns.  A cold and a
-    warm call take the same path from the cached arrays, and their reports
-    are bitwise equal.
+    the kernel frames, the Grams and, per eps, one
+    :class:`interp.SubspaceBasis` on the data columns of the band modes and
+    the violating datum) and keeps it in ``_STUDY_CACHE``, at most 16 MiB,
+    least recently used out.  A trial's data column is linear in its band
+    block B (Lambda is), so a call draws its trials and evaluates them at the
+    coefficients [B; 0], and the violating datum at the last unit vector,
+    through the core's one evaluation, the one the two ``interp`` norms use
+    at the identity.  A cold and a warm call take the same path from the
+    cached bases, and their reports are bitwise equal.
 
     Raises :class:`InvalidConfig` before any work unless s_star is a Dirichlet
-    jump point, ``trials`` >= 1 and the two eps differ, each with s_star -+ eps
-    in the open continuity intervals on either side of s_star.
+    jump point, ``trials`` >= 1, the two eps differ, each with s_star -+ eps
+    in the open continuity intervals on either side of s_star, and the
+    resolutions are one or more distinct powers of two >= 4.
     """
     if not pb.in_E(s_star, 0):
         raise InvalidConfig(f"s_star = {s_star} is not a Dirichlet jump point")
     if trials < 1:
         raise InvalidConfig(f"need at least 1 trial, got {trials}")
+    _check_resolutions(resolutions)
     # the continuity intervals that end and start at s_star
     (below, _), (_, above) = [iv for iv in pb.continuity_intervals(0, math.ceil(s_star))
                               if s_star in iv]
@@ -699,11 +692,11 @@ def jump_study(
         if pencils is None:
             pencils = _study_pencils(p, nt, s_star, eps_pair, drawn[0])
             _STUDY_CACHE.put(key, pencils)
+        # the trials at [B; 0], B their band blocks; the violating datum at the last unit vector
         blocks = np.stack([trial.block.reshape(-1) for trial in drawn], axis=1)
-        norms, defects = zip(*(
-            interp._half_norms(lams, [c @ blocks for c in coords],
-                               np.real(np.sum(np.conj(blocks) * (gram0 @ blocks), axis=0)))
-            for lams, coords, gram0 in zip(pencils.lams, pencils.coords, pencils.gram0)))
+        blocks = np.vstack([blocks, np.zeros((1, trials))])
+        norms, defects = zip(*(basis.evaluate(blocks, None) for basis in pencils.bases))
+        [violation], _ = pencils.bases[0].evaluate(np.eye(len(blocks))[:, -1:], None)
 
         ratios = norms[0] / norms[1]
         envelope = float(max(np.max(ratios), 1.0 / np.min(ratios)))
@@ -717,6 +710,6 @@ def jump_study(
                 "trials": trials,
             }
         )
-        report.violation_rows.append({"resolution": resolution, "norm": pencils.violation})
+        report.violation_rows.append({"resolution": resolution, "norm": float(violation)})
     return report
 

@@ -17,13 +17,13 @@ reiteration omega = alpha * psi(beta/alpha), and the orthogonal-sum identity.
 Each sweep builds its weights once and compares the norms of seeded fields.
 Subspace interpolation (pairs restricted by linear constraints) is realized
 densely through the generalized eigenproblem of the two Gram matrices on a
-Householder frame of the constraint kernel.  One private core takes an
-orthogonal sum of such pencils, one spectrum per summand, and applies the one
-membership floor to their summed G0-orthogonal defect; the J-method norm
+Householder frame of the constraint kernel.  One core, :class:`SubspaceBasis`,
+takes an orthogonal sum of such pencils: :func:`subspace_basis` sets it up on
+basis columns (one spectrum per summand, G0 applied once), and its one
+evaluation takes coefficient columns in that basis and applies the one
+membership floor to their summed G0-orthogonal defect.  The J-method norm
 :func:`interpolate_subspace_norm` and the K-functional :func:`half_interp_norm`
-of the jump studies are two thin entries over it.  The core sets up on basis
-columns (spectra, eigencoordinates, G0 applied once) and evaluates coefficient
-columns in that basis, so the jump study sets up once per pencil and
+evaluate at the identity; the jump study sets up once per pencil and
 evaluates every later trial from its band coefficients.  A pencil that splits (the
 jump study's, by mirror parity) is never assembled whole: interpolation
 commutes with orthogonal sums, the identity ``verify_orthogonal_sum`` checks.
@@ -53,6 +53,8 @@ __all__ = [
     "KernelFrame",
     "kernel_frame",
     "subspace_spectrum",
+    "SubspaceBasis",
+    "subspace_basis",
     "half_interp_norm",
 ]
 
@@ -328,13 +330,11 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
     """Generalized spectrum of the pair restricted to ker C.
 
     Returns (lam, to_coords): lam are the generating-operator eigenvalues
-    (sqrt of the Gram ratio), and ``to_coords`` maps a (dim,) vector or a
-    (dim, batch) block X to the eigencoordinates V^H [Q^H G0 X]_{r:} of its
-    G0-orthogonal projection onto ker C, with V the eigenvectors of the
-    projected pencil, orthonormal in its G0 form.  ``to_coords(x, g0x)``
-    takes G0 X as well, when the caller has it already, and does not apply
-    G0 again.  Real Grams and a real frame keep the projection and the
-    eigenproblem in real arithmetic.
+    (sqrt of the Gram ratio), and ``to_coords`` maps G0 X, for a (dim, batch)
+    block X, to the eigencoordinates V^H [Q^H G0 X]_{r:} of the G0-orthogonal
+    projection of X onto ker C, with V the eigenvectors of the projected
+    pencil, orthonormal in its G0 form.  Real Grams and a real frame keep the
+    projection and the eigenproblem in real arithmetic.
     """
     A0 = frame.project(grams.gram0)
     A1 = frame.project(grams.gram1)
@@ -344,17 +344,14 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
     lam = np.sqrt(np.maximum(w, 0.0))
     Vh = V.conj().T
 
-    def to_coords(x: np.ndarray, g0x: np.ndarray | None = None) -> np.ndarray:
-        if g0x is None:
-            g0x = _gram_apply(grams.gram0, x.reshape(frame.dim, -1))
-        y = frame.adjoint_apply(g0x)[frame.rank:]
-        return (Vh @ y).reshape((-1,) + x.shape[1:])
+    def to_coords(g0x: np.ndarray) -> np.ndarray:
+        return Vh @ frame.adjoint_apply(g0x)[frame.rank:]
 
     return lam, to_coords
 
 
 # A G0-orthogonal defect at or below this share of ||u||_0^2 is rounding, and u
-# a member of the subspace: it counts as 0, in the norms and in ``defect_out``.
+# a member of the subspace: it counts as 0, in the norms and in the defects.
 # The Lambda-synthesized trials of the jump study at resolutions 32 and 64
 # carry defects of 1e-12 to 2.5e-11 of ||u||_0^2 (seeds 0, 5 and 301), so a
 # floor of 1e-12 would count that noise as a violation.  (At resolution 16
@@ -363,49 +360,61 @@ def subspace_spectrum(grams: GramPair, frame: KernelFrame):
 _DEFECT_FLOOR = 1e-10
 
 
-def _subspace_basis(summands):
-    """The subspace core's set-up on basis columns: per (grams, frame, x) summand, x a
-    (dim,) vector or a (dim, batch) block, the spectrum lam, the eigencoordinates c of
-    x's columns, and x and G0 x as (dim, batch) blocks, c from that one G0 x."""
-    basis = []
+@dataclass(frozen=True, eq=False)
+class SubspaceBasis:
+    """The subspace core, set up on basis columns X of an orthogonal sum of pencils.
+
+    Per summand, ``lams`` holds the spectrum lam of its pencil on ker C and
+    ``coords`` the eigencoordinates c of its block of X; ``gram0`` is
+    X^H G0 X summed over the summands.  A column u = X k of the span has
+    eigencoordinates c @ k and ||u||_0^2 = Re k^H gram0 k, so
+    :meth:`evaluate` needs only k.  All arrays are read-only; ``nbytes`` is
+    their size, as ``weights._GridCache`` counts it.
+    """
+
+    lams: tuple[np.ndarray, ...]
+    coords: tuple[np.ndarray, ...]
+    gram0: np.ndarray
+    nbytes: int = field(init=False)
+
+    def __post_init__(self):
+        arrays = [*self.lams, *self.coords, self.gram0]
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "nbytes", sum(a.nbytes for a in arrays))
+
+    def evaluate(self, K: np.ndarray, t_floor: float | None):
+        """The K-functional norms with parameter 1/2 of the columns X K (K: (basis, batch)),
+        and their defects delta^2 / ||u||_0^2 as the norms used them (see
+        :func:`half_interp_norm`): 0 at or below ``_DEFECT_FLOOR``, the membership floor."""
+        a = [np.abs(c @ K) ** 2 for c in self.coords]
+        norm0_sq = np.real(np.sum(np.conj(K) * (self.gram0 @ K), axis=0))
+        delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(x, axis=0) for x in a))
+        delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
+        lam_max = max((float(np.max(lam)) for lam in self.lams if lam.size), default=1.0)
+        t0 = (1.0 / lam_max) if t_floor is None else t_floor
+        core = sum((lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ x for lam, x in zip(self.lams, a))
+        if t0 > 0:
+            tail = delta_sq / t0
+        else:
+            tail = np.where(delta_sq > 0, np.inf, 0.0)
+        defect = np.zeros_like(norm0_sq)
+        np.divide(delta_sq, norm0_sq, out=defect, where=norm0_sq > 0)
+        return np.sqrt((2.0 / np.pi) * (core + tail)), defect
+
+
+def subspace_basis(summands) -> SubspaceBasis:
+    """The core set up on the columns of an orthogonal sum: per (grams, frame, x) summand,
+    x a (dim,) vector or a (dim, basis) block, one spectrum and one G0 x."""
+    lams, coords, gram0 = [], [], 0.0
     for grams, frame, u in summands:
         lam, to_coords = subspace_spectrum(grams, frame)
         x = u.reshape(frame.dim, -1)
         g0x = _gram_apply(grams.gram0, x)
-        basis.append((lam, to_coords(x, g0x), x, g0x))
-    return basis
-
-
-def _column_norms0(basis) -> np.ndarray:
-    """||u||_0^2 of each column of the basis blocks, summed over the summands."""
-    return sum(np.real(np.sum(np.conj(x) * g0x, axis=0)) for _, _, x, g0x in basis)
-
-
-def _subspace_parts(coords, norm0_sq: np.ndarray):
-    """The subspace core's evaluation on coefficient columns: per summand |c|^2 of the
-    eigencoordinates c, and per column the G0-orthogonal defect delta^2 of the summed
-    ||u||_0^2, 0 at or below ``_DEFECT_FLOOR`` times ||u||_0^2 (the membership rule)."""
-    a = [np.abs(c) ** 2 for c in coords]
-    delta_sq = np.maximum(0.0, norm0_sq - sum(np.sum(x, axis=0) for x in a))
-    delta_sq[delta_sq <= _DEFECT_FLOOR * norm0_sq] = 0.0
-    return a, delta_sq
-
-
-def _half_norms(lams, coords, norm0_sq: np.ndarray, t_floor: float | None = None):
-    """The K-functional norms with parameter 1/2 of columns given by their per-summand
-    spectra lam and eigencoordinates c and their summed ||u||_0^2, and their defects
-    delta^2 / ||u||_0^2 as the norms used them (see :func:`half_interp_norm`)."""
-    a, delta_sq = _subspace_parts(coords, norm0_sq)
-    lam_max = max((float(np.max(lam)) for lam in lams if lam.size), default=1.0)
-    t0 = (1.0 / lam_max) if t_floor is None else t_floor
-    core = sum((lam * (np.pi / 2.0 - np.arctan(t0 * lam))) @ x for lam, x in zip(lams, a))
-    if t0 > 0:
-        tail = delta_sq / t0
-    else:
-        tail = np.where(delta_sq > 0, np.inf, 0.0)
-    defect = np.zeros_like(norm0_sq)
-    np.divide(delta_sq, norm0_sq, out=defect, where=norm0_sq > 0)
-    return np.sqrt((2.0 / np.pi) * (core + tail)), defect
+        lams.append(lam)
+        coords.append(to_coords(g0x))
+        gram0 = gram0 + x.conj().T @ g0x
+    return SubspaceBasis(lams=tuple(lams), coords=tuple(coords), gram0=gram0)
 
 
 def half_interp_norm(
@@ -433,14 +442,14 @@ def half_interp_norm(
     ``defect_out``, when given, receives delta^2 / ||u||_0^2 of each column
     as the norm used it: 0 at or below the noise floor.
 
-    The spectra and coordinates depend on u only through its columns, so a
-    caller that evaluates many columns in one fixed span sets the core up once
-    on a basis of it (:func:`_subspace_basis`) and evaluates coefficient
-    columns with :func:`_half_norms`; the jump study does.
+    The spectra and coordinates depend on u only through its columns, so this
+    sets the core up on them (:func:`subspace_basis`) and evaluates at the
+    identity; a caller that evaluates many columns in one fixed span sets it
+    up once on a basis of the span and evaluates coefficient columns, as the
+    jump study does.
     """
-    basis = _subspace_basis(summands)
-    out, defect = _half_norms([lam for lam, *_ in basis], [c for _, c, *_ in basis],
-                              _column_norms0(basis), t_floor)
+    basis = subspace_basis(summands)
+    out, defect = basis.evaluate(np.eye(len(basis.gram0)), t_floor)
     if defect_out is not None:
         defect_out[...] = defect
     return out if summands[0][2].ndim == 2 else float(out[0])
@@ -466,13 +475,13 @@ def interpolate_subspace_norm(
         raise ValueError(
             f"dense subspace interpolation is limited to {_DENSE_CAP} lattice points"
         )
-    [(lam, c, *_)] = basis = _subspace_basis(
+    basis = subspace_basis(
         [(GramPair.diagonal(pair), kernel_frame(constraint, dim), u.coeffs.reshape(-1))])
-    norm0_sq = _column_norms0(basis)
-    [a], delta_sq = _subspace_parts([c], norm0_sq)
-    if delta_sq[0] > 0:
+    _, [defect] = basis.evaluate(np.eye(1), None)
+    if defect > 0:
         raise ValueError(
             "field does not satisfy the constraint set (G0-orthogonal defect "
-            f"{delta_sq[0] / norm0_sq[0]:.3e} of ||u||_0^2); project it first"
+            f"{defect:.3e} of ||u||_0^2); project it first"
         )
-    return float(np.sqrt(psi(lam) ** 2 @ a[:, 0]))
+    [lam], [c] = basis.lams, basis.coords
+    return float(np.sqrt(psi(lam) ** 2 @ np.abs(c[:, 0]) ** 2))

@@ -653,11 +653,6 @@ class _FiberSolver:
             sq = sq + np.sum(z**2, axis=0)
         return sq[0::2] + sq[1::2]
 
-    def solve_values(self, data: np.ndarray) -> np.ndarray:
-        """Squared quotient norms ||U^-T d||^2 for each column d of ``data`` (n x batch)."""
-        parts = _parity_parts(self._plan, _real_columns(data)[self._plan.images])
-        return self.solve_parts(parts, np.arange(2 * data.shape[1]))
-
 
 def _real_columns(data: np.ndarray) -> np.ndarray:
     """Complex (n x batch) data as (n x 2 batch) reals: re and im of each column side by side."""

@@ -200,13 +200,15 @@ def test_bench_case_rejects_jump_points():
     ({"resolutions": (48,)}, "resolutions"),
     ({"resolutions": (2, 4)}, "resolutions"),
     ({"resolutions": ()}, "resolutions"),
+    ({"resolutions": (32, 64, 32)}, r"resolution 32 is repeated in \[32, 64, 32\]"),
     ({"ny": 12}, "ny"),
     ({"s_grid": ()}, "s_grid"),
     ({"s_grid": (1.5, 3.0)}, "s_grid"),
     ({"s_grid": (float("nan"),)}, "s_grid"),
     ({"trial_count": 29}, "30 trials"),
     ({"phi_list": (params.constant(), params.constant(1.0))}, "phi_list labels"),
-], ids=["geometry", "boundary", "resolution-48", "resolution-2", "no-resolutions", "ny-12",
+], ids=["geometry", "boundary", "resolution-48", "resolution-2", "no-resolutions",
+        "repeated-resolution", "ny-12",
         "no-s", "s-below-2", "s-nan", "trials-29", "phi-labels"])
 def test_bench_case_rejects_what_cannot_run(kw, message):
     with pytest.raises(InvalidConfig, match=message):
@@ -486,8 +488,11 @@ def _complex_data_gram(p, nt, s):
     ({"eps_pair": (2.0, 0.2)}, "eps = 2.0"),
     ({"s_star": 3.4}, "s_star = 3.4 is not a Dirichlet jump point"),
     ({"trials": 0}, "need at least 1 trial"),
+    ({"resolutions": ()}, r"at least one resolution, got \[\]"),
+    ({"resolutions": (16, 32, 16)}, r"resolution 16 is repeated in \[16, 32, 16\]"),
+    ({"resolutions": (12,)}, r"powers of two >= 4, got 12 in \[12\]"),
 ], ids=["equal-eps", "zero-eps", "negative-eps", "eps-past-the-interval", "s-star-off-E",
-        "no-trial"])
+        "no-trial", "no-resolution", "repeated-resolution", "resolution-12"])
 def test_jump_study_rejects_bad_inputs_before_any_work(monkeypatch, kwargs, message):
     built = []
     monkeypatch.setattr(pb, "heat_problem", lambda *a, **kw: built.append(a))
@@ -773,13 +778,23 @@ def test_jump_study_sets_up_each_new_key_once(monkeypatch):
 def test_jump_study_cache_holds_read_only_arrays():
     bench.jump_study(resolutions=(16,), trials=5, seed=0)
     pencils = bench._STUDY_CACHE.get((3.5, (0.1, 0.2), 16))
-    arrays = [*pencils.gram0, *(a for per_eps in (*pencils.lams, *pencils.coords) for a in per_eps)]
-    assert len(arrays) == 2 + 2 * 2 * 2
+    arrays = [a for basis in pencils.bases for a in (*basis.lams, *basis.coords, basis.gram0)]
+    assert len(pencils.bases) == 2 and len(arrays) == 2 * (2 * 2 + 1)  # per eps and mirror half
     assert not any(a.flags.writeable for a in arrays)
-    assert all(c.shape[1] == 25 for per_eps in pencils.coords for c in per_eps)  # |m| <= 2
+    # the 25 band modes (|m| <= 2), then the violating datum
+    assert all(c.shape[1] == 25 + 1 for basis in pencils.bases for c in basis.coords)
+    assert all(basis.gram0.shape == (25 + 1,) * 2 for basis in pencils.bases)
     with pytest.raises(ValueError, match="read-only"):
-        pencils.coords[0][0][0, 0] = 0.0
+        pencils.bases[0].coords[0][0, 0] = 0.0
     assert pencils.nbytes == sum(a.nbytes for a in arrays) == bench._STUDY_CACHE.nbytes
+
+
+def test_jump_study_verdicts_do_not_depend_on_the_order_of_resolutions():
+    ascending = bench.jump_study(resolutions=(16, 32), trials=30, seed=0)
+    descending = bench.jump_study(resolutions=(32, 16), trials=30, seed=0)
+    assert ascending.envelope_stable() and ascending.violation_monotone()
+    assert descending.envelope_stable() and descending.violation_monotone()
+    assert [row["resolution"] for row in descending.violation_rows] == [32, 16]
 
 
 def test_jump_study_cache_evicts_at_its_byte_cap(monkeypatch):

@@ -124,6 +124,15 @@ def test_resolutions_flag_is_checked_before_any_work(monkeypatch, command, value
     assert called == []
 
 
+def test_iso_bench_rejects_a_repeated_resolution(monkeypatch):
+    # the drift check compares the two finest distinct resolutions; 16,16 has one
+    called = []
+    monkeypatch.setattr(bench, "estimate_isomorphism", lambda *a, **kw: called.append(a))
+    with pytest.raises(InvalidConfig, match=r"resolution 16 is repeated in \[16, 16\]"):
+        main(["iso-bench", "--resolutions", "16,16"])
+    assert called == []
+
+
 # the first step of each command's work, reached only once every input has been read
 _ENTRY = {"norm": (spectra, "load_field"), "interp-check": (interp, "verify_prop_interpolation"),
           "compat-check": (bench, "synthesize_trial"), "trace-check": (traces.CauchyData, "random"),

@@ -314,7 +314,7 @@ def test_kernel_frame_matches_svd_basis(C, n):
     # eigencoordinates agree up to a unit factor per (simple) eigenvalue
     rng = np.random.default_rng(5)
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    c = to_coords(x)
+    c = to_coords(interp._gram_apply(grams.gram0, x))
     assert c.shape == (len(lam_ref), 3)
     assert np.allclose(np.abs(c), np.abs(proj @ x), rtol=1e-10, atol=1e-12 * np.abs(proj @ x).max())
 
@@ -379,8 +379,7 @@ def test_half_interp_norm_of_an_orthogonal_sum_is_the_block_pencil(t_floor):
 
 def test_half_interp_norm_applies_g0_once_per_summand(monkeypatch):
     # ||u||_0^2 and the eigencoordinates share one G0 x per summand (diagonal
-    # and dense), and coordinates from a given G0 x keep the bits of those that
-    # apply G0 themselves
+    # and dense)
     rng = np.random.default_rng(31)
     lat = spectra.Lattice(sizes=(16,), periods=(TWO_PI,))
     summands = [
@@ -390,10 +389,6 @@ def test_half_interp_norm_applies_g0_once_per_summand(monkeypatch):
         (_dense_pencil(10, 5), interp.kernel_frame(rng.standard_normal((2, 10)), 10),
          rng.standard_normal((10, 3))),
     ]
-    for grams, frame, x in summands:
-        _, to_coords = interp.subspace_spectrum(grams, frame)
-        given = to_coords(x, interp._gram_apply(grams.gram0, x))
-        assert given.tobytes() == to_coords(x).tobytes()
     applied = []
     real_gram_apply = interp._gram_apply
 
@@ -404,6 +399,40 @@ def test_half_interp_norm_applies_g0_once_per_summand(monkeypatch):
     monkeypatch.setattr(interp, "_gram_apply", counting)
     interp.half_interp_norm(summands)
     assert applied == [(16,), (10, 10)]
+
+
+def _basis_cases():
+    """(summands on 4 basis columns X, coefficients K): a complex summand with a diagonal
+    Gram, a real one with a dense Gram, and their orthogonal sum.  Columns 0-2 of X lie
+    in ker C, column 3 violates it; K's columns 0-2 combine members only."""
+    rng = np.random.default_rng(41)
+    lat = spectra.Lattice(sizes=(16,), periods=(TWO_PI,))
+    C1 = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
+    C2 = rng.standard_normal((2, 10))
+    x1 = sla.null_space(C1) @ (rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4)))
+    x2 = sla.null_space(C2) @ rng.standard_normal((8, 4))
+    x1[:, 3] += rng.standard_normal(16)
+    x2[:, 3] += rng.standard_normal(10)
+    diagonal = (interp.GramPair.diagonal(pair_power(1.0, 3.0, lat)),
+                interp.kernel_frame(C1, 16), x1)
+    dense = (_dense_pencil(10, 6), interp.kernel_frame(C2, 10), x2)
+    K = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    K[3, :3] = 0.0
+    return [([diagonal], K), ([dense], K), ([diagonal, dense], K)]
+
+
+@pytest.mark.parametrize("t_floor", [None, 0.0], ids=["default-floor", "no-floor"])
+@pytest.mark.parametrize("summands, K", _basis_cases(), ids=["diagonal", "dense", "sum"])
+def test_a_basis_evaluated_at_coefficients_is_the_basis_of_the_combined_columns(
+        summands, K, t_floor):
+    # a basis set up on X and evaluated at K equals one set up on X K at the identity
+    norms, defects = interp.subspace_basis(summands).evaluate(K, t_floor)
+    combined = interp.subspace_basis([(g, f, x @ K) for g, f, x in summands])
+    ref_norms, ref_defects = combined.evaluate(np.eye(K.shape[1]), t_floor)
+    np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(defects, ref_defects, rtol=1e-12, atol=0.0)
+    assert np.all(defects[:3] == 0.0) and np.min(defects[3:]) > 1e-3
+    assert np.all(np.isfinite(norms[:3])) and np.all(np.isfinite(norms[3:])) == (t_floor is None)
 
 
 def test_power_case_geometric_mean():

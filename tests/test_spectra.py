@@ -276,6 +276,13 @@ def test_quotient_direct_matches_dense_qr_branch():
         assert dv == pytest.approx(dn, rel=1e-9)
 
 
+def _solve_values(solver, data):
+    """Squared quotient norms ||U^-T d||^2 of each column d of ``data`` (n x batch), as the
+    engine reaches them: the parity parts of the data, then the solver's block solves."""
+    parts = spectra._parity_parts(solver._plan, spectra._real_columns(data)[solver._plan.images])
+    return solver.solve_parts(parts, np.arange(2 * data.shape[1]))
+
+
 def _box(sizes, corner, extent):
     m = np.zeros(sizes, dtype=bool)
     m[tuple(slice(c, c + e) for c, e in zip(corner, extent))] = True
@@ -374,7 +381,7 @@ def test_cholesky_failure_on_one_block_sends_the_fiber_to_qr(monkeypatch):
     assert len(calls) == 2 and solver._mode == "qr" and len(solver._factors) == 4
     sub = spectra.SubdomainMask(lat, mask)
     d = np.random.default_rng(14).standard_normal(sub.npoints) + 0j
-    value = np.sqrt(solver.solve_values(d[:, None])[0])
+    value = np.sqrt(_solve_values(solver, d[:, None])[0])
     assert value == pytest.approx(quotient_norm_dense(idx, d, sub), rel=1e-9)
 
 
@@ -659,7 +666,7 @@ def test_a_block_lapack_finds_not_positive_definite_sends_the_fiber_to_qr():
     unit = spectra._FiberSolver(np.ones(mu.shape), mask)
     assert unit._mode == "chol"
     d = np.random.default_rng(42).standard_normal((int(mask.sum()), 2)) + 0j
-    assert scaled.solve_values(d / c) == pytest.approx(unit.solve_values(d), rel=1e-9)
+    assert _solve_values(scaled, d / c) == pytest.approx(_solve_values(unit, d), rel=1e-9)
 
 
 def test_lapack_errors_surface_as_the_scipy_wrappers_raised_them(monkeypatch):
@@ -669,7 +676,7 @@ def test_lapack_errors_surface_as_the_scipy_wrappers_raised_them(monkeypatch):
     # trtrs info > 0: a zero on the diagonal of a factor
     solver._factors[1][3, 3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        solver.solve_values(d)
+        _solve_values(solver, d)
     # potrf info < 0, an illegal argument, is an error, not a cue for the QR branch
     monkeypatch.setattr(spectra, "_potrf", lambda a, **kwargs: (a, -1))
     with pytest.raises(ValueError):
@@ -870,7 +877,7 @@ def _padded_box_norms(idx, samples_list, mask):
     mu = lattice.weight(idx)
     full = spectra._full_axes(mask.mask)
     if not full:
-        return np.sqrt(spectra._FiberSolver(mu, mask.mask).solve_values(data))
+        return np.sqrt(_solve_values(spectra._FiberSolver(mu, mask.mask), data))
     grids = np.zeros(lattice.sizes + (batch,), dtype=complex)
     grids[mask.mask] = data
     grids = np.fft.fftn(grids, axes=full, norm="ortho")
@@ -887,7 +894,7 @@ def _padded_box_norms(idx, samples_list, mask):
         groups.setdefault(mu_sub.tobytes(), (mu_sub, []))[1].append(grids[tuple(sl)][sub_mask])
     values_sq = np.zeros(batch)
     for mu_sub, fiber_data in groups.values():
-        sq = spectra._FiberSolver(mu_sub, sub_mask).solve_values(np.hstack(fiber_data))
+        sq = _solve_values(spectra._FiberSolver(mu_sub, sub_mask), np.hstack(fiber_data))
         values_sq += sq.reshape(len(fiber_data), batch).sum(axis=0)
     return np.sqrt(values_sq)
 
